@@ -2,46 +2,33 @@
 //!
 //! Two entry points:
 //!
-//! - the **`tables` binary** (`cargo run -p lfm-bench --bin tables`)
-//!   regenerates every table (T1–T9), figure demo (F1–F5) and implication
-//!   experiment (E-scope, E-detect, E-test, E-cov, E-tm, E-chaos, E-perf,
-//!   E-dpor, E-fuse, E-wit, E-obs, E-serve) of the study; pass
-//!   `--only <id>` to print one artifact, `--markdown` for Markdown;
+//! - [`Artifact`] regenerates every table (T1–T9), figure demo (F1–F5)
+//!   and implication experiment (E-scope, E-detect, E-test, E-cov,
+//!   E-tm, E-chaos, E-perf, E-dpor, E-fuse, E-wit, E-obs, E-serve) of
+//!   the study, and [`Mode`] runs the benchmark documents and gates
+//!   ([`gate`]); both are driven by `lfm tables` (`lfm tables <id>` for
+//!   one artifact, `--markdown` for Markdown, `--json <path>` for an
+//!   `lfm-obs/v1` metrics snapshot, see [`snapshot`]);
 //! - the **bench mains** (`cargo bench -p lfm-bench`, timed with
 //!   `std::time::Instant`) measure the substrates: exploration
 //!   throughput per kernel family, detector throughput, TL2 STM vs.
 //!   mutex scaling, and table generation.
-//!
-//! The `tables` binary additionally accepts `--json <path>` to write an
-//! `lfm-obs/v1` metrics snapshot (see [`snapshot`]).
 
 #![warn(missing_docs)]
 
 pub mod chaos;
+pub mod gate;
 pub mod obs;
 pub mod perf;
 pub mod reduction;
 pub mod serve;
 pub mod snapshot;
 
-pub use chaos::{chaos_comparison, chaos_table, ChaosRow};
-pub use obs::{obs_json, obs_measure, obs_table, ObsReport, ObsRow, OBS_BUDGET, OBS_TARGET_PCT};
-pub use perf::{
-    baseline_dpor_schedules, baseline_fused_schedules, baseline_states_per_sec, perf_json,
-    perf_measure, perf_table, PerfReport, PerfRow, PerfSpeedup, BENCH_EXPLORE_SCHEMA, PERF_BUDGET,
-    PERF_GATE_KERNEL,
-};
-pub use reduction::{
-    dpor_table, fuse_table, reduction_measure, ReductionReport, ReductionRow, DPOR_FLOOR,
-    FUSE_FLOOR, FUSE_GATE_KERNELS, REDUCTION_BUDGET,
-};
-pub use serve::{
-    baseline_requests_per_sec, serve_json, serve_measure, serve_table, trace_overhead_measure,
-    ServeReport, ServeRow, BENCH_SERVE_SCHEMA, SERVE_GATE_SCENARIO, SERVE_SEED,
-    SERVE_TRACE_SCENARIO,
-};
-pub use snapshot::{obs_snapshot, SNAPSHOT_SCHEMA};
+pub use gate::{Mode, Verdict};
+pub use perf::BENCH_EXPLORE_SCHEMA;
+pub use serve::{serve_json, ServeReport, ServeRow, BENCH_SERVE_SCHEMA, SERVE_SEED};
 
+use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use lfm_corpus::Corpus;
@@ -51,6 +38,46 @@ use lfm_study::experiments::{
 use lfm_study::figures;
 use lfm_study::tables;
 use lfm_study::Table;
+use reduction::{dpor_table, fuse_table, reduction_measure, REDUCTION_BUDGET};
+
+/// `std::thread::available_parallelism()` on this host (1 when unknown):
+/// recorded next to every wall-clock measurement, and the throughput
+/// gates skip below 2.
+pub fn host_parallelism() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
+}
+
+/// Appends `"key":value` pairs, comma-separated; each value is already
+/// JSON.
+pub(crate) fn push_fields(out: &mut String, fields: &[(&str, String)]) {
+    for (i, (key, value)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{}:{value}", lfm_obs::json::quote(key));
+    }
+}
+
+/// Appends a JSON array holding one object per item, its fields from
+/// `fields`.
+pub(crate) fn push_objects<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    fields: impl Fn(T) -> Vec<(&'static str, String)>,
+) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('{');
+        push_fields(out, &fields(item));
+        out.push('}');
+    }
+    out.push(']');
+}
 
 /// Everything the harness can regenerate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,56 +114,52 @@ pub enum Artifact {
     Findings,
 }
 
+/// The artifacts a word selects, with that word: the findings (listed
+/// first) and the experiments (listed after the tables and figures), in
+/// presentation order.
+const NAMED: [(&str, Artifact); 13] = [
+    ("findings", Artifact::Findings),
+    ("escope", Artifact::Scope),
+    ("edetect", Artifact::Detect),
+    ("etest", Artifact::SchedTest),
+    ("ecov", Artifact::CoverageGrowth),
+    ("etm", Artifact::Tm),
+    ("echaos", Artifact::Chaos),
+    ("eperf", Artifact::Perf),
+    ("edpor", Artifact::Dpor),
+    ("efuse", Artifact::Fuse),
+    ("ewit", Artifact::Witness),
+    ("eobs", Artifact::Obs),
+    ("eserve", Artifact::Serve),
+];
+
 impl Artifact {
-    /// Parses an artifact selector like `t3`, `f1`, `escope`, `findings`.
+    /// Parses an artifact selector like `t3`, `f1`, `escope` (or
+    /// `e-scope`), `findings`; case-insensitive.
     pub fn parse(s: &str) -> Option<Artifact> {
         let s = s.to_ascii_lowercase();
-        match s.as_str() {
-            "escope" | "e-scope" => Some(Artifact::Scope),
-            "edetect" | "e-detect" => Some(Artifact::Detect),
-            "etest" | "e-test" => Some(Artifact::SchedTest),
-            "ecov" | "e-cov" => Some(Artifact::CoverageGrowth),
-            "etm" | "e-tm" => Some(Artifact::Tm),
-            "echaos" | "e-chaos" => Some(Artifact::Chaos),
-            "eperf" | "e-perf" => Some(Artifact::Perf),
-            "edpor" | "e-dpor" => Some(Artifact::Dpor),
-            "efuse" | "e-fuse" => Some(Artifact::Fuse),
-            "ewit" | "e-wit" => Some(Artifact::Witness),
-            "eobs" | "e-obs" => Some(Artifact::Obs),
-            "eserve" | "e-serve" => Some(Artifact::Serve),
-            "findings" => Some(Artifact::Findings),
-            _ if s.len() >= 2 => {
-                let (kind, num) = s.split_at(1);
-                let n: u8 = num.parse().ok()?;
-                match kind {
-                    "t" if (1..=9).contains(&n) => Some(Artifact::Table(n)),
-                    "f" if (1..=5).contains(&n) => Some(Artifact::Figure(n)),
-                    _ => None,
-                }
-            }
+        let s = match s.strip_prefix("e-") {
+            Some(rest) => format!("e{rest}"),
+            None => s,
+        };
+        if let Some(&(_, artifact)) = NAMED.iter().find(|(id, _)| *id == s) {
+            return Some(artifact);
+        }
+        let n: u8 = s.get(1..)?.parse().ok()?;
+        match s.get(..1)? {
+            "t" if (1..=9).contains(&n) => Some(Artifact::Table(n)),
+            "f" if (1..=5).contains(&n) => Some(Artifact::Figure(n)),
             _ => None,
         }
     }
 
     /// All artifacts in presentation order.
     pub fn all() -> Vec<Artifact> {
-        let mut v = vec![Artifact::Findings];
+        let (findings, experiments) = NAMED.split_at(1);
+        let mut v = vec![findings[0].1];
         v.extend((1..=9).map(Artifact::Table));
         v.extend((1..=5).map(Artifact::Figure));
-        v.extend([
-            Artifact::Scope,
-            Artifact::Detect,
-            Artifact::SchedTest,
-            Artifact::CoverageGrowth,
-            Artifact::Tm,
-            Artifact::Chaos,
-            Artifact::Perf,
-            Artifact::Dpor,
-            Artifact::Fuse,
-            Artifact::Witness,
-            Artifact::Obs,
-            Artifact::Serve,
-        ]);
+        v.extend(experiments.iter().map(|&(_, artifact)| artifact));
         v
     }
 
@@ -155,19 +178,11 @@ impl Artifact {
         match self {
             Artifact::Table(n) => format!("t{n}"),
             Artifact::Figure(n) => format!("f{n}"),
-            Artifact::Scope => "escope".to_string(),
-            Artifact::Detect => "edetect".to_string(),
-            Artifact::SchedTest => "etest".to_string(),
-            Artifact::CoverageGrowth => "ecov".to_string(),
-            Artifact::Tm => "etm".to_string(),
-            Artifact::Chaos => "echaos".to_string(),
-            Artifact::Perf => "eperf".to_string(),
-            Artifact::Dpor => "edpor".to_string(),
-            Artifact::Fuse => "efuse".to_string(),
-            Artifact::Witness => "ewit".to_string(),
-            Artifact::Obs => "eobs".to_string(),
-            Artifact::Serve => "eserve".to_string(),
-            Artifact::Findings => "findings".to_string(),
+            named => NAMED
+                .iter()
+                .find(|(_, artifact)| artifact == named)
+                .map(|(id, _)| (*id).to_owned())
+                .expect("every other artifact is in NAMED"),
         }
     }
 
@@ -181,32 +196,9 @@ impl Artifact {
             }
         };
         match self {
-            Artifact::Table(n) => {
-                let t = match n {
-                    1 => tables::table1(corpus),
-                    2 => tables::table2(corpus),
-                    3 => tables::table3(corpus),
-                    4 => tables::table4(corpus),
-                    5 => tables::table5(corpus),
-                    6 => tables::table6(corpus),
-                    7 => tables::table7(corpus),
-                    8 => tables::table8(corpus),
-                    9 => tables::table9(corpus),
-                    _ => unreachable!("validated by parse"),
-                };
-                table(t)
-            }
-            Artifact::Figure(n) => {
-                let f = match n {
-                    1 => figures::figure1(),
-                    2 => figures::figure2(),
-                    3 => figures::figure3(),
-                    4 => figures::figure4(),
-                    5 => figures::figure5(),
-                    _ => unreachable!("validated by parse"),
-                };
-                f.to_string()
-            }
+            // `parse` admits only T1-T9 and F1-F5.
+            Artifact::Table(n) => table(tables::TABLES[usize::from(*n) - 1](corpus)),
+            Artifact::Figure(n) => figures::FIGURES[usize::from(*n) - 1]().to_string(),
             Artifact::Scope => table(scope_table()),
             Artifact::Detect => table(coverage_table()),
             Artifact::SchedTest => table(scheduler_table(100)),
@@ -244,15 +236,7 @@ impl Artifact {
             }
             self.render(corpus, markdown)
         }))
-        .map_err(|payload| {
-            if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_owned()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "non-string panic payload".to_owned()
-            }
-        })
+        .map_err(|payload| lfm_native::harness::panic_message(payload.as_ref()))
     }
 }
 
@@ -287,6 +271,12 @@ mod tests {
         assert_eq!(Artifact::parse("t10"), None);
         assert_eq!(Artifact::parse("x1"), None);
         assert_eq!(Artifact::parse(""), None);
+        assert_eq!(Artifact::parse("e-t1"), None);
+        assert_eq!(
+            Artifact::parse("é1"),
+            None,
+            "a non-ASCII selector is no panic"
+        );
     }
 
     #[test]

@@ -30,7 +30,9 @@ use lfm_obs::{json, FlightRecorder, PhaseProfile, PhaseProfiler};
 use lfm_sim::{ExploreLimits, Explorer};
 use lfm_study::Table;
 
-/// Schedule budget for the tables-binary run (same as E-perf's
+use crate::{push_fields, push_objects};
+
+/// Schedule budget for the E-obs artifact run (same as E-perf's
 /// `PERF_BUDGET`, so the two experiments describe the same workload).
 pub const OBS_BUDGET: u64 = 2_000;
 
@@ -181,9 +183,7 @@ pub fn obs_measure(max_schedules: u64) -> ObsReport {
 
     ObsReport {
         budget: max_schedules,
-        host_parallelism: std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
+        host_parallelism: crate::host_parallelism(),
         rows,
     }
 }
@@ -262,40 +262,36 @@ pub fn obs_table(max_schedules: u64) -> Table {
 /// Serializes the measurement as a JSON fragment (embedded in the
 /// `lfm-obs/v1` snapshot).
 pub fn obs_json(report: &ObsReport) -> String {
-    use std::fmt::Write as _;
     let mut out = String::with_capacity(1024);
-    let _ = write!(
-        out,
-        "{{\"budget\":{},\"host_parallelism\":{},\"target_overhead_pct\":{},\
-         \"reports_identical\":{},\"deepest\":[",
-        report.budget,
-        report.host_parallelism,
-        json::number_f64(OBS_TARGET_PCT),
-        report.all_identical(),
+    out.push('{');
+    push_fields(
+        &mut out,
+        &[
+            ("budget", report.budget.to_string()),
+            ("host_parallelism", report.host_parallelism.to_string()),
+            ("target_overhead_pct", json::number_f64(OBS_TARGET_PCT)),
+            ("reports_identical", report.all_identical().to_string()),
+        ],
     );
-    for (i, r) in report.rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"kernel\":{},\"max_depth\":{},\"off_states_per_sec\":{},\
-             \"on_states_per_sec\":{},\"overhead_pct\":{},\"est_total_schedules\":{},\
-             \"top_phase\":{},\"profiled_nanos\":{},\"recorded_events\":{},\
-             \"reports_identical\":{}}}",
-            json::quote(r.kernel),
-            r.max_depth,
-            json::number_f64(r.off_states_per_sec),
-            json::number_f64(r.on_states_per_sec),
-            json::number_f64(r.overhead_pct),
-            json::number_f64(r.est_total_schedules),
-            json::quote(&r.top_phase),
-            r.profiled_nanos,
-            r.recorded_events,
-            r.identical,
-        );
-    }
-    out.push_str("]}");
+    out.push_str(",\"deepest\":");
+    push_objects(&mut out, &report.rows, |r| {
+        vec![
+            ("kernel", json::quote(r.kernel)),
+            ("max_depth", r.max_depth.to_string()),
+            ("off_states_per_sec", json::number_f64(r.off_states_per_sec)),
+            ("on_states_per_sec", json::number_f64(r.on_states_per_sec)),
+            ("overhead_pct", json::number_f64(r.overhead_pct)),
+            (
+                "est_total_schedules",
+                json::number_f64(r.est_total_schedules),
+            ),
+            ("top_phase", json::quote(&r.top_phase)),
+            ("profiled_nanos", r.profiled_nanos.to_string()),
+            ("recorded_events", r.recorded_events.to_string()),
+            ("reports_identical", r.identical.to_string()),
+        ]
+    });
+    out.push('}');
     out
 }
 

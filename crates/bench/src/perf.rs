@@ -27,6 +27,8 @@ use lfm_obs::json::{self, Json};
 use lfm_sim::{Executor, ExploreLimits, Explorer};
 use lfm_study::Table;
 
+use crate::{push_fields, push_objects};
+
 /// Schedule budget used for the committed `BENCH_explore.json`
 /// baseline and the CI regression check (kept in one place so the two
 /// always measure the same workload).
@@ -168,9 +170,7 @@ pub fn perf_measure(max_schedules: u64) -> PerfReport {
 
     PerfReport {
         budget: max_schedules,
-        host_parallelism: std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
+        host_parallelism: crate::host_parallelism(),
         rows,
         speedups,
     }
@@ -230,125 +230,112 @@ pub fn perf_table(max_schedules: u64) -> Table {
 /// field is written only where its outcome sets were compared: an
 /// uncompared row claims no match.
 pub fn perf_json(report: &PerfReport, reductions: &crate::reduction::ReductionReport) -> String {
-    use std::fmt::Write as _;
     let mut out = String::with_capacity(4096);
-    let _ = write!(
-        out,
-        "{{\"schema\":{},\"budget\":{},\"host_parallelism\":{}",
-        json::quote(BENCH_EXPLORE_SCHEMA),
-        report.budget,
-        report.host_parallelism
+    out.push('{');
+    push_fields(
+        &mut out,
+        &[
+            ("schema", json::quote(BENCH_EXPLORE_SCHEMA)),
+            ("budget", report.budget.to_string()),
+            ("host_parallelism", report.host_parallelism.to_string()),
+        ],
     );
-    out.push_str(",\"kernels\":[");
-    for (i, r) in report.rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"kernel\":{},\"family\":{},\"schedules\":{},\"steps\":{},\"wall_us\":{},\
-             \"states_per_sec\":{},\"max_depth\":{},\"snapshot_bytes_saved\":{},\
-             \"peak_frontier_bytes\":{}}}",
-            json::quote(r.kernel),
-            json::quote(&r.family),
-            r.schedules,
-            r.steps,
-            r.wall_us,
-            json::number_f64(r.states_per_sec),
-            r.max_depth,
-            r.snapshot_bytes_saved,
-            r.peak_frontier_bytes,
-        );
-    }
-    out.push_str("],\"deepest\":[");
-    for (i, s) in report.speedups.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"kernel\":{},\"max_depth\":{},\"cow_wall_us\":{},\"cow_states_per_sec\":{}}}",
-            json::quote(s.kernel),
-            s.max_depth,
-            s.cow_wall_us,
-            json::number_f64(s.cow_states_per_sec),
-        );
-    }
-    out.push_str("],\"dpor\":{");
-    let _ = write!(
-        out,
-        "\"budget\":{},\"floor\":{},\"rows\":[",
-        reductions.budget,
-        json::number_f64(crate::reduction::DPOR_FLOOR),
+    out.push_str(",\"kernels\":");
+    push_objects(&mut out, &report.rows, |r| {
+        vec![
+            ("kernel", json::quote(r.kernel)),
+            ("family", json::quote(&r.family)),
+            ("schedules", r.schedules.to_string()),
+            ("steps", r.steps.to_string()),
+            ("wall_us", r.wall_us.to_string()),
+            ("states_per_sec", json::number_f64(r.states_per_sec)),
+            ("max_depth", r.max_depth.to_string()),
+            ("snapshot_bytes_saved", r.snapshot_bytes_saved.to_string()),
+            ("peak_frontier_bytes", r.peak_frontier_bytes.to_string()),
+        ]
+    });
+    out.push_str(",\"deepest\":");
+    push_objects(&mut out, &report.speedups, |s| {
+        vec![
+            ("kernel", json::quote(s.kernel)),
+            ("max_depth", s.max_depth.to_string()),
+            ("cow_wall_us", s.cow_wall_us.to_string()),
+            ("cow_states_per_sec", json::number_f64(s.cow_states_per_sec)),
+        ]
+    });
+    out.push_str(",\"dpor\":{");
+    push_fields(
+        &mut out,
+        &[
+            ("budget", reductions.budget.to_string()),
+            ("floor", json::number_f64(crate::reduction::DPOR_FLOOR)),
+        ],
     );
-    for (i, r) in reductions.rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"kernel\":{},\"family\":{},\"max_depth\":{},\"full_schedules\":{},\
-             \"full_complete\":{},\"dpor_schedules\":{},\"dpor_complete\":{},\
-             \"reduction\":{}",
-            json::quote(r.kernel),
-            json::quote(&r.family),
-            r.max_depth,
-            r.fused.schedules,
-            r.fused.complete,
-            r.dpor_fused.schedules,
-            r.dpor_fused.complete,
-            json::number_f64(r.dpor_reduction()),
-        );
-        comparison_fields(&mut out, "", r.dpor_match);
-        out.push('}');
-    }
-    out.push_str("]},\"fuse\":{");
-    let _ = write!(
-        out,
-        "\"budget\":{},\"floor\":{},\"rows\":[",
-        reductions.budget,
-        json::number_f64(crate::reduction::FUSE_FLOOR),
+    out.push_str(",\"rows\":");
+    push_objects(&mut out, &reductions.rows, |r| {
+        let mut fields = vec![
+            ("kernel", json::quote(r.kernel)),
+            ("family", json::quote(&r.family)),
+            ("max_depth", r.max_depth.to_string()),
+            ("full_schedules", r.fused.schedules.to_string()),
+            ("full_complete", r.fused.complete.to_string()),
+            ("dpor_schedules", r.dpor_fused.schedules.to_string()),
+            ("dpor_complete", r.dpor_fused.complete.to_string()),
+            ("reduction", json::number_f64(r.dpor_reduction())),
+        ];
+        comparison_fields(&mut fields, ["compared", "outcomes_match"], r.dpor_match);
+        fields
+    });
+    out.push_str("},\"fuse\":{");
+    push_fields(
+        &mut out,
+        &[
+            ("budget", reductions.budget.to_string()),
+            ("floor", json::number_f64(crate::reduction::FUSE_FLOOR)),
+        ],
     );
-    for (i, r) in reductions.rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"kernel\":{},\"family\":{},\"base_schedules\":{},\"base_complete\":{},\
-             \"fused_schedules\":{},\"fused_complete\":{},\"fused_steps\":{},\
-             \"reduction\":{},\"dpor_schedules\":{},\"dpor_complete\":{},\
-             \"dpor_fused_schedules\":{},\"dpor_fused_complete\":{},\
-             \"composed_reduction\":{}",
-            json::quote(r.kernel),
-            json::quote(&r.family),
-            r.base.schedules,
-            r.base.complete,
-            r.fused.schedules,
-            r.fused.complete,
-            r.fused_steps,
-            json::number_f64(r.fuse_reduction()),
-            r.dpor.schedules,
-            r.dpor.complete,
-            r.dpor_fused.schedules,
-            r.dpor_fused.complete,
-            json::number_f64(r.composed_reduction()),
+    out.push_str(",\"rows\":");
+    push_objects(&mut out, &reductions.rows, |r| {
+        let mut fields = vec![
+            ("kernel", json::quote(r.kernel)),
+            ("family", json::quote(&r.family)),
+            ("base_schedules", r.base.schedules.to_string()),
+            ("base_complete", r.base.complete.to_string()),
+            ("fused_schedules", r.fused.schedules.to_string()),
+            ("fused_complete", r.fused.complete.to_string()),
+            ("fused_steps", r.fused_steps.to_string()),
+            ("reduction", json::number_f64(r.fuse_reduction())),
+            ("dpor_schedules", r.dpor.schedules.to_string()),
+            ("dpor_complete", r.dpor.complete.to_string()),
+            ("dpor_fused_schedules", r.dpor_fused.schedules.to_string()),
+            ("dpor_fused_complete", r.dpor_fused.complete.to_string()),
+            (
+                "composed_reduction",
+                json::number_f64(r.composed_reduction()),
+            ),
+        ];
+        comparison_fields(&mut fields, ["compared", "outcomes_match"], r.fuse_match);
+        comparison_fields(
+            &mut fields,
+            ["dpor_compared", "dpor_outcomes_match"],
+            r.dpor_fuse_match,
         );
-        comparison_fields(&mut out, "", r.fuse_match);
-        comparison_fields(&mut out, "dpor_", r.dpor_fuse_match);
-        out.push('}');
-    }
-    out.push_str("]}}");
+        fields
+    });
+    out.push_str("}}");
     out
 }
 
-/// Appends `,"{prefix}compared":bool` to a JSON object, then
-/// `,"{prefix}outcomes_match":matched` when the comparison ran.
-fn comparison_fields(out: &mut String, prefix: &str, comparison: Option<bool>) {
-    use std::fmt::Write as _;
-    let _ = write!(out, ",\"{prefix}compared\":{}", comparison.is_some());
+/// Appends the `compared` field (named by `keys[0]`), then the
+/// `outcomes_match` field (`keys[1]`) when the comparison ran.
+fn comparison_fields(
+    fields: &mut Vec<(&'static str, String)>,
+    keys: [&'static str; 2],
+    comparison: Option<bool>,
+) {
+    fields.push((keys[0], comparison.is_some().to_string()));
     if let Some(matched) = comparison {
-        let _ = write!(out, ",\"{prefix}outcomes_match\":{matched}");
+        fields.push((keys[1], matched.to_string()));
     }
 }
 

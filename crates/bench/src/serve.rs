@@ -16,13 +16,18 @@
 //! properties recorded next to `host_parallelism`; the correctness
 //! columns (`wrong`, `clean`) are the part that must hold everywhere.
 
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
 use lfm_obs::json::{self, Json};
-use lfm_obs::NoopSink;
-use lfm_serve::{ChaosProxy, LevelCaps, LoadConfig, NetFaultPlan, Server, ServerConfig};
+use lfm_obs::{NoopSink, Registry, Sink};
+use lfm_serve::{
+    ChaosProxy, DrainSummary, LevelCaps, LoadConfig, LoadReport, NetFaultPlan, Server, ServerConfig,
+};
 use lfm_study::Table;
+
+use crate::{push_fields, push_objects};
 
 /// Schema identifier embedded in the `BENCH_serve.json` document.
 pub const BENCH_SERVE_SCHEMA: &str = "lfm-bench-serve/v1";
@@ -50,7 +55,7 @@ pub const SERVE_TRACE_SCENARIO: &str = "traced";
 /// One load scenario's measurement.
 #[derive(Debug, Clone)]
 pub struct ServeRow {
-    /// Scenario name (`no-chaos` or `chaos-<seed>`).
+    /// Scenario name (see [`scenario_name`]).
     pub scenario: String,
     /// Requests issued.
     pub requests: u64,
@@ -76,12 +81,44 @@ pub struct ServeRow {
     /// The worst single request's retry count.
     pub max_retries: u64,
     /// Server-side admissions per degrade level (exhaustive,
-    /// sleep-set, preemption-bounded, pct-sampling).
+    /// sleep-set, preemption-bounded, pct-sampling): explorations the
+    /// server admitted, so cache hits are not counted. The clients'
+    /// own per-level tally of answers is [`LoadReport::degrade`].
     pub degrade: [u64; 4],
     /// Network faults the chaos proxy injected (0 without a proxy).
     pub faults_injected: u64,
     /// Whether the server drained cleanly at shutdown.
     pub clean_drain: bool,
+}
+
+impl ServeRow {
+    /// The row for one load run against a server that admitted
+    /// `degrade` explorations per level.
+    pub fn new(
+        scenario: String,
+        load: &LoadReport,
+        degrade: [u64; 4],
+        faults_injected: u64,
+        clean_drain: bool,
+    ) -> ServeRow {
+        ServeRow {
+            scenario,
+            requests: load.requests,
+            ok: load.ok,
+            failed: load.failed,
+            wrong: load.wrong,
+            hit_rate: load.hit_rate(),
+            shed_rate: load.shed_rate(),
+            p50_us: load.latency.p50(),
+            p99_us: load.latency.p99(),
+            requests_per_sec: load.requests_per_sec(),
+            retries_total: load.retries_total,
+            max_retries: load.max_retries,
+            degrade,
+            faults_injected,
+            clean_drain,
+        }
+    }
 }
 
 /// The full E-serve measurement.
@@ -108,96 +145,146 @@ impl ServeReport {
     }
 }
 
-/// A bench-sized server: small pool, small queue, small exploration
-/// caps — enough to engage the cache, the ladder, and the shed path
-/// without turning the measurement into an exploration benchmark.
-fn bench_server_config(traced: bool) -> ServerConfig {
-    ServerConfig {
-        workers: 2,
-        queue_cap: 16,
-        caps: LevelCaps {
-            max_steps: 2_000,
-            max_schedules: 2_000,
-            dpor: false,
-        },
-        trace: traced,
-        trace_slow_ms: if traced { Some(0) } else { None },
-        ..ServerConfig::default()
+/// A scenario's name: `chaos-<seed>` behind a chaos proxy, otherwise
+/// [`SERVE_TRACE_SCENARIO`] for a traced server and
+/// [`SERVE_GATE_SCENARIO`] for an untraced one.
+pub fn scenario_name(chaos_net: Option<u64>, traced: bool) -> String {
+    match (chaos_net, traced) {
+        (Some(chaos_seed), _) => format!("chaos-{chaos_seed}"),
+        (None, true) => SERVE_TRACE_SCENARIO.to_owned(),
+        (None, false) => SERVE_GATE_SCENARIO.to_owned(),
     }
 }
 
-/// Runs one scenario: in-process server (fully traced when `traced`),
-/// optional chaos proxy, closed load loop, graceful drain.
-fn run_scenario(chaos_net: Option<u64>, seed: u64, traced: bool) -> std::io::Result<ServeRow> {
-    let handle = Server::start(bench_server_config(traced), Arc::new(NoopSink))?;
+/// One in-process load scenario: a server, an optional seeded chaos
+/// proxy in front of it, and a closed load loop through both. E-serve
+/// and `lfm bench-serve` (without `--addr`) both run through
+/// [`Scenario::run`].
+#[derive(Debug)]
+pub struct Scenario {
+    /// The server to start.
+    pub server: ServerConfig,
+    /// The load to drive through it.
+    pub load: LoadConfig,
+    /// Seed of a [`ChaosProxy`] between the clients and the server.
+    pub chaos_net: Option<u64>,
+}
+
+/// What [`Scenario::run`] measured.
+#[derive(Debug)]
+pub struct ScenarioRun {
+    /// The measurement, `degrade` read from the drained server.
+    pub row: ServeRow,
+    /// The clients' own tally.
+    pub load: LoadReport,
+    /// The address the clients dialed (the proxy's under chaos).
+    pub target: SocketAddr,
+    /// The server's drain summary.
+    pub drain: DrainSummary,
+    /// The server's metrics exposition after the drain.
+    pub metrics: Registry,
+}
+
+impl Scenario {
+    /// Starts the server (events to `sink`), drives the load through
+    /// the optional proxy, drains the server and builds the row. Errors
+    /// name the part that failed to start.
+    pub fn run(self, sink: Arc<dyn Sink>) -> Result<ScenarioRun, String> {
+        let scenario = scenario_name(self.chaos_net, self.server.trace);
+        let handle = Server::start(self.server, sink)
+            .map_err(|e| format!("cannot start in-process server: {e}"))?;
+        let (load, faults_injected, target) =
+            drive_load(handle.addr(), self.chaos_net, &self.load)?;
+        let (stats, cache) = (handle.stats(), handle.cache());
+        handle.request_shutdown();
+        let drain = handle.wait();
+        let mut metrics = Registry::new();
+        stats.fill_registry(&mut metrics, &cache);
+        Ok(ScenarioRun {
+            row: ServeRow::new(scenario, &load, drain.degrade, faults_injected, drain.clean),
+            load,
+            target,
+            drain,
+            metrics,
+        })
+    }
+}
+
+/// Drives `load` at `server`, through a seeded [`ChaosProxy`] when
+/// `chaos_net` is set: the clients' report, the faults the proxy
+/// injected, and the address the clients dialed.
+pub fn drive_load(
+    server: SocketAddr,
+    chaos_net: Option<u64>,
+    load: &LoadConfig,
+) -> Result<(LoadReport, u64, SocketAddr), String> {
     let proxy = match chaos_net {
-        Some(chaos_seed) => Some(ChaosProxy::start(
-            NetFaultPlan::new(chaos_seed),
-            handle.addr(),
-        )?),
+        Some(seed) => Some(
+            ChaosProxy::start(NetFaultPlan::new(seed), server)
+                .map_err(|e| format!("cannot start chaos proxy: {e}"))?,
+        ),
         None => None,
     };
-    let target = proxy.as_ref().map_or(handle.addr(), |p| p.addr());
-    let load = LoadConfig {
-        clients: SERVE_CLIENTS,
-        requests_per_client: SERVE_REQUESTS_PER_CLIENT,
-        seed,
-        attempts: 10,
-        timeout: Duration::from_secs(30),
-        ..LoadConfig::default()
-    };
-    let report = lfm_serve::run_load(target, &load);
-    let faults_injected = match proxy {
-        Some(proxy) => {
-            let stats = proxy.stats();
-            proxy.stop();
-            stats.total_injected()
-        }
-        None => 0,
-    };
-    let degrade = handle.stats().degrade_histogram();
-    handle.request_shutdown();
-    let summary = handle.wait();
-    Ok(ServeRow {
-        scenario: match (chaos_net, traced) {
-            (Some(chaos_seed), _) => format!("chaos-{chaos_seed}"),
-            (None, true) => SERVE_TRACE_SCENARIO.to_owned(),
-            (None, false) => SERVE_GATE_SCENARIO.to_owned(),
+    let target = proxy.as_ref().map_or(server, |p| p.addr());
+    let report = lfm_serve::run_load(target, load);
+    let faults_injected = proxy.map_or(0, |proxy| {
+        let stats = proxy.stats();
+        proxy.stop();
+        stats.total_injected()
+    });
+    Ok((report, faults_injected, target))
+}
+
+/// The E-serve scenario: a bench-sized server (fully traced when
+/// `traced`) — small pool, small queue, small exploration caps, enough
+/// to engage the cache, the ladder, and the shed path without turning
+/// the measurement into an exploration benchmark — under the E-serve
+/// load at `seed`.
+fn bench_scenario(chaos_net: Option<u64>, seed: u64, traced: bool) -> Scenario {
+    Scenario {
+        server: ServerConfig {
+            workers: 2,
+            queue_cap: 16,
+            caps: LevelCaps {
+                max_steps: 2_000,
+                max_schedules: 2_000,
+                dpor: false,
+            },
+            trace: traced,
+            trace_slow_ms: if traced { Some(0) } else { None },
+            ..ServerConfig::default()
         },
-        requests: report.requests,
-        ok: report.ok,
-        failed: report.failed,
-        wrong: report.wrong,
-        hit_rate: report.hit_rate(),
-        shed_rate: report.shed_rate(),
-        p50_us: report.latency.p50(),
-        p99_us: report.latency.p99(),
-        requests_per_sec: report.requests_per_sec(),
-        retries_total: report.retries_total,
-        max_retries: report.max_retries,
-        degrade,
-        faults_injected,
-        clean_drain: summary.clean,
-    })
+        load: LoadConfig {
+            clients: SERVE_CLIENTS,
+            requests_per_client: SERVE_REQUESTS_PER_CLIENT,
+            seed,
+            attempts: 10,
+            timeout: Duration::from_secs(30),
+            ..LoadConfig::default()
+        },
+        chaos_net,
+    }
+}
+
+/// Runs one E-serve scenario to its row.
+fn measure(chaos_net: Option<u64>, seed: u64, traced: bool) -> ServeRow {
+    match bench_scenario(chaos_net, seed, traced).run(Arc::new(NoopSink)) {
+        Ok(run) => run.row,
+        Err(e) => panic!("E-serve scenario failed to start: {e}"),
+    }
 }
 
 /// Runs the full E-serve measurement: the chaos-free reference, the
 /// same load with full tracing on, then the chaos scenario at the
 /// shared seed.
 pub fn serve_measure() -> ServeReport {
-    let mut rows = Vec::new();
-    for (chaos_net, traced) in [(None, false), (None, true), (Some(SERVE_SEED), false)] {
-        match run_scenario(chaos_net, SERVE_SEED, traced) {
-            Ok(row) => rows.push(row),
-            Err(e) => panic!("E-serve scenario failed to start: {e}"),
-        }
-    }
     ServeReport {
         seed: SERVE_SEED,
-        host_parallelism: std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
-        rows,
+        host_parallelism: crate::host_parallelism(),
+        rows: [(None, false), (None, true), (Some(SERVE_SEED), false)]
+            .into_iter()
+            .map(|(chaos_net, traced)| measure(chaos_net, SERVE_SEED, traced))
+            .collect(),
     }
 }
 
@@ -208,10 +295,7 @@ pub fn serve_measure() -> ServeReport {
 pub fn trace_overhead_measure() -> (f64, f64) {
     let best = |traced: bool| -> f64 {
         (0..2)
-            .map(|_| match run_scenario(None, SERVE_SEED, traced) {
-                Ok(row) => row.requests_per_sec,
-                Err(e) => panic!("E-serve overhead scenario failed to start: {e}"),
-            })
+            .map(|_| measure(None, SERVE_SEED, traced).requests_per_sec)
             .fold(0.0, f64::max)
     };
     // Interleaving would be fairer under thermal drift, but the runs
@@ -278,51 +362,40 @@ pub fn serve_table() -> Table {
 /// Serializes the measurement as the `BENCH_serve.json` document
 /// (`lfm-bench-serve/v1`).
 pub fn serve_json(report: &ServeReport) -> String {
-    use std::fmt::Write as _;
     let mut out = String::with_capacity(1024);
-    let _ = write!(
-        out,
-        "{{\"schema\":{},\"seed\":{},\"clients\":{},\"requests_per_client\":{},\
-         \"host_parallelism\":{}",
-        json::quote(BENCH_SERVE_SCHEMA),
-        report.seed,
-        SERVE_CLIENTS,
-        SERVE_REQUESTS_PER_CLIENT,
-        report.host_parallelism
+    out.push('{');
+    push_fields(
+        &mut out,
+        &[
+            ("schema", json::quote(BENCH_SERVE_SCHEMA)),
+            ("seed", report.seed.to_string()),
+            ("clients", SERVE_CLIENTS.to_string()),
+            ("requests_per_client", SERVE_REQUESTS_PER_CLIENT.to_string()),
+            ("host_parallelism", report.host_parallelism.to_string()),
+        ],
     );
-    out.push_str(",\"scenarios\":[");
-    for (i, r) in report.rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"scenario\":{},\"requests\":{},\"ok\":{},\"failed\":{},\"wrong\":{},\
-             \"hit_rate\":{},\"shed_rate\":{},\"p50_us\":{},\"p99_us\":{},\
-             \"requests_per_sec\":{},\"retries_total\":{},\"max_retries\":{},\
-             \"degrade\":[{},{},{},{}],\"faults_injected\":{},\
-             \"clean_drain\":{}}}",
-            json::quote(&r.scenario),
-            r.requests,
-            r.ok,
-            r.failed,
-            r.wrong,
-            json::number_f64(r.hit_rate),
-            json::number_f64(r.shed_rate),
-            r.p50_us,
-            r.p99_us,
-            json::number_f64(r.requests_per_sec),
-            r.retries_total,
-            r.max_retries,
-            r.degrade[0],
-            r.degrade[1],
-            r.degrade[2],
-            r.degrade[3],
-            r.faults_injected,
-            r.clean_drain,
-        );
-    }
-    out.push_str("]}");
+    out.push_str(",\"scenarios\":");
+    push_objects(&mut out, &report.rows, |r| {
+        let [exhaustive, sleep, bounded, pct] = r.degrade;
+        vec![
+            ("scenario", json::quote(&r.scenario)),
+            ("requests", r.requests.to_string()),
+            ("ok", r.ok.to_string()),
+            ("failed", r.failed.to_string()),
+            ("wrong", r.wrong.to_string()),
+            ("hit_rate", json::number_f64(r.hit_rate)),
+            ("shed_rate", json::number_f64(r.shed_rate)),
+            ("p50_us", r.p50_us.to_string()),
+            ("p99_us", r.p99_us.to_string()),
+            ("requests_per_sec", json::number_f64(r.requests_per_sec)),
+            ("retries_total", r.retries_total.to_string()),
+            ("max_retries", r.max_retries.to_string()),
+            ("degrade", format!("[{exhaustive},{sleep},{bounded},{pct}]")),
+            ("faults_injected", r.faults_injected.to_string()),
+            ("clean_drain", r.clean_drain.to_string()),
+        ]
+    });
+    out.push('}');
     out
 }
 
@@ -345,13 +418,16 @@ pub fn baseline_requests_per_sec(doc: &str, scenario: &str) -> Option<f64> {
 mod tests {
     use super::*;
 
-    // The full two-scenario measurement runs in the `tables` artifact
-    // suite and the CI gate; the unit tests here keep to the cheap,
-    // deterministic pieces plus one single-scenario smoke.
+    // The full three-scenario measurement runs in the E-serve artifact
+    // and the CI gate; the unit tests here keep to the cheap,
+    // deterministic pieces plus single-scenario smokes.
 
     #[test]
     fn single_scenario_upholds_the_contract() {
-        let row = run_scenario(None, 7, false).expect("scenario runs");
+        let run = bench_scenario(None, 7, false)
+            .run(Arc::new(NoopSink))
+            .expect("scenario runs");
+        let row = &run.row;
         assert_eq!(row.scenario, SERVE_GATE_SCENARIO);
         assert_eq!(
             row.requests,
@@ -366,15 +442,42 @@ mod tests {
             row.retries_total >= row.max_retries,
             "worst request outran the total: {row:?}"
         );
+        // `degrade` is the server's admissions, one per exploration it
+        // admitted: cache hits are not in it, unlike the clients' tally.
+        assert_eq!(row.degrade, run.drain.degrade);
+        let admitted: u64 = row.degrade.iter().sum();
+        assert!(admitted > 0 && admitted <= run.drain.misses, "{run:?}");
+        assert_eq!(run.load.degrade.iter().sum::<u64>(), row.ok, "{run:?}");
     }
 
     #[test]
     fn traced_scenario_is_named_and_upholds_the_contract() {
-        let row = run_scenario(None, 7, true).expect("scenario runs");
+        let row = measure(None, 7, true);
         assert_eq!(row.scenario, SERVE_TRACE_SCENARIO);
         assert_eq!(row.wrong, 0, "tracing produced wrong answers: {row:?}");
         assert!(row.clean_drain, "unclean drain under tracing: {row:?}");
         assert!(row.ok > 0);
+    }
+
+    /// A plausible row; tests override the fields they check.
+    fn row(scenario: &str, requests_per_sec: f64) -> ServeRow {
+        ServeRow {
+            scenario: scenario.to_owned(),
+            requests: 120,
+            ok: 118,
+            failed: 2,
+            wrong: 0,
+            hit_rate: 0.61,
+            shed_rate: 0.05,
+            p50_us: 900,
+            p99_us: 42_000,
+            requests_per_sec,
+            retries_total: 3,
+            max_retries: 2,
+            degrade: [30, 0, 5, 2],
+            faults_injected: 0,
+            clean_drain: true,
+        }
     }
 
     #[test]
@@ -383,39 +486,11 @@ mod tests {
             seed: SERVE_SEED,
             host_parallelism: 4,
             rows: vec![
+                row(SERVE_GATE_SCENARIO, 812.5),
                 ServeRow {
-                    scenario: SERVE_GATE_SCENARIO.to_owned(),
-                    requests: 120,
-                    ok: 118,
-                    failed: 2,
-                    wrong: 0,
-                    hit_rate: 0.61,
-                    shed_rate: 0.05,
-                    p50_us: 900,
-                    p99_us: 42_000,
-                    requests_per_sec: 812.5,
-                    retries_total: 3,
-                    max_retries: 2,
-                    degrade: [30, 0, 5, 2],
-                    faults_injected: 0,
-                    clean_drain: true,
-                },
-                ServeRow {
-                    scenario: "chaos-42".to_owned(),
-                    requests: 120,
-                    ok: 110,
-                    failed: 10,
-                    wrong: 0,
-                    hit_rate: 0.64,
-                    shed_rate: 0.08,
-                    p50_us: 1_400,
-                    p99_us: 90_000,
-                    requests_per_sec: 410.0,
-                    retries_total: 41,
                     max_retries: 6,
-                    degrade: [28, 0, 4, 1],
                     faults_injected: 77,
-                    clean_drain: true,
+                    ..row("chaos-42", 410.0)
                 },
             ],
         };
@@ -439,23 +514,7 @@ mod tests {
         let mut report = ServeReport {
             seed: 1,
             host_parallelism: 1,
-            rows: vec![ServeRow {
-                scenario: "x".to_owned(),
-                requests: 1,
-                ok: 1,
-                failed: 0,
-                wrong: 0,
-                hit_rate: 0.0,
-                shed_rate: 0.0,
-                p50_us: 1,
-                p99_us: 1,
-                requests_per_sec: 1.0,
-                retries_total: 0,
-                max_retries: 0,
-                degrade: [1, 0, 0, 0],
-                faults_injected: 0,
-                clean_drain: true,
-            }],
+            rows: vec![row("x", 1.0)],
         };
         assert!(report.all_correct());
         report.rows[0].wrong = 1;

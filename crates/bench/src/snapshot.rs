@@ -3,22 +3,19 @@
 //! [`obs_snapshot`] exercises each instrumented subsystem once —
 //! exploration per kernel family, the detector pipeline, the TL2 STM,
 //! and the table generators — and serializes the collected metrics as
-//! one JSON document. The `tables` binary writes it with `--json <path>`
+//! one JSON document. `lfm tables --json <path>` writes it
 //! so benchmark runs leave a comparable artifact next to the tables.
-
-use std::fmt::Write as _;
 
 use lfm_kernels::{registry, Family};
 use lfm_obs::{json, NoopSink};
-use lfm_sim::{ExploreLimits, Explorer, RandomWalker};
+use lfm_sim::{ExploreLimits, ExploreReport, Explorer, RandomWalker};
 use lfm_stm::tl2::TSpace;
+use lfm_study::experiments::WitnessRow;
+
+use crate::{push_fields, push_objects};
 
 /// Schema identifier embedded in every snapshot.
 pub const SNAPSHOT_SCHEMA: &str = "lfm-obs/v1";
-
-fn push_field(out: &mut String, key: &str, value: impl std::fmt::Display) {
-    let _ = write!(out, "{}:{}", json::quote(key), value);
-}
 
 /// Builds the full metrics snapshot as a JSON document.
 ///
@@ -28,68 +25,45 @@ fn push_field(out: &mut String, key: &str, value: impl std::fmt::Display) {
 pub fn obs_snapshot() -> String {
     let mut out = String::with_capacity(4096);
     out.push('{');
-    push_field(&mut out, "schema", json::quote(SNAPSHOT_SCHEMA));
+    push_fields(&mut out, &[("schema", json::quote(SNAPSHOT_SCHEMA))]);
 
     // Exploration, aggregated per kernel family over the buggy variants.
-    out.push_str(",\"explore\":[");
-    for (i, family) in Family::ALL.into_iter().enumerate() {
-        let mut kernels = 0u64;
-        let mut schedules = 0u64;
-        let mut steps = 0u64;
-        let mut failures = 0u64;
-        let mut branch_points = 0u64;
-        let mut snapshots = 0u64;
-        let mut snapshot_bytes_saved = 0u64;
-        let mut sleep_pruned = 0u64;
-        let mut wall_us = 0u64;
-        for kernel in registry::by_family(family) {
-            let report = Explorer::new(&kernel.buggy())
-                .limits(ExploreLimits {
-                    max_schedules: 2_000,
-                    sleep_sets: true,
-                    ..ExploreLimits::default()
-                })
-                .run();
-            kernels += 1;
-            schedules += report.schedules_run;
-            steps += report.steps_total;
-            failures += report.counts.failures();
-            branch_points += report.stats.branch_points;
-            snapshots += report.stats.snapshots;
-            snapshot_bytes_saved += report.stats.snapshot_bytes_saved;
-            sleep_pruned += report.sleep_pruned;
-            wall_us += report.stats.wall.as_micros() as u64;
-        }
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('{');
-        push_field(&mut out, "family", json::quote(&family.to_string()));
-        out.push(',');
-        push_field(&mut out, "kernels", kernels);
-        out.push(',');
-        push_field(&mut out, "schedules", schedules);
-        out.push(',');
-        push_field(&mut out, "failures", failures);
-        out.push(',');
-        push_field(&mut out, "branch_points", branch_points);
-        out.push(',');
-        push_field(&mut out, "snapshots", snapshots);
-        out.push(',');
-        push_field(&mut out, "snapshot_bytes_saved", snapshot_bytes_saved);
-        out.push(',');
-        push_field(&mut out, "sleep_pruned", sleep_pruned);
-        out.push(',');
-        push_field(&mut out, "wall_us", wall_us);
-        out.push(',');
-        push_field(
-            &mut out,
-            "states_per_sec",
-            json::number_f64(steps as f64 / (wall_us.max(1) as f64 / 1e6)),
-        );
-        out.push('}');
-    }
-    out.push(']');
+    out.push_str(",\"explore\":");
+    push_objects(&mut out, Family::ALL, |family| {
+        let reports: Vec<ExploreReport> = registry::by_family(family)
+            .iter()
+            .map(|kernel| {
+                Explorer::new(&kernel.buggy())
+                    .limits(ExploreLimits {
+                        max_schedules: 2_000,
+                        sleep_sets: true,
+                        ..ExploreLimits::default()
+                    })
+                    .run()
+            })
+            .collect();
+        let sum = |field: fn(&ExploreReport) -> u64| reports.iter().map(field).sum::<u64>();
+        let steps = sum(|r| r.steps_total);
+        let wall_us = sum(|r| r.stats.wall.as_micros() as u64);
+        vec![
+            ("family", json::quote(&family.to_string())),
+            ("kernels", reports.len().to_string()),
+            ("schedules", sum(|r| r.schedules_run).to_string()),
+            ("failures", sum(|r| r.counts.failures()).to_string()),
+            ("branch_points", sum(|r| r.stats.branch_points).to_string()),
+            ("snapshots", sum(|r| r.stats.snapshots).to_string()),
+            (
+                "snapshot_bytes_saved",
+                sum(|r| r.stats.snapshot_bytes_saved).to_string(),
+            ),
+            ("sleep_pruned", sum(|r| r.sleep_pruned).to_string()),
+            ("wall_us", wall_us.to_string()),
+            (
+                "states_per_sec",
+                json::number_f64(steps as f64 / (wall_us.max(1) as f64 / 1e6)),
+            ),
+        ]
+    });
 
     // The detector pipeline on a representative kernel's sampled traces.
     let kernel = registry::by_id("counter_rmw").expect("known kernel");
@@ -99,28 +73,23 @@ pub fn obs_snapshot() -> String {
     let training: Vec<_> = training.into_iter().map(|(t, _)| t).collect();
     let test: Vec<_> = test.into_iter().map(|(t, _)| t).collect();
     let (_, detect_stats) = lfm_detect::detect_all_with_stats(&training, &test, &NoopSink);
-    out.push_str(",\"detect\":{\"passes\":[");
-    for (i, pass) in detect_stats.passes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('{');
-        push_field(&mut out, "detector", json::quote(&pass.kind.to_string()));
-        out.push(',');
-        push_field(&mut out, "events", pass.counts.events);
-        out.push(',');
-        push_field(&mut out, "candidates", pass.counts.candidates);
-        out.push(',');
-        push_field(&mut out, "reports", pass.reports);
-        out.push(',');
-        push_field(&mut out, "wall_us", pass.wall.as_micros() as u64);
-        out.push('}');
-    }
-    out.push_str("],");
-    push_field(
+    out.push_str(",\"detect\":{\"passes\":");
+    push_objects(&mut out, &detect_stats.passes, |pass| {
+        vec![
+            ("detector", json::quote(&pass.kind.to_string())),
+            ("events", pass.counts.events.to_string()),
+            ("candidates", pass.counts.candidates.to_string()),
+            ("reports", pass.reports.to_string()),
+            ("wall_us", pass.wall.as_micros().to_string()),
+        ]
+    });
+    out.push(',');
+    push_fields(
         &mut out,
-        "training_wall_us",
-        detect_stats.training_wall.as_micros() as u64,
+        &[(
+            "training_wall_us",
+            detect_stats.training_wall.as_micros().to_string(),
+        )],
     );
     out.push('}');
 
@@ -135,84 +104,60 @@ pub fn obs_snapshot() -> String {
     }
     let stm = space.stats();
     out.push_str(",\"stm\":{");
-    push_field(&mut out, "starts", stm.starts);
-    out.push(',');
-    push_field(&mut out, "commits", stm.commits);
-    out.push(',');
-    push_field(&mut out, "aborts", stm.aborts);
-    out.push(',');
-    push_field(&mut out, "body_retries", stm.body_retries);
-    out.push(',');
-    push_field(&mut out, "commit_rate", json::number_f64(stm.commit_rate()));
+    push_fields(
+        &mut out,
+        &[
+            ("starts", stm.starts.to_string()),
+            ("commits", stm.commits.to_string()),
+            ("aborts", stm.aborts.to_string()),
+            ("body_retries", stm.body_retries.to_string()),
+            ("commit_rate", json::number_f64(stm.commit_rate())),
+        ],
+    );
     out.push('}');
 
     // Minimized witnesses: the E-wit measurement, one record per kernel
     // plus the paper-band tallies the study table reports.
     let rows = lfm_study::experiments::witness_experiment();
-    out.push_str(",\"witness\":{\"schema\":\"lfm-trace/v1\",\"kernels\":[");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('{');
-        push_field(&mut out, "kernel", json::quote(r.kernel));
-        out.push(',');
-        push_field(&mut out, "family", json::quote(&r.family.to_string()));
-        out.push(',');
-        push_field(&mut out, "threads", r.threads);
-        out.push(',');
-        push_field(&mut out, "switches", r.switches);
-        out.push(',');
-        push_field(&mut out, "conflicting_accesses", r.conflicting_accesses);
-        out.push(',');
-        push_field(&mut out, "conflict_objects", r.conflict_objects);
-        out.push(',');
-        push_field(&mut out, "schedule_before", r.schedule_before);
-        out.push(',');
-        push_field(&mut out, "schedule_after", r.schedule_after);
-        out.push(',');
-        push_field(&mut out, "replays", r.replays);
-        out.push('}');
-    }
-    out.push_str("],");
-    let nondead: Vec<_> = rows
-        .iter()
-        .filter(|r| r.family != Family::Deadlock)
-        .collect();
-    let dead: Vec<_> = rows
-        .iter()
-        .filter(|r| r.family == Family::Deadlock)
-        .collect();
-    push_field(
+    out.push_str(",\"witness\":{\"schema\":\"lfm-trace/v1\",\"kernels\":");
+    push_objects(&mut out, &rows, |r| {
+        vec![
+            ("kernel", json::quote(r.kernel)),
+            ("family", json::quote(&r.family.to_string())),
+            ("threads", r.threads.to_string()),
+            ("switches", r.switches.to_string()),
+            ("conflicting_accesses", r.conflicting_accesses.to_string()),
+            ("conflict_objects", r.conflict_objects.to_string()),
+            ("schedule_before", r.schedule_before.to_string()),
+            ("schedule_after", r.schedule_after.to_string()),
+            ("replays", r.replays.to_string()),
+        ]
+    });
+    let (dead, nondead): (Vec<_>, Vec<_>) = rows.iter().partition(|r| r.family == Family::Deadlock);
+    let count = |rows: &[&WitnessRow], keep: fn(&WitnessRow) -> bool| {
+        rows.iter().filter(|r| keep(r)).count().to_string()
+    };
+    out.push(',');
+    push_fields(
         &mut out,
-        "nondeadlock_threads_le2",
-        nondead.iter().filter(|r| r.threads <= 2).count(),
+        &[
+            (
+                "nondeadlock_threads_le2",
+                count(&nondead, |r| r.threads <= 2),
+            ),
+            (
+                "nondeadlock_accesses_le4",
+                count(&nondead, |r| r.conflicting_accesses <= 4),
+            ),
+            ("nondeadlock_total", nondead.len().to_string()),
+            ("deadlock_threads_le2", count(&dead, |r| r.threads <= 2)),
+            (
+                "deadlock_resources_le2",
+                count(&dead, |r| r.conflict_objects <= 2),
+            ),
+            ("deadlock_total", dead.len().to_string()),
+        ],
     );
-    out.push(',');
-    push_field(
-        &mut out,
-        "nondeadlock_accesses_le4",
-        nondead
-            .iter()
-            .filter(|r| r.conflicting_accesses <= 4)
-            .count(),
-    );
-    out.push(',');
-    push_field(&mut out, "nondeadlock_total", nondead.len());
-    out.push(',');
-    push_field(
-        &mut out,
-        "deadlock_threads_le2",
-        dead.iter().filter(|r| r.threads <= 2).count(),
-    );
-    out.push(',');
-    push_field(
-        &mut out,
-        "deadlock_resources_le2",
-        dead.iter().filter(|r| r.conflict_objects <= 2).count(),
-    );
-    out.push(',');
-    push_field(&mut out, "deadlock_total", dead.len());
     out.push('}');
 
     // Exploration hot-path throughput: the E-perf measurement on the
@@ -221,32 +166,20 @@ pub fn obs_snapshot() -> String {
     // at the full PERF_BUDGET.)
     let perf = crate::perf::perf_measure(500);
     out.push_str(",\"perf\":{");
-    push_field(&mut out, "budget", perf.budget);
-    out.push_str(",\"deepest\":[");
-    for (i, s) in perf.speedups.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('{');
-        push_field(&mut out, "kernel", json::quote(s.kernel));
-        out.push(',');
-        push_field(&mut out, "max_depth", s.max_depth);
-        out.push(',');
-        push_field(
-            &mut out,
-            "cow_states_per_sec",
-            json::number_f64(s.cow_states_per_sec),
-        );
-        out.push('}');
-    }
-    out.push_str("],");
-    push_field(
+    push_fields(&mut out, &[("budget", perf.budget.to_string())]);
+    out.push_str(",\"deepest\":");
+    push_objects(&mut out, &perf.speedups, |s| {
+        vec![
+            ("kernel", json::quote(s.kernel)),
+            ("max_depth", s.max_depth.to_string()),
+            ("cow_states_per_sec", json::number_f64(s.cow_states_per_sec)),
+        ]
+    });
+    out.push(',');
+    let saved: u64 = perf.rows.iter().map(|r| r.snapshot_bytes_saved).sum();
+    push_fields(
         &mut out,
-        "snapshot_bytes_saved_total",
-        perf.rows
-            .iter()
-            .map(|r| r.snapshot_bytes_saved)
-            .sum::<u64>(),
+        &[("snapshot_bytes_saved_total", saved.to_string())],
     );
     out.push('}');
 
@@ -262,22 +195,16 @@ pub fn obs_snapshot() -> String {
     // Table-generator timings over the full corpus.
     let corpus = lfm_corpus::Corpus::full();
     let (_, timings) = lfm_study::profile_tables(&corpus, &NoopSink);
-    out.push_str(",\"study\":{\"tables\":[");
-    let mut total_us = 0u64;
-    for (i, timing) in timings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let us = timing.wall.as_micros() as u64;
-        total_us += us;
-        out.push('{');
-        push_field(&mut out, "id", json::quote(&timing.id));
-        out.push(',');
-        push_field(&mut out, "wall_us", us);
-        out.push('}');
-    }
-    out.push_str("],");
-    push_field(&mut out, "total_wall_us", total_us);
+    out.push_str(",\"study\":{\"tables\":");
+    push_objects(&mut out, &timings, |timing| {
+        vec![
+            ("id", json::quote(&timing.id)),
+            ("wall_us", timing.wall.as_micros().to_string()),
+        ]
+    });
+    out.push(',');
+    let total_us: u128 = timings.iter().map(|t| t.wall.as_micros()).sum();
+    push_fields(&mut out, &[("total_wall_us", total_us.to_string())]);
     out.push_str("}}");
     out
 }

@@ -16,6 +16,7 @@
 //! lfm witness <id> --out w.json --chrome t.json   # minimized portable witness
 //! lfm replay w.json                                # verify a saved witness
 //! lfm tables [t1..t9|f1..f5|escope|edetect|etest|ecov|etm|echaos|eperf|edpor|efuse|ewit|eobs|eserve|findings]
+//! lfm tables --check-explore BENCH_explore.json   # a benchmark gate
 //! lfm serve --addr 127.0.0.1:0 --workers 4         # model-checking service
 //! lfm bench-serve --chaos-net 42 --shutdown        # closed-loop load run
 //! lfm version                                      # binary + schema versions
@@ -29,8 +30,9 @@
 //! # Exit status
 //!
 //! The binary exits 0 on success, **1 degraded** (a table generator
-//! panicked and was contained, or `--log-jsonl` lost events to write
-//! errors), and **2** on a usage error.
+//! panicked and was contained, a `tables` benchmark gate failed, or
+//! `--log-jsonl` lost events to write errors), and **2** on a usage
+//! error.
 
 #![warn(missing_docs)]
 
@@ -38,7 +40,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-use lfm_bench::Artifact;
+use lfm_bench::{Artifact, Mode};
 use lfm_corpus::{App, BugClass, Corpus};
 use lfm_kernels::{registry, Family, Kernel, Variant};
 use lfm_obs::{
@@ -132,6 +134,15 @@ pub enum Command {
         only: Option<Artifact>,
         /// Markdown output.
         markdown: bool,
+    },
+    /// `lfm tables --json|--bench-explore|--check-explore|--bench-serve|--check-serve <path>`:
+    /// a metrics snapshot, benchmark document or gate instead of the
+    /// tables.
+    TablesMode {
+        /// Which one.
+        mode: Mode,
+        /// The document it writes or checks against.
+        path: String,
     },
     /// `lfm serve [--addr A] [--workers N] [--queue N] [--max-conns N]
     /// [--dpor] [--trace <path>] [--trace-slow-ms N]`
@@ -269,41 +280,29 @@ pub fn parse_invocation(args: &[String]) -> Result<Invocation, UsageError> {
     let mut chaos = None;
     let mut deadline = None;
     let mut metrics = None;
-    let mut it = args.iter();
+    let mut it = args.iter().map(String::as_str);
     while let Some(arg) = it.next() {
-        if arg == "--log-jsonl" {
-            let path = it
-                .next()
-                .ok_or_else(|| UsageError("--log-jsonl needs a file path".into()))?;
-            log_jsonl = Some(path.clone());
-        } else if arg == "--chaos" {
-            let v = it
-                .next()
-                .ok_or_else(|| UsageError("--chaos needs a seed".into()))?;
-            let seed: u64 = v
-                .parse()
-                .map_err(|_| UsageError(format!("--chaos seed `{v}` is not a u64")))?;
-            chaos = Some(seed);
-        } else if arg == "--deadline" {
-            let v = it
-                .next()
-                .ok_or_else(|| UsageError("--deadline needs a duration in seconds".into()))?;
-            let secs: f64 = v
-                .parse()
-                .map_err(|_| UsageError(format!("--deadline `{v}` is not a number of seconds")))?;
-            if !secs.is_finite() || secs <= 0.0 {
-                return Err(UsageError(format!(
-                    "--deadline must be a positive number of seconds (got `{v}`)"
-                )));
+        match arg {
+            "--log-jsonl" => log_jsonl = Some(value(&mut it, arg, "a file path")?.to_owned()),
+            "--chaos" => {
+                chaos = Some(number(&mut it, arg, "a seed", |v| {
+                    format!("--chaos seed `{v}` is not a u64")
+                })?);
             }
-            deadline = Some(Duration::from_secs_f64(secs));
-        } else if arg == "--metrics" {
-            let path = it
-                .next()
-                .ok_or_else(|| UsageError("--metrics needs a file path".into()))?;
-            metrics = Some(path.clone());
-        } else {
-            rest.push(arg.clone());
+            "--deadline" => {
+                let v = value(&mut it, arg, "a duration in seconds")?;
+                let secs: f64 = v.parse().map_err(|_| {
+                    UsageError(format!("--deadline `{v}` is not a number of seconds"))
+                })?;
+                if !secs.is_finite() || secs <= 0.0 {
+                    return Err(UsageError(format!(
+                        "--deadline must be a positive number of seconds (got `{v}`)"
+                    )));
+                }
+                deadline = Some(Duration::from_secs_f64(secs));
+            }
+            "--metrics" => metrics = Some(value(&mut it, arg, "a file path")?.to_owned()),
+            _ => rest.push(arg.to_owned()),
         }
     }
     Ok(Invocation {
@@ -313,6 +312,46 @@ pub fn parse_invocation(args: &[String]) -> Result<Invocation, UsageError> {
         deadline,
         metrics,
     })
+}
+
+/// The one flag-value reader: the argument after `flag`, or the usage
+/// error "`flag` needs `what`".
+fn value<'a>(
+    args: &mut impl Iterator<Item = &'a str>,
+    flag: &str,
+    what: &str,
+) -> Result<&'a str, UsageError> {
+    args.next()
+        .ok_or_else(|| UsageError(format!("{flag} needs {what}")))
+}
+
+/// [`value`] parsed as a `T`; `bad` words the error for a value that
+/// does not parse.
+fn number<'a, T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = &'a str>,
+    flag: &str,
+    what: &str,
+    bad: impl FnOnce(&str) -> String,
+) -> Result<T, UsageError> {
+    let v = value(args, flag, what)?;
+    v.parse().map_err(|_| UsageError(bad(v)))
+}
+
+/// A count of at least 1 after `flag`, such as `--workers 4`.
+fn count<'a>(
+    args: &mut impl Iterator<Item = &'a str>,
+    flag: &str,
+    what: &str,
+) -> Result<usize, UsageError> {
+    match number(args, flag, what, |v| format!("{flag} `{v}` is not {what}"))? {
+        0 => Err(UsageError(format!("{flag} must be at least 1"))),
+        n => Ok(n),
+    }
+}
+
+/// The usage error for an unexpected argument.
+fn unknown(flag: &str) -> UsageError {
+    UsageError(format!("unknown flag `{flag}`"))
 }
 
 /// Parses the argument vector (without the program name).
@@ -326,21 +365,9 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
                 let mut class = None;
                 while let Some(flag) = it.next() {
                     match flag {
-                        "--app" => {
-                            let v = it
-                                .next()
-                                .ok_or_else(|| UsageError("--app needs a value".into()))?;
-                            app = Some(parse_app(v)?);
-                        }
-                        "--class" => {
-                            let v = it
-                                .next()
-                                .ok_or_else(|| UsageError("--class needs a value".into()))?;
-                            class = Some(parse_class(v)?);
-                        }
-                        other => {
-                            return Err(UsageError(format!("unknown flag `{other}`")));
-                        }
+                        "--app" => app = Some(parse_app(value(&mut it, flag, "a value")?)?),
+                        "--class" => class = Some(parse_class(value(&mut it, flag, "a value")?)?),
+                        other => return Err(unknown(other)),
                     }
                 }
                 Ok(Command::ListBugs { app, class })
@@ -350,14 +377,9 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
                 while let Some(flag) = it.next() {
                     match flag {
                         "--family" => {
-                            let v = it
-                                .next()
-                                .ok_or_else(|| UsageError("--family needs a value".into()))?;
-                            family = Some(parse_family(v)?);
+                            family = Some(parse_family(value(&mut it, flag, "a value")?)?);
                         }
-                        other => {
-                            return Err(UsageError(format!("unknown flag `{other}`")));
-                        }
+                        other => return Err(unknown(other)),
                     }
                 }
                 Ok(Command::ListKernels { family })
@@ -384,7 +406,7 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
                     "--source" => source = true,
                     "--witness" => witness = true,
                     "--stats" => stats = true,
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
+                    other => return Err(unknown(other)),
                 }
             }
             Ok(Command::Kernel {
@@ -410,7 +432,7 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
                     "--no-fuse" => no_fuse = true,
                     "--stats" => stats = true,
                     "--progress" => progress = true,
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
+                    other => return Err(unknown(other)),
                 }
             }
             Ok(Command::Explore {
@@ -429,19 +451,9 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
             let mut chrome = None;
             while let Some(flag) = it.next() {
                 match flag {
-                    "--out" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--out needs a file path".into()))?;
-                        out = Some(v.to_owned());
-                    }
-                    "--chrome" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--chrome needs a file path".into()))?;
-                        chrome = Some(v.to_owned());
-                    }
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
+                    "--out" => out = Some(value(&mut it, flag, "a file path")?.to_owned()),
+                    "--chrome" => chrome = Some(value(&mut it, flag, "a file path")?.to_owned()),
+                    other => return Err(unknown(other)),
                 }
             }
             Ok(Command::Witness {
@@ -450,26 +462,25 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
                 chrome,
             })
         }
-        Some("replay") => {
-            let path = it
-                .next()
-                .ok_or_else(|| UsageError("usage: lfm replay <witness.json>".into()))?;
-            if it.next().is_some() {
-                return Err(UsageError("usage: lfm replay <witness.json>".into()));
-            }
-            Ok(Command::Replay {
+        Some("replay") => match (it.next(), it.next()) {
+            (Some(path), None) => Ok(Command::Replay {
                 path: path.to_owned(),
-            })
-        }
+            }),
+            _ => Err(UsageError("usage: lfm replay <witness.json>".into())),
+        },
         Some("export") => Ok(Command::Export),
         Some("version") | Some("--version") | Some("-V") => Ok(Command::Version),
         Some("tables") => {
             let mut only = None;
             let mut markdown = false;
-            for arg in it {
-                match arg {
-                    "--markdown" => markdown = true,
-                    sel => {
+            let mut mode = None;
+            while let Some(arg) = it.next() {
+                match (arg, Mode::parse(arg)) {
+                    (_, Some(m)) if mode.is_none() => {
+                        mode = Some((m, value(&mut it, arg, "a file path")?.to_owned()));
+                    }
+                    ("--markdown", _) => markdown = true,
+                    (sel, None) => {
                         only = Some(Artifact::parse(sel).ok_or_else(|| {
                             UsageError(format!(
                                 "unknown artifact `{sel}` ({})",
@@ -477,9 +488,16 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
                             ))
                         })?);
                     }
+                    (_, Some(_)) => return Err(UsageError(TABLES_MODE_USAGE.into())),
                 }
             }
-            Ok(Command::Tables { only, markdown })
+            match mode {
+                None => Ok(Command::Tables { only, markdown }),
+                Some((mode, path)) if only.is_none() && !markdown => {
+                    Ok(Command::TablesMode { mode, path })
+                }
+                Some(_) => Err(UsageError(TABLES_MODE_USAGE.into())),
+            }
         }
         Some("serve") => {
             let mut addr = None;
@@ -491,38 +509,19 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
             let mut trace_slow_ms = None;
             while let Some(flag) = it.next() {
                 match flag {
-                    "--addr" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--addr needs a bind address".into()))?;
-                        addr = Some(v.to_owned());
-                    }
-                    "--workers" => {
-                        workers = Some(parse_count(it.next(), "--workers", "a worker count")?);
-                    }
-                    "--queue" => {
-                        queue = Some(parse_count(it.next(), "--queue", "a queue bound")?);
-                    }
-                    "--max-conns" => {
-                        max_conns =
-                            Some(parse_count(it.next(), "--max-conns", "a connection cap")?);
-                    }
-                    "--trace" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--trace needs a file path".into()))?;
-                        trace = Some(v.to_owned());
-                    }
+                    "--addr" => addr = Some(value(&mut it, flag, "a bind address")?.to_owned()),
+                    "--workers" => workers = Some(count(&mut it, flag, "a worker count")?),
+                    "--queue" => queue = Some(count(&mut it, flag, "a queue bound")?),
+                    "--max-conns" => max_conns = Some(count(&mut it, flag, "a connection cap")?),
+                    "--trace" => trace = Some(value(&mut it, flag, "a file path")?.to_owned()),
                     "--trace-slow-ms" => {
-                        let v = it.next().ok_or_else(|| {
-                            UsageError("--trace-slow-ms needs a millisecond threshold".into())
-                        })?;
-                        trace_slow_ms = Some(v.parse().map_err(|_| {
-                            UsageError(format!("--trace-slow-ms `{v}` is not a millisecond count"))
-                        })?);
+                        trace_slow_ms =
+                            Some(number(&mut it, flag, "a millisecond threshold", |v| {
+                                format!("--trace-slow-ms `{v}` is not a millisecond count")
+                            })?);
                     }
                     "--dpor" => dpor = true,
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
+                    other => return Err(unknown(other)),
                 }
             }
             Ok(Command::Serve {
@@ -541,25 +540,17 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
             let mut once = false;
             while let Some(flag) = it.next() {
                 match flag {
-                    "--addr" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--addr needs a server address".into()))?;
-                        addr = Some(v.to_owned());
-                    }
+                    "--addr" => addr = Some(value(&mut it, flag, "a server address")?.to_owned()),
                     "--interval-ms" => {
-                        let v = it.next().ok_or_else(|| {
-                            UsageError("--interval-ms needs a millisecond interval".into())
-                        })?;
-                        interval_ms = v.parse().map_err(|_| {
-                            UsageError(format!("--interval-ms `{v}` is not a millisecond count"))
+                        interval_ms = number(&mut it, flag, "a millisecond interval", |v| {
+                            format!("--interval-ms `{v}` is not a millisecond count")
                         })?;
                         if interval_ms == 0 {
                             return Err(UsageError("--interval-ms must be at least 1".into()));
                         }
                     }
                     "--once" => once = true,
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
+                    other => return Err(unknown(other)),
                 }
             }
             let addr = addr
@@ -580,43 +571,22 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
             let mut shutdown = false;
             while let Some(flag) = it.next() {
                 match flag {
-                    "--addr" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--addr needs a server address".into()))?;
-                        addr = Some(v.to_owned());
-                    }
-                    "--clients" => {
-                        clients = Some(parse_count(it.next(), "--clients", "a client count")?);
-                    }
-                    "--requests" => {
-                        requests = Some(parse_count(it.next(), "--requests", "a request count")?);
-                    }
+                    "--addr" => addr = Some(value(&mut it, flag, "a server address")?.to_owned()),
+                    "--clients" => clients = Some(count(&mut it, flag, "a client count")?),
+                    "--requests" => requests = Some(count(&mut it, flag, "a request count")?),
                     "--seed" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--seed needs a u64 seed".into()))?;
-                        seed = Some(
-                            v.parse()
-                                .map_err(|_| UsageError(format!("--seed `{v}` is not a u64")))?,
-                        );
-                    }
-                    "--chaos-net" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--chaos-net needs a u64 seed".into()))?;
-                        chaos_net = Some(v.parse().map_err(|_| {
-                            UsageError(format!("--chaos-net seed `{v}` is not a u64"))
+                        seed = Some(number(&mut it, flag, "a u64 seed", |v| {
+                            format!("--seed `{v}` is not a u64")
                         })?);
                     }
-                    "--out" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--out needs a file path".into()))?;
-                        out = Some(v.to_owned());
+                    "--chaos-net" => {
+                        chaos_net = Some(number(&mut it, flag, "a u64 seed", |v| {
+                            format!("--chaos-net seed `{v}` is not a u64")
+                        })?);
                     }
+                    "--out" => out = Some(value(&mut it, flag, "a file path")?.to_owned()),
                     "--shutdown" => shutdown = true,
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
+                    other => return Err(unknown(other)),
                 }
             }
             Ok(Command::BenchServe {
@@ -635,17 +605,10 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
     }
 }
 
-/// Parses a required positive-count flag value.
-fn parse_count(value: Option<&str>, flag: &str, what: &str) -> Result<usize, UsageError> {
-    let v = value.ok_or_else(|| UsageError(format!("{flag} needs {what}")))?;
-    let n: usize = v
-        .parse()
-        .map_err(|_| UsageError(format!("{flag} `{v}` is not {what}")))?;
-    if n == 0 {
-        return Err(UsageError(format!("{flag} must be at least 1")));
-    }
-    Ok(n)
-}
+/// The usage error for a `tables` mode flag given with an artifact,
+/// `--markdown` or a second mode: each mode replaces the tables.
+const TABLES_MODE_USAGE: &str = "usage: lfm tables [ARTIFACT] [--markdown], or lfm tables \
+     --json|--bench-explore|--check-explore|--bench-serve|--check-serve <path> alone";
 
 /// The help text.
 pub const HELP: &str = "\
@@ -689,6 +652,13 @@ USAGE:
                                      ecov, etm, echaos, eperf, edpor, efuse,
                                      ewit, eobs, eserve, findings;
                                      default: everything)
+  lfm tables --json|--bench-explore|--check-explore|--bench-serve|--check-serve <path>
+                                    instead of the tables: an lfm-obs/v1
+                                    metrics snapshot, the explore or serve
+                                    benchmark document, or a gate against
+                                    the committed one (reductions and
+                                    correctness everywhere, throughput
+                                    floors on multi-core hosts)
   lfm serve [--addr A] [--workers N] [--queue N] [--max-conns N]
             [--dpor] [--trace <path>] [--trace-slow-ms N]
                                     run the fingerprint-keyed model-checking
@@ -745,8 +715,9 @@ GLOBAL OPTIONS:
 
 EXIT STATUS:
   0  success
-  1  degraded: a table generator panicked (contained, see FAILED lines)
-     or --log-jsonl lost events to write errors
+  1  degraded: a table generator panicked (contained, see FAILED lines),
+     a tables benchmark gate failed, or --log-jsonl lost events to write
+     errors
   2  usage error
 
 On panic or degraded exit the binary dumps its flight recorder (the
@@ -781,13 +752,43 @@ pub struct RunOutput {
     /// The text to print.
     pub text: String,
     /// `true` when part of the work failed but was contained (a table
-    /// generator panicked, or an artifact could not be written); the
-    /// binary exits 1.
+    /// generator panicked, a benchmark gate failed, or an artifact
+    /// could not be written); the binary exits 1.
     pub degraded: bool,
     /// `true` when exploration was cut short by the `--deadline` wall
     /// budget. Not an error (the binary still exits 0), but the binary
     /// dumps its flight recorder so the truncated run can be inspected.
     pub deadline_tripped: bool,
+}
+
+impl RunOutput {
+    /// The output of a run that degraded when `degraded` holds.
+    fn new(text: String, degraded: bool) -> RunOutput {
+        RunOutput {
+            text,
+            degraded,
+            deadline_tripped: false,
+        }
+    }
+
+    /// A clean run's output.
+    fn clean(text: String) -> RunOutput {
+        RunOutput::new(text, false)
+    }
+
+    /// A degraded run's output.
+    fn degraded(text: String) -> RunOutput {
+        RunOutput::new(text, true)
+    }
+
+    /// The same output, noting whether a `--deadline` trip cut the run
+    /// short.
+    fn with_deadline_trip(self, deadline_tripped: bool) -> RunOutput {
+        RunOutput {
+            deadline_tripped,
+            ..self
+        }
+    }
 }
 
 /// Executes a parsed command, returning the text to print.
@@ -807,9 +808,8 @@ pub fn run_with(command: Command, sink: Arc<dyn Sink>) -> String {
 /// [`BudgetedExplorer`]; the `tables` command renders each artifact
 /// under panic isolation and reports degradation instead of aborting.
 pub fn run_opts(command: Command, sink: Arc<dyn Sink>, opts: &RunOptions) -> RunOutput {
-    let mut degraded = false;
-    let text = match command {
-        Command::Help => HELP.to_owned(),
+    match command {
+        Command::Help => RunOutput::clean(HELP.to_owned()),
         Command::ListBugs { app, class } => {
             let corpus = Corpus::full();
             let mut query = corpus.query();
@@ -830,7 +830,7 @@ pub fn run_opts(command: Command, sink: Arc<dyn Sink>, opts: &RunOptions) -> Run
                     bug.title
                 ));
             }
-            out
+            RunOutput::clean(out)
         }
         Command::ListKernels { family } => {
             let kernels = match family {
@@ -841,182 +841,38 @@ pub fn run_opts(command: Command, sink: Arc<dyn Sink>, opts: &RunOptions) -> Run
             for k in kernels {
                 out.push_str(&format!("  {k}\n"));
             }
-            out
+            RunOutput::clean(out)
         }
-        Command::Show { id } => {
-            let corpus = Corpus::full();
-            match corpus.get_str(&id) {
-                None => format!("no bug `{id}` in the corpus (try `lfm list bugs`)\n"),
-                Some(bug) => {
-                    let mut out = format!("{bug}\n\n{}\n\n", bug.description);
-                    out.push_str(&format!("  class:    {}\n", bug.class()));
-                    if let Some(p) = bug.patterns() {
-                        out.push_str(&format!("  pattern:  {p}\n"));
-                    }
-                    out.push_str(&format!("  threads:  {}\n", bug.threads));
-                    if let Some(v) = bug.variables() {
-                        out.push_str(&format!("  vars:     {v}\n"));
-                    }
-                    if let Some(a) = bug.accesses() {
-                        out.push_str(&format!("  accesses: {a}\n"));
-                    }
-                    if let Some(r) = bug.resources() {
-                        out.push_str(&format!("  resources:{r}\n"));
-                    }
-                    out.push_str(&format!("  fix:      {}\n", bug.fix()));
-                    out.push_str(&format!("  TM:       {}\n", bug.tm));
-                    if let Some(k) = &bug.kernel {
-                        out.push_str(&format!("  kernel:   {k}   (run `lfm kernel {k}`)\n"));
-                    }
-                    out
-                }
-            }
-        }
+        Command::Show { id } => RunOutput::clean(show_bug(&id)),
         Command::Kernel {
             id,
             source,
             witness,
             stats,
-        } => {
-            let Some(kernel) = registry::by_id(&id) else {
-                return RunOutput {
-                    text: format!("no kernel `{id}` (try `lfm list kernels`)\n"),
-                    degraded: false,
-                    deadline_tripped: false,
-                };
-            };
+        } => with_kernel(&id, |kernel| {
             if witness {
-                let program = kernel.buggy();
-                let report = Explorer::new(&program)
-                    .stop_on_first_failure()
-                    .with_sink(Arc::clone(&sink))
-                    .run();
-                let Some((schedule, outcome)) = report.first_failure else {
-                    return RunOutput {
-                        text: format!("kernel `{id}` produced no failure?!\n"),
-                        degraded: false,
-                        deadline_tripped: false,
-                    };
-                };
-                let (trace, _) = lfm_sim::explore::trace_of(&program, &schedule, 5_000);
-                let mut out = format!("{kernel}\nwitness outcome: {outcome}\n\n");
-                out.push_str(&lfm_sim::render_timeline(&trace, Some(&program)));
-                return RunOutput {
-                    text: out,
-                    degraded: false,
-                    deadline_tripped: false,
-                };
-            }
-            if source {
-                let mut out = format!("// {kernel}\n// {}\n\n", kernel.description);
-                out.push_str("// ---- buggy variant ----\n");
-                out.push_str(&pseudocode(&kernel.buggy()));
-                for &fix in kernel.fixes {
-                    out.push_str(&format!("\n// ---- fixed: {fix} ----\n"));
-                    out.push_str(&pseudocode(&kernel.build(Variant::Fixed(fix))));
-                }
-                out
+                RunOutput::clean(kernel_witness(&kernel, &id, &sink))
+            } else if source {
+                RunOutput::clean(kernel_source(&kernel))
             } else if opts.active() {
-                return run_kernel_budgeted(&kernel, &id, stats, opts, &sink);
+                run_kernel_budgeted(&kernel, &id, stats, opts, &sink)
             } else {
-                let mut out = format!("{kernel}\n  {}\n\n", kernel.description);
-                let buggy = Explorer::new(&kernel.buggy())
-                    .with_sink(Arc::clone(&sink))
-                    .run();
-                out.push_str(&format!(
-                    "buggy: {} interleavings, {} manifest ({})\n",
-                    buggy.schedules_run,
-                    buggy.counts.failures(),
-                    buggy.counts
-                ));
-                if let Some((schedule, outcome)) = &buggy.first_failure {
-                    out.push_str(&format!("witness: [{schedule}] -> {outcome}\n"));
-                }
-                if let Some(reason) = buggy.truncation {
-                    out.push_str(&format!("truncated by: {reason}\n"));
-                }
-                let mut fix_walls = Vec::new();
-                for &fix in kernel.fixes {
-                    let fixed = kernel.build(Variant::Fixed(fix));
-                    let report = Explorer::new(&fixed)
-                        .dedup_states()
-                        .with_sink(Arc::clone(&sink))
-                        .run();
-                    out.push_str(&format!(
-                        "fix {:20} -> {} failures over {} schedules{}{}\n",
-                        fix.to_string(),
-                        report.counts.failures(),
-                        report.schedules_run,
-                        if report.counts.failures() == 0 {
-                            "  (proved)"
-                        } else {
-                            "  (BROKEN)"
-                        },
-                        match report.truncation {
-                            Some(reason) => format!("  [truncated: {reason}]"),
-                            None => String::new(),
-                        }
-                    ));
-                    fix_walls.push((fix, report.stats.wall));
-                }
-                if stats {
-                    let mut table = StatsTable::new(format!("stats ({id}, buggy variant)"));
-                    table
-                        .row("schedules", buggy.schedules_run)
-                        .row("schedules/sec", format!("{:.1}", buggy.schedules_per_sec()))
-                        .row("steps", buggy.steps_total)
-                        .row("states/sec", format!("{:.1}", buggy.states_per_sec()))
-                        .row("branch points", buggy.stats.branch_points)
-                        .row("snapshots", buggy.stats.snapshots)
-                        .row("snapshot bytes saved", buggy.stats.snapshot_bytes_saved)
-                        .row("max depth", buggy.stats.max_depth)
-                        .row("sleep-set prunes", buggy.sleep_pruned)
-                        .row("dedup hits", buggy.states_deduped)
-                        .row("preemption cutoffs", buggy.stats.preemption_limited)
-                        .row(
-                            "truncation",
-                            match buggy.truncation {
-                                Some(reason) => reason.to_string(),
-                                None => "none (exhausted)".to_owned(),
-                            },
-                        )
-                        .row("wall (buggy)", fmt_duration(buggy.stats.wall));
-                    for (fix, wall) in fix_walls {
-                        table.row(format!("wall (fix: {fix})"), fmt_duration(wall));
-                    }
-                    out.push('\n');
-                    out.push_str(&table.to_string());
-                }
-                out
+                RunOutput::clean(run_kernel(&kernel, &id, stats, &sink))
             }
-        }
+        }),
         Command::Explore {
             id,
             dpor,
             no_fuse,
             stats,
             progress,
-        } => {
-            let Some(kernel) = registry::by_id(&id) else {
-                return RunOutput {
-                    text: format!("no kernel `{id}` (try `lfm list kernels`)\n"),
-                    degraded: false,
-                    deadline_tripped: false,
-                };
-            };
-            return run_explore(&kernel, &id, dpor, no_fuse, stats, progress, opts, &sink);
-        }
-        Command::Witness { id, out, chrome } => {
-            let Some(kernel) = registry::by_id(&id) else {
-                return RunOutput {
-                    text: format!("no kernel `{id}` (try `lfm list kernels`)\n"),
-                    degraded: false,
-                    deadline_tripped: false,
-                };
-            };
-            return run_witness(&kernel, &id, out.as_deref(), chrome.as_deref(), &sink);
-        }
-        Command::Replay { path } => return run_replay(&path),
+        } => with_kernel(&id, |kernel| {
+            run_explore(&kernel, &id, dpor, no_fuse, stats, progress, opts, &sink)
+        }),
+        Command::Witness { id, out, chrome } => with_kernel(&id, |kernel| {
+            run_witness(&kernel, &id, out.as_deref(), chrome.as_deref(), &sink)
+        }),
+        Command::Replay { path } => run_replay(&path),
         Command::Serve {
             addr,
             dpor,
@@ -1025,26 +881,24 @@ pub fn run_opts(command: Command, sink: Arc<dyn Sink>, opts: &RunOptions) -> Run
             max_conns,
             trace,
             trace_slow_ms,
-        } => {
-            return run_serve(
-                ServeArgs {
-                    addr,
-                    dpor,
-                    workers,
-                    queue,
-                    max_conns,
-                    trace,
-                    trace_slow_ms,
-                },
-                opts,
-                &sink,
-            )
-        }
+        } => run_serve(
+            ServeArgs {
+                addr,
+                dpor,
+                workers,
+                queue,
+                max_conns,
+                trace,
+                trace_slow_ms,
+            },
+            opts,
+            &sink,
+        ),
         Command::Top {
             addr,
             interval_ms,
             once,
-        } => return run_top(&addr, interval_ms, once),
+        } => run_top(&addr, interval_ms, once),
         Command::BenchServe {
             addr,
             clients,
@@ -1053,104 +907,269 @@ pub fn run_opts(command: Command, sink: Arc<dyn Sink>, opts: &RunOptions) -> Run
             chaos_net,
             out,
             shutdown,
-        } => {
-            return run_bench_serve(
-                &BenchServeArgs {
-                    addr,
-                    clients,
-                    requests,
-                    seed,
-                    chaos_net,
-                    out,
-                    shutdown,
-                },
-                opts,
-                &sink,
-            )
+        } => run_bench_serve(
+            &BenchServeArgs {
+                addr,
+                clients,
+                requests,
+                seed,
+                chaos_net,
+                out,
+                shutdown,
+            },
+            opts,
+            &sink,
+        ),
+        Command::Export => RunOutput::clean(lfm_corpus::to_json(&Corpus::full())),
+        Command::Version => RunOutput::clean(version_text()),
+        Command::Tables { only, markdown } => run_tables(only, markdown, opts),
+        Command::TablesMode { mode, path } => {
+            let verdict = mode.run(&path);
+            let text = verdict
+                .lines
+                .iter()
+                .map(|line| format!("{line}\n"))
+                .collect();
+            RunOutput::new(text, !verdict.pass)
         }
-        Command::Export => lfm_corpus::to_json(&Corpus::full()),
-        Command::Version => version_text(),
-        Command::Tables { only, markdown } => {
-            let corpus = Corpus::full();
-            let artifacts = match only {
-                Some(a) => vec![a],
-                None => Artifact::all(),
-            };
-            let stopwatch = Stopwatch::start();
-            let mut rendered_ok = 0u64;
-            let mut failed = 0u64;
-            let mut out = String::new();
-            for artifact in artifacts {
-                // Panic isolation: one broken generator marks the run
-                // degraded but every other artifact still renders.
-                match artifact.render_isolated(&corpus, markdown) {
-                    Ok(rendered) => {
-                        rendered_ok += 1;
-                        out.push_str(&rendered);
-                    }
-                    Err(payload) => {
-                        degraded = true;
-                        failed += 1;
-                        out.push_str(&format!("FAILED {}: {payload}\n", artifact.id()));
-                    }
-                }
-                out.push('\n');
-            }
-            if let Some(path) = &opts.metrics {
-                let mut registry = Registry::new();
-                registry.counter(
-                    "lfm_tables_artifacts_rendered",
-                    "Artifacts rendered successfully.",
-                    rendered_ok,
-                );
-                registry.counter(
-                    "lfm_tables_artifacts_failed",
-                    "Artifacts whose generator panicked (contained).",
-                    failed,
-                );
-                registry.gauge(
-                    "lfm_tables_wall_seconds",
-                    "Wall-clock time regenerating the artifacts.",
-                    stopwatch.elapsed().as_secs_f64(),
-                );
-                if let Err(e) = registry.write_to(path) {
-                    degraded = true;
-                    out.push_str(&format!("METRICS FAILED: {path}: {e}\n"));
-                }
-            }
-            out
-        }
-    };
-    RunOutput {
-        text,
-        degraded,
-        deadline_tripped: false,
     }
+}
+
+/// Runs `f` on the kernel `id` names, or says there is none.
+fn with_kernel(id: &str, f: impl FnOnce(Kernel) -> RunOutput) -> RunOutput {
+    match registry::by_id(id) {
+        Some(kernel) => f(kernel),
+        None => RunOutput::clean(format!("no kernel `{id}` (try `lfm list kernels`)\n")),
+    }
+}
+
+/// Writes the `--metrics` exposition to `path`. A failure adds a
+/// `METRICS FAILED` line to `out` and returns `false` (the run
+/// degrades); `announce` also reports a success.
+fn write_metrics(registry: &Registry, path: &str, announce: bool, out: &mut String) -> bool {
+    match registry.write_to(path) {
+        Ok(()) => {
+            if announce {
+                out.push_str(&format!("metrics: {path}\n"));
+            }
+            true
+        }
+        Err(e) => {
+            out.push_str(&format!("METRICS FAILED: {path}: {e}\n"));
+            false
+        }
+    }
+}
+
+/// A report line's truncation suffix: empty for an exhausted search.
+fn truncated_suffix(truncation: Option<Truncation>) -> String {
+    truncation
+        .map(|reason| format!("  [truncated: {reason}]"))
+        .unwrap_or_default()
+}
+
+/// A stats table's truncation cell.
+fn truncation_cell(truncation: Option<Truncation>) -> String {
+    truncation.map_or_else(
+        || "none (exhausted)".to_owned(),
+        |reason| reason.to_string(),
+    )
+}
+
+/// Resolves a server address, or says it cannot.
+fn resolve(addr: &str) -> Result<std::net::SocketAddr, RunOutput> {
+    use std::net::ToSocketAddrs;
+    addr.to_socket_addrs()
+        .ok()
+        .and_then(|mut it| it.next())
+        .ok_or_else(|| RunOutput::degraded(format!("cannot resolve server address `{addr}`\n")))
+}
+
+/// The `show` command: one corpus record in full.
+fn show_bug(id: &str) -> String {
+    let corpus = Corpus::full();
+    let Some(bug) = corpus.get_str(id) else {
+        return format!("no bug `{id}` in the corpus (try `lfm list bugs`)\n");
+    };
+    let mut out = format!("{bug}\n\n{}\n\n", bug.description);
+    out.push_str(&format!("  class:    {}\n", bug.class()));
+    if let Some(p) = bug.patterns() {
+        out.push_str(&format!("  pattern:  {p}\n"));
+    }
+    out.push_str(&format!("  threads:  {}\n", bug.threads));
+    if let Some(v) = bug.variables() {
+        out.push_str(&format!("  vars:     {v}\n"));
+    }
+    if let Some(a) = bug.accesses() {
+        out.push_str(&format!("  accesses: {a}\n"));
+    }
+    if let Some(r) = bug.resources() {
+        out.push_str(&format!("  resources:{r}\n"));
+    }
+    out.push_str(&format!("  fix:      {}\n", bug.fix()));
+    out.push_str(&format!("  TM:       {}\n", bug.tm));
+    if let Some(k) = &bug.kernel {
+        out.push_str(&format!("  kernel:   {k}   (run `lfm kernel {k}`)\n"));
+    }
+    out
+}
+
+/// `lfm kernel <id> --witness`: the first failing schedule as a
+/// timeline.
+fn kernel_witness(kernel: &Kernel, id: &str, sink: &Arc<dyn Sink>) -> String {
+    let program = kernel.buggy();
+    let report = Explorer::new(&program)
+        .stop_on_first_failure()
+        .with_sink(Arc::clone(sink))
+        .run();
+    let Some((schedule, outcome)) = report.first_failure else {
+        return format!("kernel `{id}` produced no failure?!\n");
+    };
+    let (trace, _) = lfm_sim::explore::trace_of(&program, &schedule, 5_000);
+    let mut out = format!("{kernel}\nwitness outcome: {outcome}\n\n");
+    out.push_str(&lfm_sim::render_timeline(&trace, Some(&program)));
+    out
+}
+
+/// `lfm kernel <id> --source`: every variant as pseudo-code.
+fn kernel_source(kernel: &Kernel) -> String {
+    let mut out = format!("// {kernel}\n// {}\n\n", kernel.description);
+    out.push_str("// ---- buggy variant ----\n");
+    out.push_str(&pseudocode(&kernel.buggy()));
+    for &fix in kernel.fixes {
+        out.push_str(&format!("\n// ---- fixed: {fix} ----\n"));
+        out.push_str(&pseudocode(&kernel.build(Variant::Fixed(fix))));
+    }
+    out
+}
+
+/// `lfm kernel <id>`: the buggy variant fully explored, each fix
+/// checked with dedup, and (with `--stats`) the buggy run's metrics.
+fn run_kernel(kernel: &Kernel, id: &str, stats: bool, sink: &Arc<dyn Sink>) -> String {
+    let mut out = format!("{kernel}\n  {}\n\n", kernel.description);
+    let buggy = Explorer::new(&kernel.buggy())
+        .with_sink(Arc::clone(sink))
+        .run();
+    out.push_str(&format!(
+        "buggy: {} interleavings, {} manifest ({})\n",
+        buggy.schedules_run,
+        buggy.counts.failures(),
+        buggy.counts
+    ));
+    if let Some((schedule, outcome)) = &buggy.first_failure {
+        out.push_str(&format!("witness: [{schedule}] -> {outcome}\n"));
+    }
+    if let Some(reason) = buggy.truncation {
+        out.push_str(&format!("truncated by: {reason}\n"));
+    }
+    let mut fix_walls = Vec::new();
+    for &fix in kernel.fixes {
+        let fixed = kernel.build(Variant::Fixed(fix));
+        let report = Explorer::new(&fixed)
+            .dedup_states()
+            .with_sink(Arc::clone(sink))
+            .run();
+        out.push_str(&format!(
+            "fix {:20} -> {} failures over {} schedules{}{}\n",
+            fix.to_string(),
+            report.counts.failures(),
+            report.schedules_run,
+            if report.counts.failures() == 0 {
+                "  (proved)"
+            } else {
+                "  (BROKEN)"
+            },
+            truncated_suffix(report.truncation)
+        ));
+        fix_walls.push((fix, report.stats.wall));
+    }
+    if stats {
+        let mut table = StatsTable::new(format!("stats ({id}, buggy variant)"));
+        table
+            .row("schedules", buggy.schedules_run)
+            .row("schedules/sec", format!("{:.1}", buggy.schedules_per_sec()))
+            .row("steps", buggy.steps_total)
+            .row("states/sec", format!("{:.1}", buggy.states_per_sec()))
+            .row("branch points", buggy.stats.branch_points)
+            .row("snapshots", buggy.stats.snapshots)
+            .row("snapshot bytes saved", buggy.stats.snapshot_bytes_saved)
+            .row("max depth", buggy.stats.max_depth)
+            .row("sleep-set prunes", buggy.sleep_pruned)
+            .row("dedup hits", buggy.states_deduped)
+            .row("preemption cutoffs", buggy.stats.preemption_limited)
+            .row("truncation", truncation_cell(buggy.truncation))
+            .row("wall (buggy)", fmt_duration(buggy.stats.wall));
+        for (fix, wall) in fix_walls {
+            table.row(format!("wall (fix: {fix})"), fmt_duration(wall));
+        }
+        out.push('\n');
+        out.push_str(&table.to_string());
+    }
+    out
+}
+
+/// The `tables` command: every selected artifact rendered under panic
+/// isolation (a panicking generator degrades the run but every other
+/// artifact still renders), plus the `--metrics` exposition.
+fn run_tables(only: Option<Artifact>, markdown: bool, opts: &RunOptions) -> RunOutput {
+    let corpus = Corpus::full();
+    let artifacts = match only {
+        Some(a) => vec![a],
+        None => Artifact::all(),
+    };
+    let stopwatch = Stopwatch::start();
+    let mut failed = 0u64;
+    let mut out = String::new();
+    for artifact in &artifacts {
+        match artifact.render_isolated(&corpus, markdown) {
+            Ok(rendered) => out.push_str(&rendered),
+            Err(payload) => {
+                failed += 1;
+                out.push_str(&format!("FAILED {}: {payload}\n", artifact.id()));
+            }
+        }
+        out.push('\n');
+    }
+    let mut degraded = failed > 0;
+    if let Some(path) = &opts.metrics {
+        let mut registry = Registry::new();
+        registry.counter(
+            "lfm_tables_artifacts_rendered",
+            "Artifacts rendered successfully.",
+            artifacts.len() as u64 - failed,
+        );
+        registry.counter(
+            "lfm_tables_artifacts_failed",
+            "Artifacts whose generator panicked (contained).",
+            failed,
+        );
+        registry.gauge(
+            "lfm_tables_wall_seconds",
+            "Wall-clock time regenerating the artifacts.",
+            stopwatch.elapsed().as_secs_f64(),
+        );
+        degraded |= !write_metrics(&registry, path, false, &mut out);
+    }
+    RunOutput::new(out, degraded)
 }
 
 /// The `version` command: the binary version plus the schema version of
 /// every machine-readable artifact the toolchain writes, so a consumer
 /// can check compatibility without generating one of each.
 fn version_text() -> String {
-    format!(
-        "lfm {}\nschemas:\n  {:24}{}\n  {:24}{}\n  {:24}{}\n  {:24}{}\n  {:24}{}\n  \
-         {:24}{}\n  {:24}{}\n",
-        env!("CARGO_PKG_VERSION"),
-        "flight recorder/metrics",
-        lfm_obs::FLIGHT_SCHEMA,
-        "witness",
-        lfm_sim::WITNESS_SCHEMA,
-        "bench explore baseline",
-        lfm_bench::BENCH_EXPLORE_SCHEMA,
-        "serve protocol",
-        lfm_serve::SERVE_SCHEMA,
-        "serve stats",
-        lfm_serve::STATS_SCHEMA,
-        "serve trace dump",
-        lfm_serve::TRACE_DUMP_SCHEMA,
-        "bench serve baseline",
-        lfm_bench::BENCH_SERVE_SCHEMA,
-    )
+    let mut out = format!("lfm {}\nschemas:\n", env!("CARGO_PKG_VERSION"));
+    for (artifact, schema) in [
+        ("flight recorder/metrics", lfm_obs::FLIGHT_SCHEMA),
+        ("witness", lfm_sim::WITNESS_SCHEMA),
+        ("bench explore baseline", lfm_bench::BENCH_EXPLORE_SCHEMA),
+        ("serve protocol", lfm_serve::SERVE_SCHEMA),
+        ("serve stats", lfm_serve::STATS_SCHEMA),
+        ("serve trace dump", lfm_serve::TRACE_DUMP_SCHEMA),
+        ("bench serve baseline", lfm_bench::BENCH_SERVE_SCHEMA),
+    ] {
+        out.push_str(&format!("  {artifact:24}{schema}\n"));
+    }
+    out
 }
 
 /// The `explore` command: one [`Explorer`] run over the kernel's
@@ -1206,7 +1225,6 @@ fn run_explore(
         explorer = explorer.deadline(deadline);
     }
     let report = explorer.run();
-    let mut degraded = false;
 
     let mut out = format!("{kernel}\n  {}\n\n", kernel.description);
     if let Some(seed) = opts.chaos {
@@ -1270,18 +1288,17 @@ fn run_explore(
         out.push('\n');
         out.push_str(&table.to_string());
     }
-    if let Some(path) = &opts.metrics {
-        let registry = explore_metrics(id, &report, &profile);
-        if let Err(e) = registry.write_to(path) {
-            degraded = true;
-            out.push_str(&format!("METRICS FAILED: {path}: {e}\n"));
-        }
-    }
-    RunOutput {
-        text: out,
-        degraded,
-        deadline_tripped: report.truncation == Some(Truncation::WallDeadline),
-    }
+    let degraded = match &opts.metrics {
+        Some(path) => !write_metrics(
+            &explore_metrics(id, &report, &profile),
+            path,
+            false,
+            &mut out,
+        ),
+        None => false,
+    };
+    RunOutput::new(out, degraded)
+        .with_deadline_trip(report.truncation == Some(Truncation::WallDeadline))
 }
 
 /// Builds the OpenMetrics registry describing one `explore` run:
@@ -1294,84 +1311,81 @@ fn explore_metrics(
 ) -> Registry {
     let mut r = Registry::new();
     let kernel_label: &[(&str, &str)] = &[("kernel", id)];
-    r.counter_with(
-        "lfm_explore_schedules",
-        "Schedules the exploration ran.",
-        kernel_label,
-        report.schedules_run,
-    );
-    r.counter_with(
-        "lfm_explore_steps",
-        "Visible steps (states visited).",
-        kernel_label,
-        report.steps_total,
-    );
-    r.counter_with(
-        "lfm_explore_failures",
-        "Schedules that manifested the bug.",
-        kernel_label,
-        report.counts.failures(),
-    );
-    r.counter_with(
-        "lfm_explore_dedup_hits",
-        "States pruned by the seen-set.",
-        kernel_label,
-        report.states_deduped,
-    );
-    r.counter_with(
-        "lfm_explore_sleep_pruned",
-        "Schedules pruned by sleep sets.",
-        kernel_label,
-        report.sleep_pruned,
-    );
-    r.counter_with(
-        "lfm_explore_dpor_pruned",
-        "Schedules proved redundant by source-set DPOR.",
-        kernel_label,
-        report.dpor_pruned,
-    );
-    r.counter_with(
-        "lfm_explore_branch_points",
-        "States with more than one enabled thread that were expanded.",
-        kernel_label,
-        report.stats.branch_points,
-    );
-    r.counter_with(
-        "lfm_explore_fused_steps",
-        "Invisible steps fused into their parent edge instead of branching.",
-        kernel_label,
-        report.stats.fused_steps,
-    );
-    r.counter_with(
-        "lfm_explore_snapshots_elided",
-        "Branch-point children whose snapshot clone was elided (final survivor).",
-        kernel_label,
-        report.stats.snapshots_elided,
-    );
-    r.gauge_with(
-        "lfm_explore_states_per_sec",
-        "Exploration throughput.",
-        kernel_label,
-        report.states_per_sec(),
-    );
-    r.gauge_with(
-        "lfm_explore_est_total_schedules",
-        "Knuth tree-size estimate of the full schedule space.",
-        kernel_label,
-        report.est_total_schedules,
-    );
-    r.gauge_with(
-        "lfm_explore_max_depth",
-        "Deepest DFS stack observed.",
-        kernel_label,
-        report.stats.max_depth as f64,
-    );
-    r.gauge_with(
-        "lfm_explore_wall_seconds",
-        "Wall-clock time of the exploration.",
-        kernel_label,
-        report.stats.wall.as_secs_f64(),
-    );
+    let counters = [
+        (
+            "lfm_explore_schedules",
+            "Schedules the exploration ran.",
+            report.schedules_run,
+        ),
+        (
+            "lfm_explore_steps",
+            "Visible steps (states visited).",
+            report.steps_total,
+        ),
+        (
+            "lfm_explore_failures",
+            "Schedules that manifested the bug.",
+            report.counts.failures(),
+        ),
+        (
+            "lfm_explore_dedup_hits",
+            "States pruned by the seen-set.",
+            report.states_deduped,
+        ),
+        (
+            "lfm_explore_sleep_pruned",
+            "Schedules pruned by sleep sets.",
+            report.sleep_pruned,
+        ),
+        (
+            "lfm_explore_dpor_pruned",
+            "Schedules proved redundant by source-set DPOR.",
+            report.dpor_pruned,
+        ),
+        (
+            "lfm_explore_branch_points",
+            "States with more than one enabled thread that were expanded.",
+            report.stats.branch_points,
+        ),
+        (
+            "lfm_explore_fused_steps",
+            "Invisible steps fused into their parent edge instead of branching.",
+            report.stats.fused_steps,
+        ),
+        (
+            "lfm_explore_snapshots_elided",
+            "Branch-point children whose snapshot clone was elided (final survivor).",
+            report.stats.snapshots_elided,
+        ),
+    ];
+    for (name, help, value) in counters {
+        r.counter_with(name, help, kernel_label, value);
+    }
+    let gauges = [
+        (
+            "lfm_explore_states_per_sec",
+            "Exploration throughput.",
+            report.states_per_sec(),
+        ),
+        (
+            "lfm_explore_est_total_schedules",
+            "Knuth tree-size estimate of the full schedule space.",
+            report.est_total_schedules,
+        ),
+        (
+            "lfm_explore_max_depth",
+            "Deepest DFS stack observed.",
+            report.stats.max_depth as f64,
+        ),
+        (
+            "lfm_explore_wall_seconds",
+            "Wall-clock time of the exploration.",
+            report.stats.wall.as_secs_f64(),
+        ),
+    ];
+    for (name, help, value) in gauges {
+        r.gauge_with(name, help, kernel_label, value);
+    }
     for stat in profile.phases() {
         if stat.entries == 0 {
             continue;
@@ -1444,10 +1458,7 @@ fn run_kernel_budgeted(
         "level: {}  confidence: {}{}\n",
         buggy.level,
         buggy.confidence,
-        match buggy.truncation {
-            Some(reason) => format!("  [truncated: {reason}]"),
-            None => String::new(),
-        }
+        truncated_suffix(buggy.truncation)
     ));
     if let Some((schedule, outcome)) = &buggy.first_failure {
         out.push_str(&format!("witness: [{schedule}] -> {outcome}\n"));
@@ -1484,22 +1495,12 @@ fn run_kernel_budgeted(
             .row("confidence", buggy.confidence.to_string())
             .row("levels tried", levels)
             .row("schedules", buggy.schedules_run)
-            .row(
-                "truncation",
-                match buggy.truncation {
-                    Some(reason) => reason.to_string(),
-                    None => "none (exhausted)".to_owned(),
-                },
-            )
+            .row("truncation", truncation_cell(buggy.truncation))
             .row("wall (buggy)", fmt_duration(buggy.wall));
         out.push('\n');
         out.push_str(&table.to_string());
     }
-    RunOutput {
-        text: out,
-        degraded: false,
-        deadline_tripped,
-    }
+    RunOutput::clean(out).with_deadline_trip(deadline_tripped)
 }
 
 /// The `witness` command: search for the kernel's first failing
@@ -1519,11 +1520,7 @@ fn run_witness(
         .with_sink(Arc::clone(sink))
         .run();
     let Some((schedule, _)) = report.first_failure else {
-        return RunOutput {
-            text: format!("kernel `{id}` produced no failure to witness\n"),
-            degraded: false,
-            deadline_tripped: false,
-        };
+        return RunOutput::clean(format!("kernel `{id}` produced no failure to witness\n"));
     };
     let min = minimize(&program, &schedule, 5_000);
     let witness = Witness::capture(&program, id, &min.schedule, 5_000);
@@ -1586,11 +1583,7 @@ fn run_witness(
         lfm_sim::explore::trace_of(&program, &witness.schedule, witness.schedule.len());
     out.push('\n');
     out.push_str(&lfm_sim::render_timeline(&trace, Some(&program)));
-    RunOutput {
-        text: out,
-        degraded,
-        deadline_tripped: false,
-    }
+    RunOutput::new(out, degraded)
 }
 
 /// The `replay` command: load a saved witness, re-execute it against the
@@ -1600,51 +1593,23 @@ fn run_witness(
 fn run_replay(path: &str) -> RunOutput {
     let witness = match Witness::load(path) {
         Ok(w) => w,
-        Err(e) => {
-            return RunOutput {
-                text: format!("cannot load witness: {e}\n"),
-                degraded: true,
-                deadline_tripped: false,
-            };
-        }
+        Err(e) => return RunOutput::degraded(format!("cannot load witness: {e}\n")),
     };
     let Some(kernel) = registry::by_id(&witness.kernel) else {
-        return RunOutput {
-            text: format!(
-                "witness names unknown kernel `{}` (try `lfm list kernels`)\n",
-                witness.kernel
-            ),
-            degraded: true,
-            deadline_tripped: false,
-        };
+        return RunOutput::degraded(format!(
+            "witness names unknown kernel `{}` (try `lfm list kernels`)\n",
+            witness.kernel
+        ));
     };
-    let program = kernel.buggy();
-    match witness.replay(&program) {
-        Ok(outcome) => RunOutput {
-            text: format!(
-                "replay OK: kernel `{}`, {} events, {} switches\noutcome verified: {outcome}\n",
-                witness.kernel, witness.stats.events, witness.stats.switches
-            ),
-            degraded: false,
-            deadline_tripped: false,
-        },
-        Err(e) => RunOutput {
-            text: format!("replay FAILED: {e}\n"),
-            degraded: true,
-            deadline_tripped: false,
-        },
+    match witness.replay(&kernel.buggy()) {
+        Ok(outcome) => RunOutput::clean(format!(
+            "replay OK: kernel `{}`, {} events, {} switches\noutcome verified: {outcome}\n",
+            witness.kernel, witness.stats.events, witness.stats.switches
+        )),
+        Err(e) => RunOutput::degraded(format!("replay FAILED: {e}\n")),
     }
 }
 
-/// The `serve` command: start the fingerprint-keyed model-checking
-/// service and block until a wire shutdown request drains it. The
-/// listening address is printed (and flushed) *before* blocking so a
-/// caller can scrape it; the drain summary is the command's output.
-/// `--chaos` seeds sim-level faults into every exploration (and the
-/// cache key), `--deadline` becomes the default per-request wall
-/// budget, and `--metrics` writes a final OpenMetrics exposition at
-/// drain — so a crashed or drained server always leaves its counters
-/// behind, next to the flight-recorder tail the binary dumps on panic.
 /// `serve` parameters (one struct so the runner's signature stays
 /// readable).
 struct ServeArgs {
@@ -1657,37 +1622,38 @@ struct ServeArgs {
     trace_slow_ms: Option<u64>,
 }
 
+/// The `serve` command: start the fingerprint-keyed model-checking
+/// service and block until a wire shutdown request drains it. The
+/// listening address is printed (and flushed) *before* blocking so a
+/// caller can scrape it; the drain summary is the command's output.
+/// `--chaos` seeds sim-level faults into every exploration (and the
+/// cache key), `--deadline` becomes the default per-request wall
+/// budget, and `--metrics` writes a final OpenMetrics exposition at
+/// drain — so a crashed or drained server always leaves its counters
+/// behind, next to the flight-recorder tail the binary dumps on panic.
 fn run_serve(args: ServeArgs, opts: &RunOptions, sink: &Arc<dyn Sink>) -> RunOutput {
-    let mut config = lfm_serve::ServerConfig::default();
-    if let Some(addr) = args.addr {
-        config.addr = addr;
-    }
-    if let Some(workers) = args.workers {
-        config.workers = workers;
-    }
-    if let Some(queue) = args.queue {
-        config.queue_cap = queue;
-    }
-    if let Some(max_conns) = args.max_conns {
-        config.max_conns = max_conns;
-    }
-    // --trace turns full capture on; --trace-slow-ms alone arms only
-    // the slow-request recorder. Both feed the same ring the dump
-    // drains at shutdown.
-    config.trace = args.trace.is_some();
-    config.trace_slow_ms = args.trace_slow_ms;
-    config.caps.dpor = args.dpor;
-    config.chaos = opts.chaos;
-    config.default_deadline = opts.deadline;
+    let defaults = lfm_serve::ServerConfig::default();
+    let config = lfm_serve::ServerConfig {
+        addr: args.addr.unwrap_or(defaults.addr),
+        workers: args.workers.unwrap_or(defaults.workers),
+        queue_cap: args.queue.unwrap_or(defaults.queue_cap),
+        max_conns: args.max_conns.unwrap_or(defaults.max_conns),
+        // --trace turns full capture on; --trace-slow-ms alone arms
+        // only the slow-request recorder. Both feed the same ring the
+        // dump drains at shutdown.
+        trace: args.trace.is_some(),
+        trace_slow_ms: args.trace_slow_ms,
+        caps: lfm_serve::LevelCaps {
+            dpor: args.dpor,
+            ..defaults.caps
+        },
+        chaos: opts.chaos,
+        default_deadline: opts.deadline,
+        ..defaults
+    };
     let handle = match lfm_serve::Server::start(config, Arc::clone(sink)) {
         Ok(handle) => handle,
-        Err(e) => {
-            return RunOutput {
-                text: format!("cannot start server: {e}\n"),
-                degraded: true,
-                deadline_tripped: false,
-            };
-        }
+        Err(e) => return RunOutput::degraded(format!("cannot start server: {e}\n")),
     };
     // Printed eagerly: run_opts returns its text only after the server
     // exits, and anyone scripting this (CI included) needs the port now.
@@ -1721,13 +1687,7 @@ fn run_serve(args: ServeArgs, opts: &RunOptions, sink: &Arc<dyn Sink>) -> RunOut
     if let Some(path) = &opts.metrics {
         let mut registry = Registry::new();
         stats.fill_registry(&mut registry, &cache);
-        match registry.write_to(path) {
-            Ok(()) => out.push_str(&format!("metrics: {path}\n")),
-            Err(e) => {
-                degraded = true;
-                out.push_str(&format!("METRICS FAILED: {path}: {e}\n"));
-            }
-        }
+        degraded |= !write_metrics(&registry, path, true, &mut out);
     }
     if let Some(path) = &args.trace {
         match tracer.dump_chrome(path) {
@@ -1738,11 +1698,7 @@ fn run_serve(args: ServeArgs, opts: &RunOptions, sink: &Arc<dyn Sink>) -> RunOut
             }
         }
     }
-    RunOutput {
-        text: out,
-        degraded,
-        deadline_tripped: false,
-    }
+    RunOutput::new(out, degraded)
 }
 
 /// The `top` command: poll a running server's `stats` wire op and
@@ -1750,13 +1706,9 @@ fn run_serve(args: ServeArgs, opts: &RunOptions, sink: &Arc<dyn Sink>) -> RunOut
 /// per-stage and per-level quantiles. Loops until the server goes away
 /// (or forever); `--once` prints a single snapshot for scripts and CI.
 fn run_top(addr: &str, interval_ms: u64, once: bool) -> RunOutput {
-    use std::net::ToSocketAddrs;
-    let Some(resolved) = addr.to_socket_addrs().ok().and_then(|mut it| it.next()) else {
-        return RunOutput {
-            text: format!("cannot resolve server address `{addr}`\n"),
-            degraded: true,
-            deadline_tripped: false,
-        };
+    let resolved = match resolve(addr) {
+        Ok(resolved) => resolved,
+        Err(out) => return out,
     };
     let client = lfm_serve::Client::new(resolved).with_timeout(Duration::from_secs(5));
     let mut rounds = 0u64;
@@ -1764,11 +1716,7 @@ fn run_top(addr: &str, interval_ms: u64, once: bool) -> RunOutput {
         match client.stats() {
             Ok(snapshot) => {
                 if once {
-                    return RunOutput {
-                        text: render_top(addr, &snapshot),
-                        degraded: false,
-                        deadline_tripped: false,
-                    };
+                    return RunOutput::clean(render_top(addr, &snapshot));
                 }
                 // Live mode: clear the screen between refreshes, like
                 // any top. Printed eagerly — the loop only returns when
@@ -1778,14 +1726,12 @@ fn run_top(addr: &str, interval_ms: u64, once: bool) -> RunOutput {
                 rounds += 1;
             }
             Err(e) => {
-                let text = format!("lfm top: server at {addr} unreachable: {e}\n");
                 // Losing a server we were watching is a normal ending;
                 // never reaching it is a failure.
-                return RunOutput {
-                    text,
-                    degraded: rounds == 0,
-                    deadline_tripped: false,
-                };
+                return RunOutput::new(
+                    format!("lfm top: server at {addr} unreachable: {e}\n"),
+                    rounds == 0,
+                );
             }
         }
         std::thread::sleep(Duration::from_millis(interval_ms));
@@ -1858,195 +1804,133 @@ struct BenchServeArgs {
 /// server — an in-process one unless `--addr` points elsewhere —
 /// optionally behind a seeded chaos proxy. Wrong answers or an unclean
 /// drain degrade the exit; `--out` writes the `lfm-bench-serve/v1`
-/// document the CI gate compares against.
+/// document the CI gate compares against. The degrade histogram is the
+/// server's admissions per level during the run: read from the drained
+/// in-process server, or from an external one's wire `stats` op before
+/// and after the load.
 fn run_bench_serve(args: &BenchServeArgs, opts: &RunOptions, sink: &Arc<dyn Sink>) -> RunOutput {
-    use std::net::ToSocketAddrs;
-
-    let mut degraded = false;
-    let mut out = String::new();
-
-    // Target resolution: an external server by address, or a fresh
-    // in-process one (whose drain we then own).
-    let mut handle = None;
-    let server_addr = match &args.addr {
-        Some(addr) => match addr.to_socket_addrs().ok().and_then(|mut it| it.next()) {
-            Some(resolved) => resolved,
-            None => {
-                return RunOutput {
-                    text: format!("cannot resolve server address `{addr}`\n"),
-                    degraded: true,
-                    deadline_tripped: false,
-                };
-            }
-        },
-        None => {
-            let config = lfm_serve::ServerConfig {
-                chaos: opts.chaos,
-                default_deadline: opts.deadline,
-                ..lfm_serve::ServerConfig::default()
-            };
-            match lfm_serve::Server::start(config, Arc::clone(sink)) {
-                Ok(h) => {
-                    let addr = h.addr();
-                    handle = Some(h);
-                    addr
-                }
-                Err(e) => {
-                    return RunOutput {
-                        text: format!("cannot start in-process server: {e}\n"),
-                        degraded: true,
-                        deadline_tripped: false,
-                    };
-                }
-            }
-        }
-    };
-
-    let proxy = match args.chaos_net {
-        Some(seed) => {
-            match lfm_serve::ChaosProxy::start(lfm_serve::NetFaultPlan::new(seed), server_addr) {
-                Ok(proxy) => Some(proxy),
-                Err(e) => {
-                    return RunOutput {
-                        text: format!("cannot start chaos proxy: {e}\n"),
-                        degraded: true,
-                        deadline_tripped: false,
-                    };
-                }
-            }
-        }
-        None => None,
-    };
-    let load_target = proxy.as_ref().map_or(server_addr, |p| p.addr());
-
     let seed = args.seed.unwrap_or(lfm_bench::SERVE_SEED);
-    let config = lfm_serve::LoadConfig {
+    let load = lfm_serve::LoadConfig {
         clients: args.clients.unwrap_or(8),
         requests_per_client: args.requests.unwrap_or(15),
         seed,
         deadline_ms: opts.deadline.map(|d| d.as_millis() as u64),
         ..lfm_serve::LoadConfig::default()
     };
-    let scenario = match args.chaos_net {
-        Some(chaos_seed) => format!("chaos-{chaos_seed}"),
-        None => lfm_bench::SERVE_GATE_SCENARIO.to_owned(),
-    };
-    out.push_str(&format!(
-        "bench-serve: {} clients x {} requests, seed {seed}, scenario {scenario}, target {}\n",
-        config.clients, config.requests_per_client, load_target,
-    ));
-    let report = lfm_serve::run_load(load_target, &config);
-
-    let faults_injected = match proxy {
-        Some(proxy) => {
-            let stats = proxy.stats();
-            proxy.stop();
-            stats.total_injected()
+    let mut degraded = false;
+    // What follows the load lines: the in-process drain, or the
+    // external server's shutdown.
+    let mut tail = String::new();
+    let (row, report, target) = match &args.addr {
+        None => {
+            let scenario = lfm_bench::serve::Scenario {
+                server: lfm_serve::ServerConfig {
+                    chaos: opts.chaos,
+                    default_deadline: opts.deadline,
+                    ..lfm_serve::ServerConfig::default()
+                },
+                load: load.clone(),
+                chaos_net: args.chaos_net,
+            };
+            let run = match scenario.run(Arc::clone(sink)) {
+                Ok(run) => run,
+                Err(e) => return RunOutput::degraded(format!("{e}\n")),
+            };
+            let drain = &run.drain;
+            degraded |= !drain.clean;
+            tail.push_str(&format!(
+                "drained: requests={} hits={} misses={} shed={} worker_panics={} clean={}\n",
+                drain.requests,
+                drain.hits,
+                drain.misses,
+                drain.shed,
+                drain.worker_panics,
+                drain.clean,
+            ));
+            if let Some(path) = &opts.metrics {
+                degraded |= !write_metrics(&run.metrics, path, true, &mut tail);
+            }
+            (run.row, run.load, run.target)
         }
-        None => 0,
+        Some(addr) => {
+            let server = match resolve(addr) {
+                Ok(server) => server,
+                Err(out) => return out,
+            };
+            // The server's admissions during the load: its running
+            // totals after, less those before.
+            let client = lfm_serve::Client::new(server);
+            let admitted = || client.stats().map(|stats| stats.degrade);
+            let before = admitted();
+            let (report, faults_injected, target) =
+                match lfm_bench::serve::drive_load(server, args.chaos_net, &load) {
+                    Ok(driven) => driven,
+                    Err(e) => return RunOutput::degraded(format!("{e}\n")),
+                };
+            let degrade = match (before, admitted()) {
+                (Ok(before), Ok(after)) => {
+                    std::array::from_fn(|level| after[level].saturating_sub(before[level]))
+                }
+                (Err(e), _) | (_, Err(e)) => {
+                    degraded = true;
+                    tail.push_str(&format!("STATS FAILED: {e}\n"));
+                    [0; 4]
+                }
+            };
+            // Graceful shutdown: request it over the wire for an
+            // external server; an in-process one is always drained.
+            if args.shutdown {
+                match client.shutdown() {
+                    Ok(()) => tail.push_str("shutdown: requested, server acknowledged\n"),
+                    Err(e) => {
+                        degraded = true;
+                        tail.push_str(&format!("SHUTDOWN FAILED: {e}\n"));
+                    }
+                }
+            }
+            let scenario = lfm_bench::serve::scenario_name(args.chaos_net, false);
+            let row = lfm_bench::ServeRow::new(scenario, &report, degrade, faults_injected, true);
+            (row, report, target)
+        }
     };
 
+    let mut out = format!(
+        "bench-serve: {} clients x {} requests, seed {seed}, scenario {}, target {target}\n",
+        load.clients, load.requests_per_client, row.scenario,
+    );
     out.push_str(&format!(
         "requests: {} ({} ok, {} failed, {} wrong)\n",
-        report.requests, report.ok, report.failed, report.wrong
+        row.requests, row.ok, row.failed, row.wrong
     ));
     out.push_str(&format!(
         "cache hit rate: {:.2}   shed rate: {:.2}   transport errors: {}   faults injected: {}\n",
-        report.hit_rate(),
-        report.shed_rate(),
-        report.transport_errors,
-        faults_injected,
+        row.hit_rate, row.shed_rate, report.transport_errors, row.faults_injected,
     ));
     out.push_str(&format!(
         "latency: p50 {} us, p99 {} us   throughput: {:.0} req/sec\n",
-        report.latency.p50(),
-        report.latency.p99(),
-        report.requests_per_sec(),
+        row.p50_us, row.p99_us, row.requests_per_sec,
     ));
     out.push_str(&format!(
         "retries: {} total, worst request {}\n",
-        report.retries_total, report.max_retries,
+        row.retries_total, row.max_retries,
     ));
     out.push_str(&format!(
         "degrade histogram: exhaustive={} sleep-set={} preemption-bounded={} pct-sampling={}\n",
-        report.degrade[0], report.degrade[1], report.degrade[2], report.degrade[3],
+        row.degrade[0], row.degrade[1], row.degrade[2], row.degrade[3],
     ));
-    if report.wrong > 0 {
+    if row.wrong > 0 {
         degraded = true;
         out.push_str(&format!(
             "WRONG ANSWERS: {} — the service broke the correctness contract\n",
-            report.wrong
+            row.wrong
         ));
     }
-
-    // Graceful shutdown: request it over the wire for an external
-    // server; an in-process server is always drained before we return.
-    if args.shutdown && handle.is_none() {
-        match lfm_serve::Client::new(server_addr).shutdown() {
-            Ok(()) => out.push_str("shutdown: requested, server acknowledged\n"),
-            Err(e) => {
-                degraded = true;
-                out.push_str(&format!("SHUTDOWN FAILED: {e}\n"));
-            }
-        }
-    }
-    let mut clean_drain = true;
-    if let Some(handle) = handle {
-        let stats = handle.stats();
-        let cache = handle.cache();
-        let server_degrade = stats.degrade_histogram();
-        handle.request_shutdown();
-        let summary = handle.wait();
-        clean_drain = summary.clean;
-        if !summary.clean {
-            degraded = true;
-        }
-        out.push_str(&format!(
-            "drained: requests={} hits={} misses={} shed={} worker_panics={} clean={}\n",
-            summary.requests,
-            summary.hits,
-            summary.misses,
-            summary.shed,
-            summary.worker_panics,
-            summary.clean,
-        ));
-        let _ = server_degrade;
-        if let Some(path) = &opts.metrics {
-            let mut registry = Registry::new();
-            stats.fill_registry(&mut registry, &cache);
-            match registry.write_to(path) {
-                Ok(()) => out.push_str(&format!("metrics: {path}\n")),
-                Err(e) => {
-                    degraded = true;
-                    out.push_str(&format!("METRICS FAILED: {path}: {e}\n"));
-                }
-            }
-        }
-    }
+    out.push_str(&tail);
 
     if let Some(path) = &args.out {
-        let row = lfm_bench::ServeRow {
-            scenario,
-            requests: report.requests,
-            ok: report.ok,
-            failed: report.failed,
-            wrong: report.wrong,
-            hit_rate: report.hit_rate(),
-            shed_rate: report.shed_rate(),
-            p50_us: report.latency.p50(),
-            p99_us: report.latency.p99(),
-            requests_per_sec: report.requests_per_sec(),
-            retries_total: report.retries_total,
-            max_retries: report.max_retries,
-            degrade: report.degrade,
-            faults_injected,
-            clean_drain,
-        };
         let doc = lfm_bench::serve_json(&lfm_bench::ServeReport {
             seed,
-            host_parallelism: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
+            host_parallelism: lfm_bench::host_parallelism(),
             rows: vec![row],
         });
         match std::fs::write(path, &doc) {
@@ -2057,12 +1941,7 @@ fn run_bench_serve(args: &BenchServeArgs, opts: &RunOptions, sink: &Arc<dyn Sink
             }
         }
     }
-
-    RunOutput {
-        text: out,
-        degraded,
-        deadline_tripped: false,
-    }
+    RunOutput::new(out, degraded)
 }
 
 #[cfg(test)]
@@ -2598,6 +2477,35 @@ mod tests {
             }
         );
         assert!(parse(&args(&["tables", "t42"])).is_err());
+    }
+
+    #[test]
+    fn parses_tables_modes() {
+        for mode in Mode::ALL {
+            assert_eq!(
+                parse(&args(&["tables", mode.flag(), "out.json"])).unwrap(),
+                Command::TablesMode {
+                    mode,
+                    path: "out.json".into()
+                }
+            );
+            let err = parse(&args(&["tables", mode.flag()])).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("{} needs a file path", mode.flag())
+            );
+        }
+        // A mode replaces the tables: no artifact, no --markdown, no
+        // second mode; `--only` is not a tables flag.
+        for bad in [
+            &["tables", "--json", "o.json", "t1"][..],
+            &["tables", "t1", "--check-explore", "b.json"],
+            &["tables", "--bench-serve", "s.json", "--markdown"],
+            &["tables", "--json", "o.json", "--check-serve", "b.json"],
+            &["tables", "--only", "t1"],
+        ] {
+            assert!(parse(&args(bad)).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! End-to-end exit-status contract of the `lfm` binary:
 //!
 //! - 0 on success (including budgeted chaos runs);
-//! - 1 degraded — a table generator panicked but was contained, or
-//!   `--log-jsonl` lost events to write errors;
+//! - 1 degraded — a table generator panicked but was contained, a
+//!   `tables` benchmark gate failed, or `--log-jsonl` lost events to
+//!   write errors;
 //! - 2 on usage errors.
 
 use std::process::{Command, Output};
@@ -55,6 +56,26 @@ fn injected_panic_leaves_other_artifacts_standing() {
         .expect("spawn lfm");
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
     assert!(stdout(&out).contains("T2:"));
+}
+
+#[test]
+fn failed_tables_gate_exits_one() {
+    // A baseline without the gate field fails before measuring.
+    let path = std::env::temp_dir().join(format!("lfm-gate-{}.json", std::process::id()));
+    std::fs::write(&path, "{}").expect("write baseline");
+    let dump = std::env::temp_dir().join(format!("lfm-gate-{}.jsonl", std::process::id()));
+    let out = lfm(&["tables", "--check-serve", &path.to_string_lossy()])
+        .env("LFM_FLIGHT_DUMP", &dump)
+        .output()
+        .expect("spawn lfm");
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&dump);
+    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr(&out));
+    assert!(
+        stdout(&out).contains("has no requests_per_sec for `no-chaos`"),
+        "stdout: {}",
+        stdout(&out)
+    );
 }
 
 #[test]

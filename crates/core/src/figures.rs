@@ -127,9 +127,12 @@ pub fn figure5() -> FigureDemo {
     )
 }
 
+/// The five figure demos, F1 first.
+pub const FIGURES: [fn() -> FigureDemo; 5] = [figure1, figure2, figure3, figure4, figure5];
+
 /// All five figure demos.
 pub fn all_figures() -> Vec<FigureDemo> {
-    vec![figure1(), figure2(), figure3(), figure4(), figure5()]
+    FIGURES.iter().map(|figure| figure()).collect()
 }
 
 #[cfg(test)]

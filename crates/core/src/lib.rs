@@ -13,8 +13,10 @@
 //!   kernel model-checked to a witness interleaving and its fixes proved;
 //! - [`experiments`] — the implication experiments: E-scope (small-scope
 //!   manifestation), E-detect (detector coverage matrix), E-tm
-//!   (executable TM verdicts);
-//! - [`report`] — full-report rendering used by the `tables` harness.
+//!   (executable TM verdicts).
+//!
+//! `lfm tables` (the `lfm-cli` crate, through `lfm_bench::Artifact`)
+//! renders them.
 //!
 //! # Example
 //!
@@ -34,11 +36,9 @@ pub mod experiments;
 pub mod figures;
 pub mod findings;
 pub mod profile;
-pub mod report;
 pub mod table;
 pub mod tables;
 
 pub use findings::{check_all, Finding};
 pub use profile::{profile_tables, TableTiming};
-pub use report::render_full_report;
 pub use table::Table;

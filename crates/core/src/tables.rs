@@ -350,19 +350,14 @@ pub fn table9(corpus: &Corpus) -> Table {
     t
 }
 
+/// The nine table generators, T1 first.
+pub const TABLES: [fn(&Corpus) -> Table; 9] = [
+    table1, table2, table3, table4, table5, table6, table7, table8, table9,
+];
+
 /// All nine tables.
 pub fn all_tables(corpus: &Corpus) -> Vec<Table> {
-    vec![
-        table1(corpus),
-        table2(corpus),
-        table3(corpus),
-        table4(corpus),
-        table5(corpus),
-        table6(corpus),
-        table7(corpus),
-        table8(corpus),
-        table9(corpus),
-    ]
+    TABLES.iter().map(|table| table(corpus)).collect()
 }
 
 #[cfg(test)]

@@ -12,11 +12,9 @@
 //! [`run_with_deadline`] executes a closure on a watchdog-supervised
 //! thread and classifies the result as completed, timed out, or
 //! panicked, and [`stress_with`] applies a per-trial timeout with a
-//! bounded retry/backoff policy so one wedged trial cannot wedge a
-//! whole campaign — the pause can be seeded decorrelated jitter
-//! (see [`StressConfig::jitter`]) so retrying campaigns don't
-//! re-synchronize into the very contention spike that spoiled the
-//! trial. All timeouts pass through [`scaled`], which applies
+//! bounded retry policy and a fixed pause between attempts, so one
+//! wedged trial cannot wedge a whole campaign. All timeouts pass
+//! through [`scaled`], which applies
 //! the `LFM_TIMEOUT_SCALE` environment variable — slow CI runners set
 //! it above `1.0` instead of patching constants.
 
@@ -106,16 +104,6 @@ pub fn run_with_deadline<T: Send + 'static>(
     }
 }
 
-/// SplitMix64: the same tiny generator the simulator's fault plans use,
-/// duplicated locally because this crate deliberately has no simulator
-/// dependency.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Policy for a [`stress_with`] campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StressConfig {
@@ -128,16 +116,7 @@ pub struct StressConfig {
     /// before being recorded as lost.
     pub retries: usize,
     /// Pause before each re-attempt (transient contention dissipates).
-    /// With [`jitter`](StressConfig::jitter) set this is the *floor* of
-    /// a decorrelated-jitter schedule instead of a fixed pause.
     pub backoff: Duration,
-    /// Seed for decorrelated-jitter backoff; `None` keeps the fixed
-    /// pause. Seeded campaigns are deterministic: the same seed yields
-    /// the same delay sequence, so a flaky retry schedule can be
-    /// replayed exactly.
-    pub jitter_seed: Option<u64>,
-    /// Upper bound on any single jittered pause.
-    pub backoff_cap: Duration,
 }
 
 impl StressConfig {
@@ -148,8 +127,6 @@ impl StressConfig {
             per_trial_timeout: None,
             retries: 0,
             backoff: Duration::from_millis(10),
-            jitter_seed: None,
-            backoff_cap: Duration::from_millis(250),
         }
     }
 
@@ -163,42 +140,6 @@ impl StressConfig {
     pub fn retries(mut self, retries: usize) -> StressConfig {
         self.retries = retries;
         self
-    }
-
-    /// Switches the retry pause to seeded decorrelated jitter. When
-    /// many campaigns retry in lockstep (the usual cause: a shared
-    /// machine-wide contention spike timing out every trial at once), a
-    /// fixed pause re-synchronizes the herd; decorrelation spreads it.
-    pub fn jitter(mut self, seed: u64) -> StressConfig {
-        self.jitter_seed = Some(seed);
-        self
-    }
-
-    /// Caps any single jittered pause.
-    pub fn backoff_cap(mut self, cap: Duration) -> StressConfig {
-        self.backoff_cap = cap;
-        self
-    }
-
-    /// The pause before re-attempt `attempt` (1-based), given the
-    /// previous pause. Unseeded, this is the fixed [`backoff`]; seeded,
-    /// it is decorrelated jitter — uniform in
-    /// `[backoff, 3 * prev)`, capped at [`backoff_cap`] — which keeps
-    /// every delay within `[backoff, backoff_cap]` while growing the
-    /// spread with each attempt.
-    ///
-    /// [`backoff`]: StressConfig::backoff
-    /// [`backoff_cap`]: StressConfig::backoff_cap
-    pub fn retry_delay(&self, attempt: usize, prev: Duration) -> Duration {
-        let Some(seed) = self.jitter_seed else {
-            return self.backoff;
-        };
-        let base = self.backoff.as_micros() as u64;
-        let cap = self.backoff_cap.as_micros() as u64;
-        let prev_us = (prev.as_micros() as u64).max(base);
-        let span = prev_us.saturating_mul(3).saturating_sub(base).max(1);
-        let draw = splitmix64(seed ^ ((attempt as u64) << 32) ^ prev_us);
-        Duration::from_micros((base + draw % span).min(cap))
     }
 }
 
@@ -257,8 +198,8 @@ impl fmt::Display for StressReport {
 /// Runs `kernel` for `trials` independent executions and measures the
 /// manifestation rate. Panics inside the kernel are caught and counted,
 /// never propagated into the campaign.
-pub fn stress(trials: usize, kernel: impl FnMut() -> NativeOutcome) -> StressReport {
-    stress_inline(&StressConfig::new(trials), kernel)
+pub fn stress(trials: usize, mut kernel: impl FnMut() -> NativeOutcome) -> StressReport {
+    campaign(&StressConfig::new(trials), || inline(&mut kernel))
 }
 
 /// [`stress`] with an explicit policy: per-trial watchdog deadline and
@@ -272,39 +213,58 @@ pub fn stress_with(
     config: &StressConfig,
     kernel: impl Fn() -> NativeOutcome + Clone + Send + 'static,
 ) -> StressReport {
-    let Some(deadline) = config.per_trial_timeout else {
-        return stress_inline(config, kernel);
-    };
+    match config.per_trial_timeout {
+        Some(deadline) => campaign(config, || run_with_deadline(deadline, kernel.clone())),
+        None => campaign(config, || inline(&kernel)),
+    }
+}
+
+/// One unsupervised attempt on the caller's thread: a panic is caught,
+/// a hang hangs.
+fn inline(kernel: impl FnOnce() -> NativeOutcome) -> TrialResult<NativeOutcome> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(kernel)) {
+        Ok(outcome) => TrialResult::Completed(outcome),
+        Err(payload) => TrialResult::Panicked(panic_message(payload.as_ref())),
+    }
+}
+
+/// The campaign loop behind [`stress`] and [`stress_with`]: each trial
+/// runs `attempt` until one completes, pausing [`StressConfig::backoff`]
+/// before each of at most [`StressConfig::retries`] re-attempts; a
+/// trial whose last attempt failed is recorded as lost.
+fn campaign(
+    config: &StressConfig,
+    mut attempt: impl FnMut() -> TrialResult<NativeOutcome>,
+) -> StressReport {
     let start = Instant::now();
-    let mut report = empty_report(config.trials);
+    let mut report = StressReport {
+        trials: config.trials,
+        manifested: 0,
+        elapsed_ms: 0,
+        timeouts: 0,
+        panics: 0,
+        retries: 0,
+    };
     for _ in 0..config.trials {
-        let mut last_failure = None;
-        let mut prev_delay = config.backoff;
-        for attempt in 0..=config.retries {
-            if attempt > 0 {
+        let mut lost = None;
+        for retry in 0..=config.retries {
+            if retry > 0 {
                 report.retries += 1;
-                prev_delay = config.retry_delay(attempt, prev_delay);
-                std::thread::sleep(prev_delay);
+                std::thread::sleep(config.backoff);
             }
-            match run_with_deadline(deadline, kernel.clone()) {
+            match attempt() {
                 TrialResult::Completed(outcome) if outcome.panics.is_empty() => {
-                    if outcome.manifested {
-                        report.manifested += 1;
-                    }
-                    last_failure = None;
+                    report.manifested += usize::from(outcome.manifested);
+                    lost = None;
                     break;
                 }
                 // A worker panic inside the kernel spoils the trial
                 // just like a harness-level panic.
-                TrialResult::Completed(_) | TrialResult::Panicked(_) => {
-                    last_failure = Some(true);
-                }
-                TrialResult::TimedOut => {
-                    last_failure = Some(false);
-                }
+                TrialResult::Completed(_) | TrialResult::Panicked(_) => lost = Some(true),
+                TrialResult::TimedOut => lost = Some(false),
             }
         }
-        match last_failure {
+        match lost {
             Some(true) => report.panics += 1,
             Some(false) => report.timeouts += 1,
             None => {}
@@ -312,52 +272,6 @@ pub fn stress_with(
     }
     report.elapsed_ms = start.elapsed().as_millis();
     report
-}
-
-/// The unsupervised campaign loop shared by [`stress`] and the
-/// no-timeout path of [`stress_with`]: trials run on the caller's
-/// thread, panics are caught and counted (with retry), hangs hang.
-fn stress_inline(config: &StressConfig, mut kernel: impl FnMut() -> NativeOutcome) -> StressReport {
-    let start = Instant::now();
-    let mut report = empty_report(config.trials);
-    for _ in 0..config.trials {
-        let mut failed = false;
-        let mut prev_delay = config.backoff;
-        for attempt in 0..=config.retries {
-            if attempt > 0 {
-                report.retries += 1;
-                prev_delay = config.retry_delay(attempt, prev_delay);
-                std::thread::sleep(prev_delay);
-            }
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(&mut kernel)).ok();
-            match outcome {
-                Some(outcome) if outcome.panics.is_empty() => {
-                    if outcome.manifested {
-                        report.manifested += 1;
-                    }
-                    failed = false;
-                    break;
-                }
-                _ => failed = true,
-            }
-        }
-        if failed {
-            report.panics += 1;
-        }
-    }
-    report.elapsed_ms = start.elapsed().as_millis();
-    report
-}
-
-fn empty_report(trials: usize) -> StressReport {
-    StressReport {
-        trials,
-        manifested: 0,
-        elapsed_ms: 0,
-        timeouts: 0,
-        panics: 0,
-        retries: 0,
-    }
 }
 
 #[cfg(test)]
@@ -480,75 +394,6 @@ mod tests {
         });
         assert_eq!(report.panics, 2);
         assert_eq!(report.manifested, 0, "a spoiled trial never counts");
-    }
-
-    #[test]
-    fn unseeded_retry_delay_is_the_fixed_backoff() {
-        let config = StressConfig::new(1).retries(3);
-        let mut prev = config.backoff;
-        for attempt in 1..=3 {
-            prev = config.retry_delay(attempt, prev);
-            assert_eq!(prev, config.backoff);
-        }
-    }
-
-    #[test]
-    fn jittered_retry_delay_is_deterministic_per_seed() {
-        let config = StressConfig::new(1).retries(8).jitter(0xDECAF);
-        let sequence = |config: &StressConfig| -> Vec<Duration> {
-            let mut prev = config.backoff;
-            (1..=8)
-                .map(|attempt| {
-                    prev = config.retry_delay(attempt, prev);
-                    prev
-                })
-                .collect()
-        };
-        assert_eq!(sequence(&config), sequence(&config.clone()));
-        let other = StressConfig::new(1).retries(8).jitter(0xC0FFEE);
-        assert_ne!(
-            sequence(&config),
-            sequence(&other),
-            "different seeds must decorrelate"
-        );
-    }
-
-    #[test]
-    fn jittered_retry_delay_stays_within_floor_and_cap() {
-        let config = StressConfig::new(1)
-            .retries(50)
-            .jitter(7)
-            .backoff_cap(Duration::from_millis(40));
-        let mut prev = config.backoff;
-        let mut saw_growth = false;
-        for attempt in 1..=50 {
-            prev = config.retry_delay(attempt, prev);
-            assert!(
-                prev >= config.backoff,
-                "attempt {attempt}: {prev:?} under floor"
-            );
-            assert!(
-                prev <= config.backoff_cap,
-                "attempt {attempt}: {prev:?} over cap"
-            );
-            saw_growth |= prev > config.backoff;
-        }
-        assert!(saw_growth, "jitter never spread beyond the floor");
-    }
-
-    #[test]
-    fn jittered_campaign_still_retries_and_contains_panics() {
-        // End to end through stress_with: jitter changes the pauses,
-        // never the accounting.
-        let config = StressConfig::new(3)
-            .per_trial_timeout(Duration::from_secs(5))
-            .retries(1)
-            .jitter(42)
-            .backoff_cap(Duration::from_millis(5));
-        let report = stress_with(&config, || -> NativeOutcome { panic!("kernel exploded") });
-        assert_eq!(report.trials, 3);
-        assert_eq!(report.panics, 3);
-        assert_eq!(report.retries, 3);
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //! - [`Counter`] — a relaxed atomic event counter;
 //! - [`Histogram`] — a lock-free power-of-two value histogram with
 //!   count / sum / min / max and percentile estimates;
-//! - [`Stopwatch`] / [`Timing`] — monotonic wall-clock spans, one-shot or
-//!   accumulated across entries;
+//! - [`Stopwatch`] — a one-shot monotonic wall-clock timer;
 //! - [`Sink`] — a pluggable structured-event consumer with four
 //!   implementations: [`NoopSink`] (default; instrumented code must be
 //!   bit-identical in results to uninstrumented code under it),
@@ -88,5 +87,5 @@ pub use ring::{FlightRecorder, DEFAULT_CAPACITY, FLIGHT_SCHEMA};
 pub use sink::{
     Event, JsonlSink, MemorySink, NoopSink, OwnedEvent, OwnedValue, Sink, TeeSink, Value,
 };
-pub use span::{fmt_duration, Span, Stopwatch, Timing};
+pub use span::{fmt_duration, Stopwatch};
 pub use stats::StatsTable;

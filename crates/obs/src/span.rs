@@ -1,6 +1,5 @@
-//! Monotonic wall-clock spans.
+//! Monotonic wall-clock timing.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// A one-shot monotonic stopwatch.
@@ -16,80 +15,6 @@ impl Stopwatch {
     /// Time elapsed since [`Stopwatch::start`].
     pub fn elapsed(&self) -> Duration {
         self.0.elapsed()
-    }
-}
-
-/// An accumulator of span durations: total nanoseconds and entry count.
-///
-/// Sharable by reference; the hot path records with [`Timing::span`]
-/// (RAII) or [`Timing::time`] (closure).
-#[derive(Debug, Default)]
-pub struct Timing {
-    nanos: AtomicU64,
-    entries: AtomicU64,
-}
-
-impl Timing {
-    /// Creates an empty accumulator.
-    pub const fn new() -> Timing {
-        Timing {
-            nanos: AtomicU64::new(0),
-            entries: AtomicU64::new(0),
-        }
-    }
-
-    /// Adds one finished span of length `d`.
-    pub fn record(&self, d: Duration) {
-        self.nanos.fetch_add(
-            u64::try_from(d.as_nanos()).unwrap_or(u64::MAX),
-            Ordering::Relaxed,
-        );
-        self.entries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Opens a span that records its duration when dropped.
-    pub fn span(&self) -> Span<'_> {
-        Span {
-            timing: self,
-            started: Instant::now(),
-        }
-    }
-
-    /// Times `f`, recording its duration.
-    pub fn time<R>(&self, f: impl FnOnce() -> R) -> R {
-        let _span = self.span();
-        f()
-    }
-
-    /// Total accumulated duration.
-    pub fn total(&self) -> Duration {
-        Duration::from_nanos(self.nanos.load(Ordering::Relaxed))
-    }
-
-    /// Number of recorded spans.
-    pub fn entries(&self) -> u64 {
-        self.entries.load(Ordering::Relaxed)
-    }
-
-    /// Mean span duration (zero when no spans were recorded).
-    pub fn mean(&self) -> Duration {
-        match self.entries() {
-            0 => Duration::ZERO,
-            n => self.total() / u32::try_from(n).unwrap_or(u32::MAX).max(1),
-        }
-    }
-}
-
-/// An open span over a [`Timing`]; records on drop.
-#[derive(Debug)]
-pub struct Span<'a> {
-    timing: &'a Timing,
-    started: Instant,
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        self.timing.record(self.started.elapsed());
     }
 }
 
@@ -112,36 +37,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn records_and_accumulates() {
-        let t = Timing::new();
-        t.record(Duration::from_millis(2));
-        t.record(Duration::from_millis(4));
-        assert_eq!(t.entries(), 2);
-        assert_eq!(t.total(), Duration::from_millis(6));
-        assert_eq!(t.mean(), Duration::from_millis(3));
-    }
-
-    #[test]
-    fn span_guard_records_on_drop() {
-        let t = Timing::new();
-        {
-            let _s = t.span();
-        }
-        t.time(|| ());
-        assert_eq!(t.entries(), 2);
-    }
-
-    #[test]
     fn stopwatch_is_monotonic() {
         let sw = Stopwatch::start();
         let a = sw.elapsed();
         let b = sw.elapsed();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn empty_timing_mean_is_zero() {
-        assert_eq!(Timing::new().mean(), Duration::ZERO);
     }
 
     #[test]

@@ -36,7 +36,7 @@ use crate::outcome::Outcome;
 use crate::program::Program;
 use crate::schedule::Schedule;
 use crate::timeline;
-use crate::trace::{Event, EventKind, Trace};
+use crate::trace::{EventKind, Trace};
 
 /// Schema identifier embedded in every serialized witness.
 pub const WITNESS_SCHEMA: &str = "lfm-trace/v1";
@@ -694,13 +694,6 @@ pub fn emit_chrome_trace(trace: &Trace, program: Option<&Program>, pid: u64, sin
             ],
         });
     }
-}
-
-/// Convenience: emit one [`Event`] — used by tests; the bulk exporter is
-/// [`emit_chrome_trace`].
-#[allow(dead_code)]
-fn _event_type_check(e: &Event) -> &EventKind {
-    &e.kind
 }
 
 #[cfg(test)]

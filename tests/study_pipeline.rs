@@ -1,10 +1,11 @@
 //! End-to-end pipeline tests spanning all crates: corpus ↔ kernels link
-//! integrity, tables ↔ findings consistency, figures, and the full
-//! report.
+//! integrity, tables ↔ findings consistency, figures, and the study's
+//! deterministic artifacts as `lfm tables` renders them.
 
 use learning_from_mistakes::corpus::{BugClass, Corpus};
 use learning_from_mistakes::kernels::registry;
-use learning_from_mistakes::study::{check_all, figures, render_full_report, tables};
+use learning_from_mistakes::study::{check_all, figures, tables};
+use lfm_bench::Artifact;
 
 #[test]
 fn every_corpus_kernel_link_resolves() {
@@ -110,8 +111,19 @@ fn figures_match_their_kernels_expected_failure() {
 
 #[test]
 fn full_report_is_complete_and_clean() {
+    // The findings, tables, figures and the corpus and kernel
+    // experiments (everything before E-chaos, whose measurements are
+    // wall-clock), through the panic-isolated path `lfm tables` takes.
     let corpus = Corpus::full();
-    let report = render_full_report(&corpus);
+    let report: String = Artifact::all()
+        .into_iter()
+        .take_while(|&artifact| artifact != Artifact::Chaos)
+        .map(|artifact| {
+            artifact
+                .render_isolated(&corpus, false)
+                .unwrap_or_else(|payload| panic!("{} failed: {payload}", artifact.id()))
+        })
+        .collect();
     // All nine tables...
     for n in 1..=9 {
         assert!(report.contains(&format!("T{n}:")), "missing table T{n}");
@@ -120,8 +132,8 @@ fn full_report_is_complete_and_clean() {
     for n in 1..=5 {
         assert!(report.contains(&format!("F{n}:")), "missing figure F{n}");
     }
-    // ...all three experiments, and no reproduction mismatch.
-    for e in ["E-scope", "E-detect", "E-tm"] {
+    // ...the experiments, and no reproduction mismatch.
+    for e in ["E-scope", "E-detect", "E-test", "E-cov", "E-tm"] {
         assert!(report.contains(e), "missing {e}");
     }
     assert!(!report.contains("MISMATCH"));
