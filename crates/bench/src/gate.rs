@@ -19,7 +19,7 @@
 use crate::perf::{
     baseline_states_per_sec, perf_json, perf_measure, PERF_BUDGET, PERF_GATE_KERNEL,
 };
-use crate::reduction::{reduction_measure, ReductionReport, FUSE_GATE_KERNELS, REDUCTION_BUDGET};
+use crate::reduction::{reduction_report, ReductionReport, FUSE_GATE_KERNELS};
 use crate::serve::{
     baseline_requests_per_sec, serve_json, serve_measure, trace_overhead_measure,
     SERVE_GATE_SCENARIO,
@@ -214,9 +214,9 @@ fn report_reductions(verdict: &mut Verdict, report: &ReductionReport, baseline: 
 
 fn bench_explore(path: &str) -> Verdict {
     let report = perf_measure(PERF_BUDGET);
-    let reductions = reduction_measure(REDUCTION_BUDGET);
+    let reductions = reduction_report();
     let mut verdict = Verdict::new();
-    if let Err(e) = std::fs::write(path, perf_json(&report, &reductions)) {
+    if let Err(e) = std::fs::write(path, perf_json(&report, reductions)) {
         return verdict.fail(format!("cannot write explore benchmark to `{path}`: {e}"));
     }
     for s in &report.speedups {
@@ -225,7 +225,7 @@ fn bench_explore(path: &str) -> Verdict {
             s.kernel, s.cow_states_per_sec
         ));
     }
-    report_reductions(&mut verdict, &reductions, None);
+    report_reductions(&mut verdict, reductions, None);
     verdict.end(format!("explore benchmark written to {path}"))
 }
 
@@ -248,11 +248,7 @@ fn check_explore(path: &str) -> Verdict {
     // kernels; fused outcome sets must equal unfused ones mode for
     // mode, fusion must never increase a schedule count, and the gate
     // kernels must clear the fusion-alone floor.
-    report_reductions(
-        &mut verdict,
-        &reduction_measure(REDUCTION_BUDGET),
-        Some(&baseline),
-    );
+    report_reductions(&mut verdict, reduction_report(), Some(&baseline));
     if !verdict.pass {
         return verdict;
     }

@@ -38,7 +38,7 @@ use lfm_study::experiments::{
 use lfm_study::figures;
 use lfm_study::tables;
 use lfm_study::Table;
-use reduction::{dpor_table, fuse_table, reduction_measure, REDUCTION_BUDGET};
+use reduction::{dpor_table, fuse_table, reduction_report};
 
 /// `std::thread::available_parallelism()` on this host (1 when unknown):
 /// recorded next to every wall-clock measurement, and the throughput
@@ -206,8 +206,8 @@ impl Artifact {
             Artifact::Tm => table(tm_table(corpus)),
             Artifact::Chaos => table(chaos::chaos_table(200)),
             Artifact::Perf => table(perf::perf_table(perf::PERF_BUDGET)),
-            Artifact::Dpor => table(dpor_table(&reduction_measure(REDUCTION_BUDGET))),
-            Artifact::Fuse => table(fuse_table(&reduction_measure(REDUCTION_BUDGET))),
+            Artifact::Dpor => table(dpor_table(reduction_report())),
+            Artifact::Fuse => table(fuse_table(reduction_report())),
             Artifact::Witness => table(witness_table()),
             Artifact::Obs => table(obs::obs_table(obs::OBS_BUDGET)),
             Artifact::Serve => table(serve::serve_table()),

@@ -26,6 +26,8 @@
 //! [`ReductionReport::fuse_gate_failures`]) hold everywhere, including
 //! single-core runners where the throughput gates are skipped.
 
+use std::sync::OnceLock;
+
 use lfm_kernels::registry;
 use lfm_sim::{ExploreLimits, Explorer, OutcomeSet};
 use lfm_study::Table;
@@ -263,6 +265,14 @@ impl ReductionReport {
         }
         failures
     }
+}
+
+/// The four-search matrix at [`REDUCTION_BUDGET`], measured at most
+/// once per process: E-dpor, E-fuse and the explore gates all read it,
+/// and it is deterministic, so a second run could only repeat it.
+pub fn reduction_report() -> &'static ReductionReport {
+    static REPORT: OnceLock<ReductionReport> = OnceLock::new();
+    REPORT.get_or_init(|| reduction_measure(REDUCTION_BUDGET))
 }
 
 /// Runs the four searches on every kernel's buggy variant at the given

@@ -44,7 +44,7 @@ use lfm_bench::{Artifact, Mode};
 use lfm_corpus::{App, BugClass, Corpus};
 use lfm_kernels::{registry, Family, Kernel, Variant};
 use lfm_obs::{
-    fmt_duration, ChromeTraceSink, NoopSink, PhaseProfiler, ProgressLineSink, ProgressTracker,
+    fmt_duration, ChromeTrace, NoopSink, PhaseProfiler, ProgressLineSink, ProgressTracker,
     Registry, Sink, StatsTable, Stopwatch, TeeSink,
 };
 use lfm_sim::{
@@ -1542,9 +1542,9 @@ fn run_witness(
             .iter()
             .position(|k| k.id == kernel.id)
             .map_or(0, |p| p as u64 + 1);
-        let trace_sink = ChromeTraceSink::new();
-        match witness.emit_chrome(&program, pid, &trace_sink) {
-            Ok(()) => match trace_sink.write_to(chrome) {
+        let mut trace = ChromeTrace::new();
+        match witness.emit_chrome(&program, pid, &mut trace) {
+            Ok(()) => match trace.write_to(chrome) {
                 Ok(()) => out.push_str(&format!("chrome trace: {chrome}\n")),
                 Err(e) => {
                     degraded = true;
@@ -1664,25 +1664,26 @@ fn run_serve(args: ServeArgs, opts: &RunOptions, sink: &Arc<dyn Sink>) -> RunOut
     let cache = handle.cache();
     let tracer = handle.tracer();
     let summary = handle.wait();
+    let drained = &summary.stats;
 
     let mut degraded = !summary.clean;
     let mut out = format!(
         "drained: requests={} checks={} hits={} misses={} shed={} errors={} \
          write_errors={} worker_panics={} cache_entries={} clean={}\n",
-        summary.requests,
-        summary.checks,
-        summary.hits,
-        summary.misses,
-        summary.shed,
-        summary.errors,
-        summary.write_errors,
-        summary.worker_panics,
-        summary.cache_entries,
+        drained.requests,
+        drained.checks,
+        drained.hits,
+        drained.misses,
+        drained.shed,
+        drained.errors,
+        drained.write_errors,
+        drained.worker_panics,
+        drained.cache_entries,
         summary.clean,
     );
     out.push_str(&format!(
         "degrade histogram: exhaustive={} sleep-set={} preemption-bounded={} pct-sampling={}\n",
-        summary.degrade[0], summary.degrade[1], summary.degrade[2], summary.degrade[3],
+        drained.degrade[0], drained.degrade[1], drained.degrade[2], drained.degrade[3],
     ));
     if let Some(path) = &opts.metrics {
         let mut registry = Registry::new();
@@ -1836,16 +1837,16 @@ fn run_bench_serve(args: &BenchServeArgs, opts: &RunOptions, sink: &Arc<dyn Sink
                 Ok(run) => run,
                 Err(e) => return RunOutput::degraded(format!("{e}\n")),
             };
-            let drain = &run.drain;
-            degraded |= !drain.clean;
+            let drained = &run.drain.stats;
+            degraded |= !run.drain.clean;
             tail.push_str(&format!(
                 "drained: requests={} hits={} misses={} shed={} worker_panics={} clean={}\n",
-                drain.requests,
-                drain.hits,
-                drain.misses,
-                drain.shed,
-                drain.worker_panics,
-                drain.clean,
+                drained.requests,
+                drained.hits,
+                drained.misses,
+                drained.shed,
+                drained.worker_panics,
+                run.drain.clean,
             ));
             if let Some(path) = &opts.metrics {
                 degraded |= !write_metrics(&run.metrics, path, true, &mut tail);
@@ -2623,7 +2624,7 @@ mod tests {
         let kernel = registry::by_id("counter_rmw").unwrap();
         let reports = sink.events_named("explore", "report");
         assert_eq!(reports.len(), 1 + kernel.fixes.len());
-        assert!(reports[0].field("schedules").is_some());
+        assert!(reports[0].get("schedules").is_some());
     }
 
     #[test]
@@ -2899,8 +2900,8 @@ mod tests {
         let kernel = registry::by_id("counter_rmw").unwrap();
         let reports = sink.events_named("budget", "report");
         assert_eq!(reports.len(), 1 + kernel.fixes.len());
-        assert!(reports[0].field("level").is_some());
-        assert!(reports[0].field("confidence").is_some());
+        assert!(reports[0].get("level").is_some());
+        assert!(reports[0].get("confidence").is_some());
     }
 
     #[test]

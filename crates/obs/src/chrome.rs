@@ -1,66 +1,133 @@
-//! Chrome trace-event JSON output: a [`Sink`] that collects
-//! `scope == "trace"` events into the Trace Event Format understood by
-//! `chrome://tracing` and [Perfetto](https://ui.perfetto.dev).
+//! Chrome trace-event JSON output: a [`ChromeTrace`] builder for the
+//! Trace Event Format understood by `chrome://tracing` and
+//! [Perfetto](https://ui.perfetto.dev).
 //!
-//! The producer (e.g. `lfm-sim`'s witness exporter) emits one structured
-//! event per visible operation with the conventional field names below;
-//! everything else becomes the event's `args` payload:
+//! Producers call one typed method per record, with the ids the format
+//! wants:
 //!
-//! - `ph` — the trace-event phase (`"i"` instant by default, `"X"` for
-//!   complete spans with a duration, `"M"` for metadata records such as
-//!   `process_name` / `thread_name`);
 //! - `pid` / `tid` — process and thread ids (one pid per kernel, one tid
 //!   per simulated thread; the serve tracer uses one pid per worker and
 //!   one tid per request);
 //! - `ts` — timestamp in microseconds (the witness exporter uses the
 //!   event sequence number: one visible op = 1µs);
-//! - `dur` — span duration in microseconds (`"X"` events only);
-//! - `name` — overrides the event name shown on the track.
+//! - `dur` — span duration in microseconds (complete events only);
+//! - `args` — string key/value pairs shown in the viewer's detail pane.
 
+use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
-use std::sync::Mutex;
 
 use crate::json;
-use crate::sink::{Event, Sink, Value};
 
-/// Collects `scope == "trace"` events as Chrome trace-event objects.
-///
-/// Events in other scopes are ignored, so the sink can be handed to
-/// instrumented code that also emits `explore`/`detect` events without
-/// polluting the trace file.
-#[derive(Debug, Default)]
-pub struct ChromeTraceSink {
-    records: Mutex<Vec<String>>,
+/// When a record happens: the part of a trace event that depends on
+/// its phase (`ph`).
+#[derive(Debug, Clone, Copy)]
+enum Timing {
+    /// `"M"`: metadata, no timestamp.
+    Metadata,
+    /// `"i"`: an instant at `ts`, scoped to its thread.
+    Instant { ts: u64 },
+    /// `"X"`: a complete span from `ts` lasting `dur`.
+    Complete { ts: u64, dur: u64 },
 }
 
-impl ChromeTraceSink {
-    /// Creates an empty sink.
-    pub fn new() -> ChromeTraceSink {
-        ChromeTraceSink::default()
+/// A Chrome trace-event document under construction.
+///
+/// Records keep their call order; [`render`](ChromeTrace::render) wraps
+/// them in `{"traceEvents":[...]}`, one record per line.
+#[derive(Debug, Default, Clone)]
+pub struct ChromeTrace {
+    records: Vec<String>,
+}
+
+impl ChromeTrace {
+    /// Creates an empty document.
+    pub fn new() -> ChromeTrace {
+        ChromeTrace::default()
     }
 
-    /// Number of trace records collected so far.
+    /// Number of records so far.
     pub fn len(&self) -> usize {
-        self.records.lock().expect("chrome sink poisoned").len()
+        self.records.len()
     }
 
-    /// `true` when no trace records have been collected.
+    /// `true` when no record has been added.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.records.is_empty()
     }
 
-    /// Renders the collected records as one Chrome trace-event JSON
-    /// document (`{"traceEvents":[...]}`), loadable in Perfetto.
-    pub fn render(&self) -> String {
-        let records = self.records.lock().expect("chrome sink poisoned");
-        let mut out = String::from("{\"traceEvents\":[\n");
-        for (i, record) in records.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
+    /// Names the track `pid` (a `process_name` metadata record).
+    pub fn process_name(&mut self, pid: u64, name: &str) {
+        self.push("process_name", Timing::Metadata, pid, 0, &[("name", name)]);
+    }
+
+    /// Names thread `tid` of track `pid` (a `thread_name` metadata
+    /// record).
+    pub fn thread_name(&mut self, pid: u64, tid: u64, name: &str) {
+        self.push("thread_name", Timing::Metadata, pid, tid, &[("name", name)]);
+    }
+
+    /// An instant event named `name` at `ts` on thread `tid` of `pid`.
+    pub fn instant(&mut self, name: &str, pid: u64, tid: u64, ts: u64, args: &[(&str, &str)]) {
+        self.push(name, Timing::Instant { ts }, pid, tid, args);
+    }
+
+    /// A complete event: a span named `name` from `ts` lasting `dur`
+    /// on thread `tid` of `pid`.
+    pub fn complete(
+        &mut self,
+        name: &str,
+        pid: u64,
+        tid: u64,
+        ts: u64,
+        dur: u64,
+        args: &[(&str, &str)],
+    ) {
+        self.push(name, Timing::Complete { ts, dur }, pid, tid, args);
+    }
+
+    fn push(&mut self, name: &str, timing: Timing, pid: u64, tid: u64, args: &[(&str, &str)]) {
+        let ph = match timing {
+            Timing::Metadata => 'M',
+            Timing::Instant { .. } => 'i',
+            Timing::Complete { .. } => 'X',
+        };
+        let mut record = String::with_capacity(96);
+        record.push_str("{\"name\":\"");
+        json::escape_into(&mut record, name);
+        let _ = write!(record, "\",\"ph\":\"{ph}\",\"pid\":{pid},\"tid\":{tid}");
+        match timing {
+            Timing::Metadata => {}
+            // Instant events carry a timestamp and a scope ("t" = thread).
+            Timing::Instant { ts } => {
+                let _ = write!(record, ",\"ts\":{ts},\"s\":\"t\"");
             }
-            out.push_str(record);
+            // Complete events carry the span's start and duration at the
+            // top level — viewers ignore durations hidden in args.
+            Timing::Complete { ts, dur } => {
+                let _ = write!(record, ",\"ts\":{ts},\"dur\":{dur}");
+            }
         }
+        record.push_str(",\"args\":{");
+        for (i, (key, value)) in args.iter().enumerate() {
+            if i > 0 {
+                record.push(',');
+            }
+            record.push('"');
+            json::escape_into(&mut record, key);
+            record.push_str("\":\"");
+            json::escape_into(&mut record, value);
+            record.push('"');
+        }
+        record.push_str("}}");
+        self.records.push(record);
+    }
+
+    /// Renders the records as one Chrome trace-event JSON document
+    /// (`{"traceEvents":[...]}`), loadable in Perfetto.
+    pub fn render(&self) -> String {
+        let mut out = String::from("{\"traceEvents\":[\n");
+        out.push_str(&self.records.join(",\n"));
         out.push_str("\n]}\n");
         out
     }
@@ -76,100 +143,24 @@ impl ChromeTraceSink {
     }
 }
 
-impl Sink for ChromeTraceSink {
-    fn emit(&self, event: &Event<'_>) {
-        if event.scope != "trace" {
-            return;
-        }
-        let mut ph = "i".to_owned();
-        let mut pid = 0u64;
-        let mut tid = 0u64;
-        let mut ts = 0u64;
-        let mut dur = 0u64;
-        let mut name_field = None;
-        let mut args = String::new();
-        let push_arg = |args: &mut String, key: &str, rendered: &str| {
-            if !args.is_empty() {
-                args.push(',');
-            }
-            args.push_str(&json::quote(key));
-            args.push(':');
-            args.push_str(rendered);
-        };
-        for (key, value) in event.fields {
-            match (*key, value) {
-                ("ph", Value::Str(s)) => ph = (*s).to_owned(),
-                ("pid", Value::U64(v)) => pid = *v,
-                ("tid", Value::U64(v)) => tid = *v,
-                ("ts", Value::U64(v)) => ts = *v,
-                ("dur", Value::U64(v)) => dur = *v,
-                ("name", Value::Str(s)) => name_field = Some((*s).to_owned()),
-                _ => push_arg(&mut args, key, &value.to_json()),
-            }
-        }
-        let name = if ph == "M" {
-            // Metadata records (process_name / thread_name) keep their
-            // record name and carry the display name in args.name.
-            if let Some(display) = name_field {
-                push_arg(&mut args, "name", &json::quote(&display));
-            }
-            event.name.to_owned()
-        } else {
-            name_field.unwrap_or_else(|| event.name.to_owned())
-        };
-        let mut record = String::with_capacity(64 + args.len());
-        record.push_str("{\"name\":");
-        record.push_str(&json::quote(&name));
-        record.push_str(&format!(",\"ph\":{}", json::quote(&ph)));
-        record.push_str(&format!(",\"pid\":{pid},\"tid\":{tid}"));
-        if ph == "i" {
-            // Instant events carry a timestamp and a scope ("t" = thread).
-            record.push_str(&format!(",\"ts\":{ts},\"s\":\"t\""));
-        } else if ph == "X" {
-            // Complete events carry the span's start and duration at the
-            // top level — viewers ignore durations hidden in args.
-            record.push_str(&format!(",\"ts\":{ts},\"dur\":{dur}"));
-        }
-        record.push_str(&format!(",\"args\":{{{args}}}}}"));
-        self.records
-            .lock()
-            .expect("chrome sink poisoned")
-            .push(record);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::json::Json;
 
-    fn emit(sink: &ChromeTraceSink, scope: &str, name: &str, fields: &[(&str, Value<'_>)]) {
-        sink.emit(&Event {
-            scope,
-            name,
-            fields,
-        });
+    fn only_event(trace: &ChromeTrace) -> Json {
+        let doc = Json::parse(&trace.render()).expect("rendered trace parses");
+        let events = doc.get("traceEvents").and_then(Json::as_array).unwrap();
+        assert_eq!(events.len(), 1);
+        events[0].clone()
     }
 
     #[test]
-    fn collects_instant_events_with_conventional_fields() {
-        let sink = ChromeTraceSink::new();
-        emit(
-            &sink,
-            "trace",
-            "write",
-            &[
-                ("pid", Value::U64(3)),
-                ("tid", Value::U64(1)),
-                ("ts", Value::U64(7)),
-                ("name", Value::Str("counter = 1")),
-                ("op", Value::Str("write")),
-            ],
-        );
-        assert_eq!(sink.len(), 1);
-        let doc = Json::parse(&sink.render()).unwrap();
-        let events = doc.get("traceEvents").and_then(Json::as_array).unwrap();
-        let e = &events[0];
+    fn instant_events_carry_thread_scope_and_args() {
+        let mut trace = ChromeTrace::new();
+        trace.instant("counter = 1", 3, 1, 7, &[("op", "write")]);
+        assert_eq!(trace.len(), 1);
+        let e = only_event(&trace);
         assert_eq!(e.get("name").and_then(Json::as_str), Some("counter = 1"));
         assert_eq!(e.get("ph").and_then(Json::as_str), Some("i"));
         assert_eq!(e.get("s").and_then(Json::as_str), Some("t"));
@@ -182,22 +173,16 @@ mod tests {
 
     #[test]
     fn complete_events_carry_ts_and_dur_at_top_level() {
-        let sink = ChromeTraceSink::new();
-        emit(
-            &sink,
-            "trace",
+        let mut trace = ChromeTrace::new();
+        trace.complete(
             "explore",
-            &[
-                ("ph", Value::Str("X")),
-                ("pid", Value::U64(2)),
-                ("tid", Value::U64(9)),
-                ("ts", Value::U64(1_500)),
-                ("dur", Value::U64(250)),
-                ("trace_id", Value::Str("00000000000000ff")),
-            ],
+            2,
+            9,
+            1_500,
+            250,
+            &[("trace_id", "00000000000000ff")],
         );
-        let doc = Json::parse(&sink.render()).unwrap();
-        let e = &doc.get("traceEvents").and_then(Json::as_array).unwrap()[0];
+        let e = only_event(&trace);
         assert_eq!(e.get("ph").and_then(Json::as_str), Some("X"));
         assert_eq!(e.get("ts").and_then(Json::as_u64), Some(1_500));
         assert_eq!(e.get("dur").and_then(Json::as_u64), Some(250));
@@ -213,19 +198,9 @@ mod tests {
 
     #[test]
     fn metadata_events_skip_timestamps() {
-        let sink = ChromeTraceSink::new();
-        emit(
-            &sink,
-            "trace",
-            "process_name",
-            &[
-                ("ph", Value::Str("M")),
-                ("pid", Value::U64(1)),
-                ("name", Value::Str("abba")),
-            ],
-        );
-        let doc = Json::parse(&sink.render()).unwrap();
-        let e = &doc.get("traceEvents").and_then(Json::as_array).unwrap()[0];
+        let mut trace = ChromeTrace::new();
+        trace.process_name(1, "abba");
+        let e = only_event(&trace);
         // The record keeps its metadata name; the display name moves into
         // args.name, where the trace viewers look for it.
         assert_eq!(e.get("name").and_then(Json::as_str), Some("process_name"));
@@ -242,20 +217,15 @@ mod tests {
 
     #[test]
     fn escapes_quotes_and_backslashes_in_names() {
-        let sink = ChromeTraceSink::new();
-        emit(
-            &sink,
-            "trace",
-            "write",
-            &[
-                ("ts", Value::U64(1)),
-                ("name", Value::Str("say \"hi\" via C:\\path")),
-                ("detail", Value::Str("arg with \"quotes\"")),
-            ],
+        let mut trace = ChromeTrace::new();
+        trace.instant(
+            "say \"hi\" via C:\\path",
+            0,
+            0,
+            1,
+            &[("detail", "arg with \"quotes\"")],
         );
-        let rendered = sink.render();
-        let doc = Json::parse(&rendered).expect("escaped output still parses");
-        let e = &doc.get("traceEvents").and_then(Json::as_array).unwrap()[0];
+        let e = only_event(&trace);
         // The round-tripped strings match the originals exactly.
         assert_eq!(
             e.get("name").and_then(Json::as_str),
@@ -271,29 +241,18 @@ mod tests {
 
     #[test]
     fn escapes_control_chars_in_thread_and_kernel_names() {
-        let sink = ChromeTraceSink::new();
+        let mut trace = ChromeTrace::new();
         // A hostile kernel/thread name: newline, tab, NUL, bell.
         let hostile = "thread\n\tname\u{0}\u{7}";
-        emit(
-            &sink,
-            "trace",
-            "thread_name",
-            &[
-                ("ph", Value::Str("M")),
-                ("pid", Value::U64(1)),
-                ("tid", Value::U64(2)),
-                ("name", Value::Str(hostile)),
-            ],
-        );
-        let rendered = sink.render();
+        trace.thread_name(1, 2, hostile);
+        let rendered = trace.render();
         // Raw control characters never reach the document; they are
         // escaped (\n, \t, \u0000, \u0007).
         assert!(!rendered
             .chars()
             .any(|c| c.is_control() && c != '\n' && c != '\r'));
         assert!(rendered.contains("\\u0000"), "{rendered}");
-        let doc = Json::parse(&rendered).expect("escaped output still parses");
-        let e = &doc.get("traceEvents").and_then(Json::as_array).unwrap()[0];
+        let e = only_event(&trace);
         assert_eq!(
             e.get("args")
                 .and_then(|a| a.get("name"))
@@ -303,31 +262,18 @@ mod tests {
     }
 
     #[test]
-    fn escapes_hostile_event_names_and_phase_strings() {
-        let sink = ChromeTraceSink::new();
-        sink.emit(&Event {
-            scope: "trace",
-            name: "op \"x\"\\\n",
-            fields: &[("ph", Value::Str("weird\"ph"))],
-        });
-        let rendered = sink.render();
-        let doc = Json::parse(&rendered).expect("escaped output still parses");
-        let e = &doc.get("traceEvents").and_then(Json::as_array).unwrap()[0];
+    fn escapes_hostile_event_names() {
+        let mut trace = ChromeTrace::new();
+        trace.instant("op \"x\"\\\n", 0, 0, 0, &[]);
+        let e = only_event(&trace);
         assert_eq!(e.get("name").and_then(Json::as_str), Some("op \"x\"\\\n"));
-        assert_eq!(e.get("ph").and_then(Json::as_str), Some("weird\"ph"));
-    }
-
-    #[test]
-    fn ignores_other_scopes() {
-        let sink = ChromeTraceSink::new();
-        emit(&sink, "explore", "report", &[("n", Value::U64(1))]);
-        assert!(sink.is_empty());
     }
 
     #[test]
     fn render_is_valid_json_even_when_empty() {
-        let sink = ChromeTraceSink::new();
-        let doc = Json::parse(&sink.render()).unwrap();
+        let trace = ChromeTrace::new();
+        assert!(trace.is_empty());
+        let doc = Json::parse(&trace.render()).unwrap();
         assert_eq!(
             doc.get("traceEvents")
                 .and_then(Json::as_array)

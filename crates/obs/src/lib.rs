@@ -11,19 +11,22 @@
 //! - [`Histogram`] — a lock-free power-of-two value histogram with
 //!   count / sum / min / max and percentile estimates;
 //! - [`Stopwatch`] — a one-shot monotonic wall-clock timer;
-//! - [`Sink`] — a pluggable structured-event consumer with four
+//! - [`Sink`] — a pluggable structured-event consumer with three
 //!   implementations: [`NoopSink`] (default; instrumented code must be
 //!   bit-identical in results to uninstrumented code under it),
-//!   [`MemorySink`] (in-memory snapshot for tests and `--stats`),
-//!   [`JsonlSink`] (structured JSONL run logs for `--log-jsonl`), and
-//!   [`ChromeTraceSink`] (Chrome trace-event JSON for Perfetto);
+//!   [`MemorySink`] (each event's JSON object, for tests and
+//!   `--stats`), and [`JsonlSink`] (structured JSONL run logs for
+//!   `--log-jsonl`);
+//! - [`ChromeTrace`] — a typed builder for Chrome trace-event JSON
+//!   (Perfetto), behind the witness export and serve's `--trace` dump;
 //! - [`StatsTable`] — aligned key/value rendering for `--stats` output;
 //! - [`json`] — hand-rolled JSON writing plus the minimal [`json::Json`]
 //!   reader used to load witness artifacts back;
 //! - [`PhaseProfiler`] — sampling-gated phase-attributed profiling of
 //!   the explorer hot path ("where did the wall time go");
-//! - [`FlightRecorder`] — a bounded ring of recent events dumped as an
-//!   `lfm-obs/v1` JSONL black box on panic or degraded exit;
+//! - [`Ring`] — a bounded slot-locked ring of recent typed records;
+//! - [`FlightRecorder`] — a [`Ring`] of recent events' JSONL lines,
+//!   dumped as an `lfm-obs/v1` black box on panic or degraded exit;
 //! - [`KnuthEstimator`] / [`ProgressTracker`] — online tree-size and
 //!   throughput estimation behind `lfm explore --progress`;
 //! - [`Registry`] — OpenMetrics/Prometheus text exposition for
@@ -75,7 +78,7 @@ mod sink;
 mod span;
 mod stats;
 
-pub use chrome::ChromeTraceSink;
+pub use chrome::ChromeTrace;
 pub use counter::Counter;
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use openmetrics::{check_exposition, MetricKind, Registry};
@@ -83,9 +86,7 @@ pub use profile::{Phase, PhaseGuard, PhaseProfile, PhaseProfiler, PhaseStat, PHA
 pub use progress::{
     eta_ms, render_progress_line, KnuthEstimator, ProgressLineSink, ProgressTracker,
 };
-pub use ring::{FlightRecorder, DEFAULT_CAPACITY, FLIGHT_SCHEMA};
-pub use sink::{
-    Event, JsonlSink, MemorySink, NoopSink, OwnedEvent, OwnedValue, Sink, TeeSink, Value,
-};
+pub use ring::{FlightRecorder, Ring, DEFAULT_CAPACITY, FLIGHT_SCHEMA};
+pub use sink::{Event, JsonlSink, MemorySink, NoopSink, Sink, TeeSink, Value};
 pub use span::{fmt_duration, Stopwatch};
 pub use stats::StatsTable;

@@ -1,4 +1,4 @@
-//! Flight recorder: a bounded ring buffer of recent structured events.
+//! Bounded rings of recent records, and the flight recorder built on one.
 //!
 //! Post-mortem debugging of the explorer works from *partial evidence*:
 //! when a run panics, trips its wall deadline, or exits degraded, the
@@ -8,18 +8,20 @@
 //! injections) and dumps them as an `lfm-obs/v1` JSONL tail on any
 //! non-clean exit.
 //!
-//! The ring is lock-free-enough for the hot path: writers claim a slot
-//! with one relaxed `fetch_add` on the head counter and then lock only
-//! *their* slot, so concurrent emitters (CLI scopes, server threads)
-//! contend only when they wrap onto the same
-//! slot — vanishingly rare with a capacity in the hundreds.
+//! Its storage is a [`Ring`], which other recorders of recent history
+//! (the serve tracer's span ring) use for typed records. The ring is
+//! lock-free-enough for the hot path: writers claim a slot with one
+//! relaxed `fetch_add` on the head counter and then lock only *their*
+//! slot, so concurrent writers (CLI scopes, server threads) contend
+//! only when they wrap onto the same slot — vanishingly rare with a
+//! capacity in the hundreds.
 
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::sink::{Event, OwnedEvent, Sink};
+use crate::sink::{Event, Sink};
 
 /// Schema identifier stamped on flight-recorder dumps.
 pub const FLIGHT_SCHEMA: &str = "lfm-obs/v1";
@@ -27,16 +29,87 @@ pub const FLIGHT_SCHEMA: &str = "lfm-obs/v1";
 /// Default number of events retained.
 pub const DEFAULT_CAPACITY: usize = 256;
 
-/// A bounded ring buffer of the most recent [`OwnedEvent`]s.
+/// One ring slot: empty, or a record and its sequence number.
+type Slot<T> = Mutex<Option<(u64, T)>>;
+
+/// A bounded, slot-locked ring of the most recent `T`s, each tagged
+/// with its sequence number (the count of records pushed before it).
+///
+/// All slots exist from construction, so a push allocates nothing of
+/// its own.
+#[derive(Debug)]
+pub struct Ring<T> {
+    /// Total records ever pushed (the next sequence number).
+    head: AtomicU64,
+    slots: Box<[Slot<T>]>,
+}
+
+impl<T> Ring<T> {
+    /// A ring retaining the last `capacity` records (min 1).
+    pub fn with_capacity(capacity: usize) -> Ring<T> {
+        Ring {
+            head: AtomicU64::new(0),
+            slots: (0..capacity.max(1)).map(|_| Mutex::new(None)).collect(),
+        }
+    }
+
+    /// Maximum number of records retained.
+    pub fn capacity(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Total records pushed over the ring's lifetime.
+    pub fn recorded(&self) -> u64 {
+        self.head.load(Ordering::Relaxed)
+    }
+
+    /// Records that fell off the ring (pushed minus retained).
+    pub fn dropped(&self) -> u64 {
+        self.recorded().saturating_sub(self.capacity() as u64)
+    }
+
+    /// Pushes `value`, overwriting the oldest record once full.
+    pub fn push(&self, value: T) {
+        self.push_with(|_| value);
+    }
+
+    /// Claims the next slot and stores `fill(evicted)` in it, where
+    /// `evicted` is the record the slot held, so a record that owns a
+    /// buffer can be rewritten in place instead of reallocated.
+    pub fn push_with(&self, fill: impl FnOnce(Option<T>) -> T) {
+        let seq = self.head.fetch_add(1, Ordering::Relaxed);
+        let idx = (seq % self.slots.len() as u64) as usize;
+        let mut slot = self.slots[idx].lock().expect("ring slot poisoned");
+        let evicted = slot.take().map(|(_, value)| value);
+        *slot = Some((seq, fill(evicted)));
+    }
+
+    /// The retained records, oldest first, each with its sequence number.
+    pub fn tail(&self) -> Vec<(u64, T)>
+    where
+        T: Clone,
+    {
+        let mut out: Vec<(u64, T)> = self
+            .slots
+            .iter()
+            .filter_map(|slot| slot.lock().expect("ring slot poisoned").clone())
+            .collect();
+        out.sort_by_key(|(seq, _)| *seq);
+        out
+    }
+}
+
+/// A bounded ring of the most recent events, each kept as its JSONL
+/// line.
 ///
 /// Implements [`Sink`], so it can be teed alongside the user's sink
 /// (see [`TeeSink`](crate::TeeSink)) and observe everything the run
-/// emits without changing what the run does.
+/// emits without changing what the run does. An event is rendered once,
+/// into the buffer of the line it evicts, so once the ring has wrapped
+/// recording allocates only when a line outgrows its slot's buffer.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    /// Total events ever recorded (the next sequence number).
-    head: AtomicU64,
-    slots: Vec<Mutex<Option<(u64, OwnedEvent)>>>,
+    lines: Ring<String>,
 }
 
 impl Default for FlightRecorder {
@@ -53,37 +126,30 @@ impl FlightRecorder {
 
     /// A recorder retaining the last `capacity` events (min 1).
     pub fn with_capacity(capacity: usize) -> FlightRecorder {
-        let capacity = capacity.max(1);
         FlightRecorder {
-            head: AtomicU64::new(0),
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
+            lines: Ring::with_capacity(capacity),
         }
     }
 
     /// Maximum number of events retained.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.lines.capacity()
     }
 
     /// Total events observed over the recorder's lifetime.
     pub fn recorded(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
+        self.lines.recorded()
     }
 
     /// Events that fell off the ring (observed minus retained).
     pub fn dropped(&self) -> u64 {
-        self.recorded().saturating_sub(self.capacity() as u64)
+        self.lines.dropped()
     }
 
-    /// The retained events, oldest first, each with its sequence number.
-    pub fn tail(&self) -> Vec<(u64, OwnedEvent)> {
-        let mut out: Vec<(u64, OwnedEvent)> = self
-            .slots
-            .iter()
-            .filter_map(|slot| slot.lock().expect("flight slot poisoned").clone())
-            .collect();
-        out.sort_by_key(|(seq, _)| *seq);
-        out
+    /// The retained events as JSON lines, oldest first, each with its
+    /// sequence number.
+    pub fn tail(&self) -> Vec<(u64, String)> {
+        self.lines.tail()
     }
 
     /// Writes the dump: one `lfm-obs/v1` header object, then the
@@ -104,11 +170,10 @@ impl FlightRecorder {
             self.dropped(),
             tail.len(),
         )?;
-        for (seq, event) in tail {
-            let body = event.to_json();
+        for (seq, line) in tail {
             // Splice the sequence number in as the first key of the
             // event object: {"seq":N,"scope":...}.
-            writeln!(w, "{{\"seq\":{seq},{}", &body[1..])?;
+            writeln!(w, "{{\"seq\":{seq},{}", &line[1..])?;
         }
         Ok(())
     }
@@ -126,18 +191,12 @@ impl FlightRecorder {
 
 impl Sink for FlightRecorder {
     fn emit(&self, event: &Event<'_>) {
-        let seq = self.head.fetch_add(1, Ordering::Relaxed);
-        let idx = (seq % self.slots.len() as u64) as usize;
-        let owned = OwnedEvent {
-            scope: event.scope.to_owned(),
-            name: event.name.to_owned(),
-            fields: event
-                .fields
-                .iter()
-                .map(|(k, v)| ((*k).to_owned(), v.to_owned_value()))
-                .collect(),
-        };
-        *self.slots[idx].lock().expect("flight slot poisoned") = Some((seq, owned));
+        self.lines.push_with(|evicted| {
+            let mut line = evicted.unwrap_or_default();
+            line.clear();
+            event.write_json(&mut line);
+            line
+        });
     }
 }
 
@@ -167,7 +226,13 @@ mod tests {
         assert_eq!(tail.len(), 4);
         let ns: Vec<u64> = tail
             .iter()
-            .map(|(_, e)| e.field("n").and_then(|v| v.as_u64()).unwrap())
+            .map(|(_, line)| {
+                Json::parse(line)
+                    .unwrap()
+                    .get("n")
+                    .and_then(Json::as_u64)
+                    .unwrap()
+            })
             .collect();
         assert_eq!(ns, vec![6, 7, 8, 9]);
         // Sequence numbers are strictly increasing.

@@ -1,13 +1,14 @@
 //! Pluggable structured-event sinks.
 
 use std::fmt;
+use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::Mutex;
 
 use crate::counter::Counter;
-use crate::json;
+use crate::json::{self, Json};
 
 /// A field value carried by an [`Event`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,22 +28,27 @@ pub enum Value<'a> {
 impl Value<'_> {
     /// Renders the value as JSON.
     pub fn to_json(&self) -> String {
-        match self {
-            Value::U64(v) => v.to_string(),
-            Value::I64(v) => v.to_string(),
-            Value::F64(v) => json::number_f64(*v),
-            Value::Bool(v) => v.to_string(),
-            Value::Str(s) => json::quote(s),
-        }
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
     }
 
-    pub(crate) fn to_owned_value(self) -> OwnedValue {
+    /// Appends the value as JSON to `out`.
+    pub(crate) fn write_json(&self, out: &mut String) {
         match self {
-            Value::U64(v) => OwnedValue::U64(v),
-            Value::I64(v) => OwnedValue::I64(v),
-            Value::F64(v) => OwnedValue::F64(v),
-            Value::Bool(v) => OwnedValue::Bool(v),
-            Value::Str(s) => OwnedValue::Str(s.to_owned()),
+            Value::U64(v) => {
+                let _ = write!(out, "{v}");
+            }
+            Value::I64(v) => {
+                let _ = write!(out, "{v}");
+            }
+            Value::F64(v) => out.push_str(&json::number_f64(*v)),
+            Value::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
+            Value::Str(s) => {
+                out.push('"');
+                json::escape_into(out, s);
+                out.push('"');
+            }
         }
     }
 }
@@ -94,98 +100,25 @@ impl Event<'_> {
     /// Renders the event as one JSON object (the JSONL line, no newline).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(64 + self.fields.len() * 16);
-        out.push_str("{\"scope\":");
-        out.push_str(&json::quote(self.scope));
-        out.push_str(",\"event\":");
-        out.push_str(&json::quote(self.name));
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Appends the event to `out` as one JSON object (the JSONL line,
+    /// no newline), escaping straight into the buffer.
+    pub(crate) fn write_json(&self, out: &mut String) {
+        out.push_str("{\"scope\":\"");
+        json::escape_into(out, self.scope);
+        out.push_str("\",\"event\":\"");
+        json::escape_into(out, self.name);
+        out.push('"');
         for (key, value) in self.fields {
-            out.push(',');
-            out.push_str(&json::quote(key));
-            out.push(':');
-            out.push_str(&value.to_json());
+            out.push_str(",\"");
+            json::escape_into(out, key);
+            out.push_str("\":");
+            value.write_json(out);
         }
         out.push('}');
-        out
-    }
-}
-
-/// An owned copy of a field value (see [`Value`]).
-#[derive(Debug, Clone, PartialEq)]
-pub enum OwnedValue {
-    /// Unsigned integer.
-    U64(u64),
-    /// Signed integer.
-    I64(i64),
-    /// Floating point.
-    F64(f64),
-    /// Boolean.
-    Bool(bool),
-    /// Owned string.
-    Str(String),
-}
-
-impl OwnedValue {
-    /// Renders the value as JSON.
-    pub fn to_json(&self) -> String {
-        match self {
-            OwnedValue::U64(v) => v.to_string(),
-            OwnedValue::I64(v) => v.to_string(),
-            OwnedValue::F64(v) => json::number_f64(*v),
-            OwnedValue::Bool(v) => v.to_string(),
-            OwnedValue::Str(s) => json::quote(s),
-        }
-    }
-
-    /// The value as `u64`, when it is one.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            OwnedValue::U64(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The value as `&str`, when it is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            OwnedValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-/// An owned copy of an [`Event`], as stored by [`MemorySink`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct OwnedEvent {
-    /// Subsystem that produced the event.
-    pub scope: String,
-    /// Event name within the scope.
-    pub name: String,
-    /// Ordered payload fields.
-    pub fields: Vec<(String, OwnedValue)>,
-}
-
-impl OwnedEvent {
-    /// Looks up a field by key.
-    pub fn field(&self, key: &str) -> Option<&OwnedValue> {
-        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    /// Renders the event as one JSON object, matching
-    /// [`Event::to_json`] field for field.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(64 + self.fields.len() * 16);
-        out.push_str("{\"scope\":");
-        out.push_str(&json::quote(&self.scope));
-        out.push_str(",\"event\":");
-        out.push_str(&json::quote(&self.name));
-        for (key, value) in &self.fields {
-            out.push(',');
-            out.push_str(&json::quote(key));
-            out.push(':');
-            out.push_str(&value.to_json());
-        }
-        out.push('}');
-        out
     }
 }
 
@@ -231,9 +164,14 @@ impl Sink for NoopSink {
 }
 
 /// An in-memory snapshot sink for tests and interactive stats.
+///
+/// Each event is kept as the [`Json`] object its JSONL line parses to,
+/// so readers look fields up with [`Json::get`] like in any other
+/// document: `"scope"` and `"event"` first, then the payload fields in
+/// order.
 #[derive(Debug, Default)]
 pub struct MemorySink {
-    events: Mutex<Vec<OwnedEvent>>,
+    events: Mutex<Vec<Json>>,
 }
 
 impl MemorySink {
@@ -253,34 +191,29 @@ impl MemorySink {
     }
 
     /// Copies out the captured events.
-    pub fn events(&self) -> Vec<OwnedEvent> {
+    pub fn events(&self) -> Vec<Json> {
         self.events.lock().expect("memory sink poisoned").clone()
     }
 
     /// Copies out the captured events with the given scope and name.
-    pub fn events_named(&self, scope: &str, name: &str) -> Vec<OwnedEvent> {
+    pub fn events_named(&self, scope: &str, name: &str) -> Vec<Json> {
+        let is = |event: &Json, key: &str, want: &str| {
+            event.get(key).and_then(Json::as_str) == Some(want)
+        };
         self.events()
             .into_iter()
-            .filter(|e| e.scope == scope && e.name == name)
+            .filter(|e| is(e, "scope", scope) && is(e, "event", name))
             .collect()
     }
 }
 
 impl Sink for MemorySink {
     fn emit(&self, event: &Event<'_>) {
-        let owned = OwnedEvent {
-            scope: event.scope.to_owned(),
-            name: event.name.to_owned(),
-            fields: event
-                .fields
-                .iter()
-                .map(|(k, v)| ((*k).to_owned(), v.to_owned_value()))
-                .collect(),
-        };
+        let parsed = Json::parse(&event.to_json()).expect("an event renders as one JSON object");
         self.events
             .lock()
             .expect("memory sink poisoned")
-            .push(owned);
+            .push(parsed);
     }
 }
 
@@ -451,9 +384,9 @@ mod tests {
         assert_eq!(sink.len(), 1);
         let events = sink.events_named("test", "sample");
         assert_eq!(events.len(), 1);
-        assert_eq!(events[0].field("n").and_then(OwnedValue::as_u64), Some(3));
-        assert_eq!(events[0].field("s").and_then(OwnedValue::as_str), Some("x"));
-        assert!(events[0].field("missing").is_none());
+        assert_eq!(events[0].get("n").and_then(Json::as_u64), Some(3));
+        assert_eq!(events[0].get("s").and_then(Json::as_str), Some("x"));
+        assert!(events[0].get("missing").is_none());
     }
 
     #[test]
@@ -569,21 +502,6 @@ mod tests {
         assert!(!empty.enabled());
         empty.emit(&sample(&[]));
         empty.flush();
-    }
-
-    #[test]
-    fn owned_event_json_matches_borrowed_event_json() {
-        let fields = [
-            ("n", Value::U64(3)),
-            ("f", Value::F64(0.5)),
-            ("b", Value::Bool(true)),
-            ("s", Value::Str("x \"y\"")),
-            ("i", Value::I64(-9)),
-        ];
-        let event = sample(&fields);
-        let memory = MemorySink::new();
-        memory.emit(&event);
-        assert_eq!(memory.events()[0].to_json(), event.to_json());
     }
 
     #[test]

@@ -30,8 +30,8 @@
 //!   jitter backoff; retries transport failures and sheds, never
 //!   semantic errors.
 //! - **Load harness** ([`load`]): a closed-loop zipf-mixed generator
-//!   reporting p50/p99 latency, hit rate, shed rate, and the
-//!   degrade-level histogram.
+//!   reporting p50/p99 latency, hit rate, shed rate and retries (the
+//!   degrade-level histogram is the server's, in its `stats` reply).
 //!
 //! Everything is std-only: hand-rolled framing (one JSON object per
 //! line), `TcpListener`/`TcpStream`, threads and condvars.

@@ -80,8 +80,6 @@ pub struct LoadReport {
     pub retries_total: u64,
     /// The worst single request's retry count.
     pub max_retries: u64,
-    /// Answers per degrade level (from the reports' `level` field).
-    pub degrade: [u64; 4],
     /// Per-request latency (microseconds), retries included — the
     /// user-visible number.
     pub latency: HistogramSnapshot,
@@ -228,9 +226,6 @@ pub fn run_load(addr: SocketAddr, config: &LoadConfig) -> LoadReport {
                         if reply.cache_hit {
                             tally.hits += 1;
                         }
-                        if let Some(index) = level_slot(&reply.level) {
-                            tally.degrade[index] += 1;
-                        }
                         if is_wrong(target.buggy, reply.failures, &reply.confidence) {
                             tally.wrong += 1;
                         }
@@ -269,19 +264,8 @@ pub fn run_load(addr: SocketAddr, config: &LoadConfig) -> LoadReport {
         attempts: total.attempts,
         retries_total: total.retries_total,
         max_retries: total.max_retries,
-        degrade: total.degrade,
         latency: latency.snapshot(),
         wall: stopwatch.elapsed(),
-    }
-}
-
-fn level_slot(level: &str) -> Option<usize> {
-    match level {
-        "exhaustive" => Some(0),
-        "sleep-set" => Some(1),
-        "preemption-bounded" => Some(2),
-        "pct-sampling" => Some(3),
-        _ => None,
     }
 }
 
@@ -296,7 +280,6 @@ struct Tally {
     attempts: u64,
     retries_total: u64,
     max_retries: u64,
-    degrade: [u64; 4],
 }
 
 impl Tally {
@@ -315,9 +298,6 @@ impl Tally {
         self.attempts += other.attempts;
         self.retries_total += other.retries_total;
         self.max_retries = self.max_retries.max(other.max_retries);
-        for (mine, theirs) in self.degrade.iter_mut().zip(other.degrade.iter()) {
-            *mine += theirs;
-        }
     }
 }
 

@@ -500,26 +500,8 @@ impl StatsSnapshot {
 /// What the drain observed, returned by [`ServerHandle::wait`].
 #[derive(Debug, Clone)]
 pub struct DrainSummary {
-    /// Total request lines served.
-    pub requests: u64,
-    /// `check` requests.
-    pub checks: u64,
-    /// Cache hits.
-    pub hits: u64,
-    /// Cache misses (explorations led).
-    pub misses: u64,
-    /// Shed responses.
-    pub shed: u64,
-    /// Error responses.
-    pub errors: u64,
-    /// Responses lost to client disconnects.
-    pub write_errors: u64,
-    /// Contained exploration panics.
-    pub worker_panics: u64,
-    /// Admissions per degrade level.
-    pub degrade: [u64; 4],
-    /// Filled cache entries at shutdown.
-    pub cache_entries: usize,
+    /// The service counters once the drain finished.
+    pub stats: StatsSnapshot,
     /// `true` when every connection closed and every queued job
     /// drained within the drain timeout.
     pub clean: bool,
@@ -815,30 +797,21 @@ impl ServerHandle {
         if let Some(pool) = self.pool.take() {
             pool.join();
         }
-        let stats = &self.shared.stats;
         let summary = DrainSummary {
-            requests: stats.requests.get(),
-            checks: stats.checks.get(),
-            hits: self.shared.cache.hits.get(),
-            misses: self.shared.cache.misses.get(),
-            shed: stats.shed.get(),
-            errors: stats.errors.get(),
-            write_errors: stats.write_errors.get(),
-            worker_panics: stats.worker_panics.get(),
-            degrade: stats.degrade_histogram(),
-            cache_entries: self.shared.cache.len(),
+            stats: self.shared.stats_snapshot(),
             clean,
         };
         if self.shared.sink.enabled() {
+            let stats = &summary.stats;
             self.shared.sink.emit(&Event {
                 scope: "serve",
                 name: "drain",
                 fields: &[
-                    ("requests", Value::U64(summary.requests)),
-                    ("hits", Value::U64(summary.hits)),
-                    ("misses", Value::U64(summary.misses)),
-                    ("shed", Value::U64(summary.shed)),
-                    ("write_errors", Value::U64(summary.write_errors)),
+                    ("requests", Value::U64(stats.requests)),
+                    ("hits", Value::U64(stats.hits)),
+                    ("misses", Value::U64(stats.misses)),
+                    ("shed", Value::U64(stats.shed)),
+                    ("write_errors", Value::U64(stats.write_errors)),
                     ("clean", Value::Bool(summary.clean)),
                 ],
             });
@@ -1296,8 +1269,8 @@ mod tests {
         handle.request_shutdown();
         let summary = handle.wait();
         assert!(summary.clean);
-        assert_eq!(summary.misses, 1);
-        assert_eq!(summary.hits, 1);
+        assert_eq!(summary.stats.misses, 1);
+        assert_eq!(summary.stats.hits, 1);
     }
 
     #[test]
@@ -1353,7 +1326,7 @@ mod tests {
         assert!(reply.failures > 0);
         handle.request_shutdown();
         let summary = handle.wait();
-        assert_eq!(summary.worker_panics, 0);
+        assert_eq!(summary.stats.worker_panics, 0);
         // The rude client's write may have failed (counted) or raced
         // the close successfully; either way nothing panicked and the
         // drain is clean.

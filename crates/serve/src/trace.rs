@@ -4,11 +4,13 @@
 //! to the pipeline it flowed through (frame read, parse, cache probe,
 //! admission, queue, worker, exploration, reply write). Stage
 //! durations always feed the `lfm_serve_stage_us` histograms; the full
-//! per-request *timeline* is additionally captured — as `lfm-obs/v1`
-//! `span` events in a bounded [`FlightRecorder`] ring, teed to the
-//! session sink — when tracing is enabled or the request is slower
-//! than the `--trace-slow-ms` threshold (slow requests are always
-//! captured, even with tracing otherwise off).
+//! per-request *timeline* is additionally captured — as typed span
+//! records in a bounded [`Ring`], and as `lfm-obs/v1` `serve`/`span`
+//! events when the session sink is enabled — when tracing is enabled or
+//! the request is slower than the `--trace-slow-ms` threshold (slow
+//! requests are always captured, even with tracing otherwise off).
+//! With a disabled session sink, capturing a timeline allocates
+//! nothing.
 //!
 //! Tracing is a **strict observer**: nothing here touches the bytes of
 //! a reply. The trace context echoed in replies is a pure function of
@@ -25,7 +27,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lfm_obs::{ChromeTraceSink, Event, FlightRecorder, OwnedValue, Sink, Value};
+use lfm_obs::{ChromeTrace, Event, Ring, Sink, Value};
 
 use crate::protocol::TraceContext;
 
@@ -147,13 +149,31 @@ pub fn push_span(
     }
 }
 
+/// One captured span: the stage record and the request it belongs to.
+#[derive(Debug, Clone, Copy)]
+struct TraceRecord {
+    /// Request sequence number (the Chrome `tid`).
+    seq: u64,
+    /// The client's trace context, when the request carried one.
+    trace: Option<TraceContext>,
+    span: SpanRec,
+}
+
+/// `v` as 16 lowercase hex digits, written into `buf`.
+fn hex16(v: u64, buf: &mut [u8; 16]) -> &str {
+    for (i, digit) in buf.iter_mut().enumerate() {
+        *digit = b"0123456789abcdef"[((v >> (60 - 4 * i)) & 0xf) as usize];
+    }
+    std::str::from_utf8(buf).expect("hex digits are ASCII")
+}
+
 /// Captures recent request timelines without ever touching replies.
 #[derive(Debug)]
 pub struct Tracer {
     enabled: bool,
     slow: Option<Duration>,
     epoch: Instant,
-    ring: FlightRecorder,
+    ring: Ring<TraceRecord>,
     sink: Arc<dyn Sink>,
 }
 
@@ -165,7 +185,7 @@ impl Tracer {
             enabled,
             slow: slow_ms.map(Duration::from_millis),
             epoch: Instant::now(),
-            ring: FlightRecorder::with_capacity(TRACE_RING_CAPACITY),
+            ring: Ring::with_capacity(TRACE_RING_CAPACITY),
             sink,
         }
     }
@@ -192,113 +212,95 @@ impl Tracer {
         at.saturating_duration_since(self.epoch).as_micros() as u64
     }
 
-    /// Span events captured so far (lifetime, not ring occupancy).
+    /// Spans captured so far (lifetime, not ring occupancy).
     pub fn captured(&self) -> u64 {
         self.ring.recorded()
     }
 
-    /// Records one request's timeline: one `span` event per stage into
-    /// the trace ring, teed to the session sink.
+    /// Records one request's timeline: one record per stage into the
+    /// trace ring and, when the session sink is enabled, one
+    /// `serve`/`span` event per stage into it.
     pub fn record(&self, trace: Option<TraceContext>, seq: u64, spans: &[SpanRec]) {
-        let ids = trace.map(|t| {
-            (
-                format!("{:016x}", t.trace_id),
-                format!("{:016x}", t.span_id),
-            )
-        });
+        for &span in spans {
+            self.ring.push(TraceRecord { seq, trace, span });
+        }
+        if !self.sink.enabled() {
+            return;
+        }
+        let (mut trace_hex, mut span_hex) = ([0; 16], [0; 16]);
+        let (trace_id, span_id, n_fields) = match trace {
+            Some(t) => (
+                hex16(t.trace_id, &mut trace_hex),
+                hex16(t.span_id, &mut span_hex),
+                7,
+            ),
+            None => ("", "", 5),
+        };
         for span in spans {
-            let mut fields: Vec<(&str, Value<'_>)> = vec![
+            let fields = [
                 ("seq", Value::U64(seq)),
                 ("pid", Value::U64(span.pid)),
                 ("stage", Value::Str(span.stage.name())),
                 ("ts_us", Value::U64(span.ts_us)),
                 ("dur_us", Value::U64(span.dur_us)),
+                ("trace_id", Value::Str(trace_id)),
+                ("span_id", Value::Str(span_id)),
             ];
-            if let Some((trace_hex, span_hex)) = &ids {
-                fields.push(("trace_id", Value::Str(trace_hex)));
-                fields.push(("span_id", Value::Str(span_hex)));
-            }
-            let event = Event {
+            self.sink.emit(&Event {
                 scope: "serve",
                 name: "span",
-                fields: &fields,
-            };
-            self.ring.emit(&event);
-            if self.sink.enabled() {
-                self.sink.emit(&event);
-            }
+                fields: &fields[..n_fields],
+            });
         }
     }
 
     /// Converts the ring tail to a Chrome trace-event document tagged
     /// [`TRACE_DUMP_SCHEMA`] and writes it to `path`. Returns the
-    /// number of span events dumped. Perfetto ignores the extra
-    /// top-level `schema` key.
+    /// number of spans dumped. Perfetto ignores the extra top-level
+    /// `schema` key.
     ///
     /// # Errors
     ///
     /// Propagates file creation and write failures.
     pub fn dump_chrome(&self, path: impl AsRef<Path>) -> std::io::Result<usize> {
-        let sink = ChromeTraceSink::new();
         let tail = self.ring.tail();
-        let spans: Vec<_> = tail
-            .iter()
-            .filter(|(_, event)| event.name == "span")
-            .map(|(_, event)| event)
-            .collect();
+        let mut trace = ChromeTrace::new();
         // One process_name metadata record per track, so Perfetto
         // shows "worker-N" instead of bare pids.
-        let mut pids: Vec<u64> = spans
-            .iter()
-            .filter_map(|event| event.field("pid").and_then(OwnedValue::as_u64))
-            .collect();
+        let mut pids: Vec<u64> = tail.iter().map(|(_, r)| r.span.pid).collect();
         pids.sort_unstable();
         pids.dedup();
-        for &pid in &pids {
+        for pid in pids {
             let label = if pid == 0 {
                 "lfm-serve conn".to_owned()
             } else {
                 format!("lfm-serve worker-{}", pid - 1)
             };
-            sink.emit(&Event {
-                scope: "trace",
-                name: "process_name",
-                fields: &[
-                    ("ph", Value::Str("M")),
-                    ("pid", Value::U64(pid)),
-                    ("name", Value::Str(&label)),
-                ],
-            });
+            trace.process_name(pid, &label);
         }
-        for event in &spans {
-            let get = |key: &str| event.field(key).and_then(OwnedValue::as_u64).unwrap_or(0);
-            let stage = event
-                .field("stage")
-                .and_then(OwnedValue::as_str)
-                .unwrap_or("span");
-            let trace_id = event.field("trace_id").and_then(OwnedValue::as_str);
-            let mut fields: Vec<(&str, Value<'_>)> = vec![
-                ("ph", Value::Str("X")),
-                ("pid", Value::U64(get("pid"))),
-                ("tid", Value::U64(get("seq"))),
-                ("ts", Value::U64(get("ts_us"))),
-                ("dur", Value::U64(get("dur_us"))),
-            ];
-            if let Some(id) = trace_id {
-                fields.push(("trace_id", Value::Str(id)));
-            }
-            sink.emit(&Event {
-                scope: "trace",
-                name: stage,
-                fields: &fields,
-            });
+        let mut hex = [0; 16];
+        for (_, record) in &tail {
+            let span = record.span;
+            let trace_id = record.trace.map(|t| hex16(t.trace_id, &mut hex));
+            let args: &[(&str, &str)] = match &trace_id {
+                Some(id) => &[("trace_id", id)],
+                None => &[],
+            };
+            trace.complete(
+                span.stage.name(),
+                span.pid,
+                record.seq,
+                span.ts_us,
+                span.dur_us,
+                args,
+            );
         }
-        let rendered = sink.render();
+        let rendered = trace.render();
         // Splice the schema tag in as the first top-level key; the
-        // rest of the document is untouched ChromeTraceSink output.
+        // rest of the document is untouched ChromeTrace output.
         let doc = format!("{{\"schema\":\"{TRACE_DUMP_SCHEMA}\",{}", &rendered[1..]);
         std::fs::write(path, doc)?;
-        Ok(spans.len())
+        Ok(tail.len())
     }
 }
 
@@ -357,13 +359,10 @@ mod tests {
         let events = sink.events_named("serve", "span");
         assert_eq!(events.len(), 2);
         let first = &events[0];
+        assert_eq!(first.get("stage").and_then(Json::as_str), Some("accept"));
+        assert_eq!(first.get("seq").and_then(Json::as_u64), Some(3));
         assert_eq!(
-            first.field("stage").and_then(OwnedValue::as_str),
-            Some("accept")
-        );
-        assert_eq!(first.field("seq").and_then(OwnedValue::as_u64), Some(3));
-        assert_eq!(
-            first.field("trace_id").and_then(OwnedValue::as_str),
+            first.get("trace_id").and_then(Json::as_str),
             Some(format!("{:016x}", trace.trace_id).as_str())
         );
     }

@@ -89,7 +89,7 @@ fn cached_response_bit_identical_to_fresh_under_every_chaos_seed() {
         handle.request_shutdown();
         let summary = handle.wait();
         assert!(summary.clean, "seed {seed}: unclean drain");
-        assert_eq!(summary.worker_panics, 0);
+        assert_eq!(summary.stats.worker_panics, 0);
     }
 }
 
@@ -128,7 +128,10 @@ fn fixed_kernel_answer_set_correct_behind_chaos_proxy() {
         handle.request_shutdown();
         let summary = handle.wait();
         assert!(summary.clean, "seed {seed}: unclean drain");
-        assert_eq!(summary.worker_panics, 0, "seed {seed}: worker panicked");
+        assert_eq!(
+            summary.stats.worker_panics, 0,
+            "seed {seed}: worker panicked"
+        );
     }
 }
 
@@ -175,10 +178,10 @@ fn chaos_load_burst_zero_wrong_answers_and_clean_drain() {
     handle.request_shutdown();
     let summary = handle.wait();
     assert!(summary.clean, "unclean drain after chaos burst");
-    assert_eq!(summary.worker_panics, 0);
+    assert_eq!(summary.stats.worker_panics, 0);
     // The queue was bounded the whole time: anything past capacity was
     // shed, and everything admitted was answered or drained.
-    assert!(summary.requests > 0);
+    assert!(summary.stats.requests > 0);
 }
 
 /// Overload sheds: with a single worker and a tiny queue, a stampede
@@ -231,7 +234,7 @@ fn overload_sheds_explicitly_instead_of_queueing() {
     // The interesting assertion: the run finished (bounded queue), and
     // if anything was refused it was refused *explicitly*.
     assert!(
-        summary.shed > 0 || served == 12,
+        summary.stats.shed > 0 || served == 12,
         "neither shed nor served everything: {summary:?}"
     );
 }

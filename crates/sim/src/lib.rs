@@ -115,7 +115,4 @@ pub use schedule::Schedule;
 pub use stmt::{RmwOp, Stmt};
 pub use timeline::render_timeline;
 pub use trace::{Event, EventKind, Trace, VectorClock};
-pub use witness::{
-    emit_chrome_trace, fingerprint, Witness, WitnessError, WitnessEvent, WitnessStats,
-    WITNESS_SCHEMA,
-};
+pub use witness::{fingerprint, Witness, WitnessError, WitnessEvent, WitnessStats, WITNESS_SCHEMA};

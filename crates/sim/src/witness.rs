@@ -27,7 +27,7 @@ use std::fmt;
 use std::path::Path;
 
 use lfm_obs::json::{self, Json};
-use lfm_obs::{Event as ObsEvent, Sink, Value};
+use lfm_obs::ChromeTrace;
 
 use crate::exec::{Executor, RecordMode};
 use crate::footprint::{Footprint, ObjKind};
@@ -36,7 +36,7 @@ use crate::outcome::Outcome;
 use crate::program::Program;
 use crate::schedule::Schedule;
 use crate::timeline;
-use crate::trace::{EventKind, Trace};
+use crate::trace::EventKind;
 
 /// Schema identifier embedded in every serialized witness.
 pub const WITNESS_SCHEMA: &str = "lfm-trace/v1";
@@ -421,8 +421,11 @@ impl Witness {
         Ok(outcome)
     }
 
-    /// Re-executes the witness schedule with full recording and emits the
-    /// trace as Chrome trace events into `sink` (fingerprint-checked).
+    /// Re-executes the witness schedule with full recording and appends
+    /// the trace to `out` (fingerprint-checked): one `pid` per kernel,
+    /// one `tid` per simulated thread, `process_name`/`thread_name`
+    /// metadata records, then one instant event per visible operation
+    /// with `ts` equal to its sequence number (one op = 1µs).
     ///
     /// # Errors
     ///
@@ -431,7 +434,7 @@ impl Witness {
         &self,
         program: &Program,
         pid: u64,
-        sink: &dyn Sink,
+        out: &mut ChromeTrace,
     ) -> Result<(), WitnessError> {
         let found = fingerprint(program);
         if found != self.fingerprint {
@@ -444,7 +447,20 @@ impl Witness {
         let mut exec = Executor::with_record(program, RecordMode::Full);
         exec.replay(&self.schedule, self.schedule.len());
         let trace = exec.into_trace();
-        emit_chrome_trace(&trace, Some(program), pid, sink);
+        out.process_name(pid, &trace.program);
+        for (tid, thread) in program.threads().iter().enumerate() {
+            out.thread_name(pid, tid as u64, thread.name());
+        }
+        for event in &trace.events {
+            let op = op_name(&event.kind);
+            out.instant(
+                &timeline::describe(event, Some(program)),
+                pid,
+                event.thread.index() as u64,
+                event.seq as u64,
+                &[("op", op), ("clock", &event.clock.to_string())],
+            );
+        }
         Ok(())
     }
 
@@ -647,55 +663,6 @@ fn req_arr<'a>(obj: &'a Json, key: &str) -> Result<&'a [Json], WitnessError> {
         .ok_or_else(|| malformed(format!("field {key:?} is not an array")))
 }
 
-/// Emits `trace` as Chrome trace events into `sink` (scope `"trace"`,
-/// consumed by [`lfm_obs::ChromeTraceSink`]): one `pid` per kernel, one
-/// `tid` per simulated thread, one instant event per visible operation
-/// with `ts` equal to the sequence number (one op = 1µs), preceded by
-/// `process_name`/`thread_name` metadata records.
-pub fn emit_chrome_trace(trace: &Trace, program: Option<&Program>, pid: u64, sink: &dyn Sink) {
-    sink.emit(&ObsEvent {
-        scope: "trace",
-        name: "process_name",
-        fields: &[
-            ("ph", Value::Str("M")),
-            ("pid", Value::U64(pid)),
-            ("name", Value::Str(&trace.program)),
-        ],
-    });
-    let names: Vec<String> = match program {
-        Some(p) => p.threads().iter().map(|t| t.name().to_owned()).collect(),
-        None => (0..trace.n_threads).map(|i| format!("t{i}")).collect(),
-    };
-    for (i, name) in names.iter().enumerate() {
-        sink.emit(&ObsEvent {
-            scope: "trace",
-            name: "thread_name",
-            fields: &[
-                ("ph", Value::Str("M")),
-                ("pid", Value::U64(pid)),
-                ("tid", Value::U64(i as u64)),
-                ("name", Value::Str(name)),
-            ],
-        });
-    }
-    for event in &trace.events {
-        let detail = timeline::describe(event, program);
-        let clock = event.clock.to_string();
-        sink.emit(&ObsEvent {
-            scope: "trace",
-            name: op_name(&event.kind),
-            fields: &[
-                ("pid", Value::U64(pid)),
-                ("tid", Value::U64(event.thread.index() as u64)),
-                ("ts", Value::U64(event.seq as u64)),
-                ("name", Value::Str(&detail)),
-                ("op", Value::Str(op_name(&event.kind))),
-                ("clock", Value::Str(&clock)),
-            ],
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -703,7 +670,6 @@ mod tests {
     use crate::expr::Expr;
     use crate::program::ProgramBuilder;
     use crate::stmt::Stmt;
-    use lfm_obs::ChromeTraceSink;
 
     fn racy_counter() -> Program {
         let mut b = ProgramBuilder::new("racy-counter");
@@ -885,11 +851,11 @@ mod tests {
     fn chrome_export_has_metadata_and_instants() {
         let p = racy_counter();
         let w = Witness::capture(&p, "racy_counter", &first_failure(&p), 5_000);
-        let sink = ChromeTraceSink::new();
-        w.emit_chrome(&p, 1, &sink).unwrap();
+        let mut trace = ChromeTrace::new();
+        w.emit_chrome(&p, 1, &mut trace).unwrap();
         // process_name + one thread_name per thread + one instant per event.
-        assert_eq!(sink.len(), 1 + p.n_threads() + w.events.len());
-        let doc = Json::parse(&sink.render()).unwrap();
+        assert_eq!(trace.len(), 1 + p.n_threads() + w.events.len());
+        let doc = Json::parse(&trace.render()).unwrap();
         let events = doc.get("traceEvents").and_then(Json::as_array).unwrap();
         // The process display name lives in args.name of the metadata
         // record, where Perfetto looks for it.

@@ -58,7 +58,7 @@ fn retry_forever() -> Program {
 fn report_event_field(sink: &MemorySink, key: &str) -> Option<String> {
     let reports = sink.events_named("explore", "report");
     assert_eq!(reports.len(), 1, "exactly one report event");
-    reports[0].field(key).map(|v| match v.as_str() {
+    reports[0].get(key).map(|v| match v.as_str() {
         Some(s) => s.to_owned(),
         None => format!("{v:?}"),
     })
@@ -115,7 +115,7 @@ fn tx_retry_budget_trips_and_is_counted() {
     assert!(report.counts.tx_retry_limit > 0);
     let reports = sink.events_named("explore", "report");
     let counted = reports[0]
-        .field("tx_retry_limit")
+        .get("tx_retry_limit")
         .and_then(|v| v.as_u64())
         .unwrap();
     assert!(counted > 0, "tx_retry_limit surfaces in the report event");
@@ -143,9 +143,9 @@ fn wall_deadline_trips_and_is_reported() {
         );
         // The configured deadline is surfaced on both start and report.
         let starts = sink.events_named("explore", "start");
-        assert!(starts[0].field("deadline_ms").is_some());
+        assert!(starts[0].get("deadline_ms").is_some());
         assert!(sink.events_named("explore", "report")[0]
-            .field("deadline_ms")
+            .get("deadline_ms")
             .is_some());
     }
 }
