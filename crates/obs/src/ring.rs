@@ -14,7 +14,9 @@
 //! relaxed `fetch_add` on the head counter and then lock only *their*
 //! slot, so concurrent writers (CLI scopes, server threads) contend
 //! only when they wrap onto the same slot — vanishingly rare with a
-//! capacity in the hundreds.
+//! capacity in the hundreds. Under the slot lock the newest sequence
+//! number wins, so once every writer is done the ring holds exactly the
+//! last `capacity` records.
 
 use std::io::{self, Write};
 use std::path::Path;
@@ -76,10 +78,19 @@ impl<T> Ring<T> {
     /// Claims the next slot and stores `fill(evicted)` in it, where
     /// `evicted` is the record the slot held, so a record that owns a
     /// buffer can be rewritten in place instead of reallocated.
+    ///
+    /// The newest record wins its slot. A writer that stalls between its
+    /// claim and its store while others push a full lap finds a newer
+    /// record there; it keeps that record, drops its own (one of
+    /// [`Ring::dropped`]) and does not call `fill`. Storing regardless
+    /// would lose the newest record for the slot (BUG-2026-006).
     pub fn push_with(&self, fill: impl FnOnce(Option<T>) -> T) {
         let seq = self.head.fetch_add(1, Ordering::Relaxed);
         let idx = (seq % self.slots.len() as u64) as usize;
         let mut slot = self.slots[idx].lock().expect("ring slot poisoned");
+        if slot.as_ref().is_some_and(|(held, _)| *held > seq) {
+            return;
+        }
         let evicted = slot.take().map(|(_, value)| value);
         *slot = Some((seq, fill(evicted)));
     }
@@ -309,11 +320,9 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(rec.recorded(), 400);
-        let tail = rec.tail();
-        assert_eq!(tail.len(), 16);
-        // Every retained event is from the final wrap window.
-        for (seq, _) in &tail {
-            assert!(*seq >= 400 - 16);
-        }
+        // Once every writer has joined, the tail is exactly the final
+        // wrap window: no stalled writer's older record survives.
+        let seqs: Vec<u64> = rec.tail().iter().map(|(seq, _)| *seq).collect();
+        assert_eq!(seqs, (384..400).collect::<Vec<u64>>());
     }
 }

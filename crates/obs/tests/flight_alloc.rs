@@ -57,7 +57,7 @@ fn emit_span(recorder: &FlightRecorder, n: u64) {
         scope: "serve",
         name: "span",
         fields: &[
-            ("seq", Value::U64(n % 10)),
+            ("req", Value::U64(n % 10)),
             ("stage", Value::Str("explore")),
             ("dur_us", Value::U64(400)),
             ("trace_id", Value::Str("00000000000000ff")),

@@ -11,7 +11,7 @@ use lfm_obs::{Event, FlightRecorder, Sink, Value};
 const EXPECTED: &str = "{\"schema\":\"lfm-obs/v1\",\"kind\":\"flight-recorder\",\"capacity\":3,\"recorded\":5,\"dropped\":2,\"retained\":3}\n\
     {\"seq\":2,\"scope\":\"explore\",\"event\":\"report\",\"schedules\":36436,\"delta\":-12,\"rate\":2.0,\"share\":0.125,\"tiny\":0.0000001,\"ratio\":null,\"truncated\":false}\n\
     {\"seq\":3,\"scope\":\"cli\",\"event\":\"say \\\"hi\\\"\",\"path\":\"C:\\\\tmp\\\\x\",\"text\":\"line\\nbreak\\ttab\\u0001\u{7f}é\",\"ok\":true}\n\
-    {\"seq\":4,\"scope\":\"serve\",\"event\":\"span\",\"seq\":18446744073709551615,\"stage\":\"explore\"}\n";
+    {\"seq\":4,\"scope\":\"serve\",\"event\":\"span\",\"req\":18446744073709551615,\"stage\":\"explore\"}\n";
 
 #[test]
 fn dump_jsonl_bytes_are_pinned() {
@@ -52,7 +52,7 @@ fn dump_jsonl_bytes_are_pinned() {
         scope: "serve",
         name: "span",
         fields: &[
-            ("seq", Value::U64(u64::MAX)),
+            ("req", Value::U64(u64::MAX)),
             ("stage", Value::Str("explore")),
         ],
     });

@@ -219,7 +219,9 @@ impl Tracer {
 
     /// Records one request's timeline: one record per stage into the
     /// trace ring and, when the session sink is enabled, one
-    /// `serve`/`span` event per stage into it.
+    /// `serve`/`span` event per stage into it. The event names the
+    /// request sequence number `req`: a flight-recorder dump splices its
+    /// own ring position in front of every event as `seq`.
     pub fn record(&self, trace: Option<TraceContext>, seq: u64, spans: &[SpanRec]) {
         for &span in spans {
             self.ring.push(TraceRecord { seq, trace, span });
@@ -238,7 +240,7 @@ impl Tracer {
         };
         for span in spans {
             let fields = [
-                ("seq", Value::U64(seq)),
+                ("req", Value::U64(seq)),
                 ("pid", Value::U64(span.pid)),
                 ("stage", Value::Str(span.stage.name())),
                 ("ts_us", Value::U64(span.ts_us)),
@@ -308,7 +310,7 @@ impl Tracer {
 mod tests {
     use super::*;
     use lfm_obs::json::Json;
-    use lfm_obs::{MemorySink, NoopSink};
+    use lfm_obs::{FlightRecorder, MemorySink, NoopSink, TeeSink};
 
     fn spans() -> Vec<SpanRec> {
         vec![
@@ -360,11 +362,35 @@ mod tests {
         assert_eq!(events.len(), 2);
         let first = &events[0];
         assert_eq!(first.get("stage").and_then(Json::as_str), Some("accept"));
-        assert_eq!(first.get("seq").and_then(Json::as_u64), Some(3));
+        assert_eq!(first.get("req").and_then(Json::as_u64), Some(3));
         assert_eq!(
             first.get("trace_id").and_then(Json::as_str),
             Some(format!("{:016x}", trace.trace_id).as_str())
         );
+    }
+
+    #[test]
+    fn flight_dump_of_a_traced_request_repeats_no_key() {
+        // The CLI tees every session event into its flight recorder.
+        let flight = Arc::new(FlightRecorder::with_capacity(16));
+        let sinks: Vec<Arc<dyn Sink>> = vec![Arc::new(NoopSink), Arc::clone(&flight) as _];
+        let tracer = Tracer::new(true, None, Arc::new(TeeSink::new(sinks)));
+        let trace = crate::protocol::TraceContext::mint(42, 7);
+        tracer.record(Some(trace), 3, &spans());
+        let mut dump = Vec::new();
+        flight.dump_jsonl(&mut dump).unwrap();
+        let dump = String::from_utf8(dump).unwrap();
+        assert_eq!(dump.lines().count(), 3, "a header and two spans: {dump}");
+        for line in dump.lines() {
+            let Ok(Json::Obj(members)) = Json::parse(line) else {
+                panic!("not a JSON object: {line}");
+            };
+            let mut keys: Vec<&str> = members.iter().map(|(key, _)| key.as_str()).collect();
+            keys.sort_unstable();
+            let all = keys.len();
+            keys.dedup();
+            assert_eq!(keys.len(), all, "a key repeats in {line}");
+        }
     }
 
     #[test]

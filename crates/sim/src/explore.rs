@@ -14,11 +14,12 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-use lfm_obs::{PhaseProfiler, Sink};
+use lfm_obs::{NoopSink, PhaseProfiler, Sink};
 
+use crate::dpor::Dpor;
 use crate::exec::{Executor, RecordMode, ReplayDeviation};
 use crate::fault::FaultPlan;
-use crate::frontier::Setup;
+use crate::frontier::{walk, Classic, DporSearch, Mode};
 use crate::outcome::Outcome;
 use crate::program::Program;
 use crate::schedule::Schedule;
@@ -365,19 +366,31 @@ impl ExploreReport {
 /// is not closed under trace equivalence.
 pub type OutcomeSet = BTreeSet<(String, u64)>;
 
-/// Depth-first interleaving explorer over a [`Program`]: the walk of
-/// module `frontier` with its inline expander, which runs only the child
-/// it picks and moves a frame's state into its final survivor.
+/// Depth-first interleaving explorer over a [`Program`]: the search's
+/// configuration, whose runs drive the walk of module `frontier` with
+/// the strategy its limits resolve to.
 #[derive(Debug)]
 pub struct Explorer<'p> {
-    setup: Setup<'p>,
+    pub(crate) program: &'p Program,
+    pub(crate) limits: ExploreLimits,
+    pub(crate) record: RecordMode,
+    pub(crate) sink: Arc<dyn Sink>,
+    pub(crate) fault: Option<FaultPlan>,
+    pub(crate) profile: Arc<PhaseProfiler>,
+    pub(crate) progress_every: Option<Duration>,
 }
 
 impl<'p> Explorer<'p> {
     /// Creates an explorer with default limits and the no-op sink.
     pub fn new(program: &'p Program) -> Explorer<'p> {
         Explorer {
-            setup: Setup::new(program),
+            program,
+            limits: ExploreLimits::default(),
+            record: RecordMode::Off,
+            sink: Arc::new(NoopSink),
+            fault: None,
+            profile: Arc::new(PhaseProfiler::disabled()),
+            progress_every: None,
         }
     }
 
@@ -385,7 +398,7 @@ impl<'p> Explorer<'p> {
     /// can read [`Executor::events`] (e.g. for coverage measurement).
     /// Slows exploration; off by default.
     pub fn record_events(mut self) -> Explorer<'p> {
-        self.setup.record = RecordMode::Full;
+        self.record = RecordMode::Full;
         self
     }
 
@@ -394,52 +407,52 @@ impl<'p> Explorer<'p> {
     /// identical whatever the sink (enforced by
     /// `crates/sim/tests/determinism.rs`).
     pub fn with_sink(mut self, sink: Arc<dyn Sink>) -> Explorer<'p> {
-        self.setup.sink = sink;
+        self.sink = sink;
         self
     }
 
     /// Replaces the resource bounds.
     pub fn limits(mut self, limits: ExploreLimits) -> Explorer<'p> {
-        self.setup.limits = limits;
+        self.limits = limits;
         self
     }
 
     /// Sets a CHESS-style preemption bound.
     pub fn preemption_bound(mut self, bound: u32) -> Explorer<'p> {
-        self.setup.limits.max_preemptions = Some(bound);
+        self.limits.max_preemptions = Some(bound);
         self
     }
 
     /// Stops at the first failure.
     pub fn stop_on_first_failure(mut self) -> Explorer<'p> {
-        self.setup.limits.stop_on_first_failure = true;
+        self.limits.stop_on_first_failure = true;
         self
     }
 
     /// Enables state deduplication (see [`ExploreLimits::dedup_states`]).
     pub fn dedup_states(mut self) -> Explorer<'p> {
-        self.setup.limits.dedup_states = true;
+        self.limits.dedup_states = true;
         self
     }
 
     /// Enables the sleep-set partial-order reduction
     /// (see [`ExploreLimits::sleep_sets`]).
     pub fn sleep_sets(mut self) -> Explorer<'p> {
-        self.setup.limits.sleep_sets = true;
+        self.limits.sleep_sets = true;
         self
     }
 
     /// Enables source-set dynamic partial-order reduction with sleep
     /// sets (see [`ExploreLimits::dpor`]).
     pub fn dpor(mut self) -> Explorer<'p> {
-        self.setup.limits.dpor = true;
+        self.limits.dpor = true;
         self
     }
 
     /// Sets a wall-clock deadline for the exploration
     /// (see [`ExploreLimits::deadline`]).
     pub fn deadline(mut self, deadline: Duration) -> Explorer<'p> {
-        self.setup.limits.deadline = Some(deadline);
+        self.limits.deadline = Some(deadline);
         self
     }
 
@@ -449,7 +462,7 @@ impl<'p> Explorer<'p> {
     /// and the baseline side of the `fuse_equivalence` differential
     /// suite.
     pub fn no_fuse(mut self) -> Explorer<'p> {
-        self.setup.limits.fuse = false;
+        self.limits.fuse = false;
         self
     }
 
@@ -459,7 +472,7 @@ impl<'p> Explorer<'p> {
     /// profiling on, off, or sampling at any rate (the determinism
     /// suite pins this). Pass [`PhaseProfiler::sampling`] to enable.
     pub fn profile(mut self, profiler: Arc<PhaseProfiler>) -> Explorer<'p> {
-        self.setup.profile = profiler;
+        self.profile = profiler;
         self
     }
 
@@ -469,7 +482,7 @@ impl<'p> Explorer<'p> {
     /// a schedule-counter gate, and everything time-dependent lives in
     /// the events — never in the report.
     pub fn progress_every(mut self, every: Duration) -> Explorer<'p> {
-        self.setup.progress_every = Some(every);
+        self.progress_every = Some(every);
         self
     }
 
@@ -482,7 +495,7 @@ impl<'p> Explorer<'p> {
     /// disabled (fault decisions are step-indexed, so sibling
     /// operations no longer commute).
     pub fn chaos(mut self, plan: FaultPlan) -> Explorer<'p> {
-        self.setup.fault = Some(plan);
+        self.fault = Some(plan);
         self
     }
 
@@ -494,7 +507,13 @@ impl<'p> Explorer<'p> {
     /// Runs the exploration, invoking `on_terminal` with the executor and
     /// outcome of every terminal state (before it is discarded).
     pub fn run_with_callback(&self, on_terminal: impl FnMut(&Executor, &Outcome)) -> ExploreReport {
-        self.setup.run_inline(on_terminal)
+        let mode = Mode::resolve(&self.limits, self.fault.is_some());
+        if mode.dpor {
+            let dpor = Dpor::new(self.program.n_threads());
+            walk(self, mode, DporSearch { mode, dpor }, on_terminal)
+        } else {
+            walk(self, mode, Classic { mode }, on_terminal)
+        }
     }
 
     /// Runs the exploration and collects the [`OutcomeSet`] of its

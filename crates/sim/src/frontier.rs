@@ -4,35 +4,29 @@
 //! [`crate::BudgetedExplorer`] ladder and the service — is one
 //! depth-first [`walk`] on the calling thread, generic over a
 //! [`Strategy`] ([`Classic`]: sibling cursor, sleep set, preemption
-//! bound; or [`DporSearch`]: source-set DPOR backtrack frames). The
-//! [`Inline`] expander runs each child the walk picks with the
-//! strategy's per-child body, [`Strategy::body`], and the walk books
-//! everything into one [`Ledger`] in preorder. The module also holds
-//! the forward runs ([`advance`], [`advance_dpor`]) and how requested
-//! limits resolve into effective reductions ([`Mode`]).
-
-use std::sync::Arc;
-use std::time::Duration;
+//! bound; or [`DporSearch`]: source-set DPOR backtrack frames). The walk
+//! snapshots a frame's state for each child it picks, runs the child
+//! with [`Strategy::edge`], and books everything into one [`Ledger`] in
+//! preorder. Every edge runs forward through one loop, [`forward`],
+//! which takes the strategy's bookkeeping as a [`Book`]. [`Mode`] says
+//! how requested limits resolve into effective reductions.
 
 use lfm_obs::{
-    eta_ms, Event, KnuthEstimator, NoopSink, Phase, PhaseProfiler, ProgressTracker, Sink,
-    Stopwatch, Value,
+    eta_ms, Event, KnuthEstimator, Phase, PhaseProfiler, ProgressTracker, Stopwatch, Value,
 };
 
 use crate::dpor::Dpor;
-use crate::exec::{Executor, RecordMode, StepResult};
-use crate::explore::{ExploreLimits, ExploreReport, Truncation};
-use crate::fault::FaultPlan;
+use crate::exec::{Executor, StepResult};
+use crate::explore::{ExploreLimits, ExploreReport, Explorer, Truncation};
 use crate::footprint::Footprint;
 use crate::fxhash::FxHashSet;
 use crate::ids::ThreadId;
 use crate::outcome::Outcome;
-use crate::program::Program;
 
 /// The effective reductions and bounds for a run, resolved from the
 /// requested [`ExploreLimits`] and whether a fault plan is installed.
 #[derive(Debug, Clone, Copy)]
-struct Mode {
+pub(crate) struct Mode {
     /// State deduplication by [`Executor::state_key`].
     pub dedup: bool,
     /// Sleep-set reduction (classic, or part of DPOR).
@@ -82,89 +76,19 @@ impl Mode {
     }
 }
 
-/// What an [`Explorer`](crate::Explorer) is configured with.
-#[derive(Debug, Clone)]
-pub(crate) struct Setup<'p> {
-    pub program: &'p Program,
-    pub limits: ExploreLimits,
-    pub record: RecordMode,
-    pub sink: Arc<dyn Sink>,
-    pub fault: Option<FaultPlan>,
-    pub profile: Arc<PhaseProfiler>,
-    pub progress_every: Option<Duration>,
-}
-
-impl<'p> Setup<'p> {
-    pub fn new(program: &'p Program) -> Setup<'p> {
-        Setup {
-            program,
-            limits: ExploreLimits::default(),
-            record: RecordMode::Off,
-            sink: Arc::new(NoopSink),
-            fault: None,
-            profile: Arc::new(PhaseProfiler::disabled()),
-            progress_every: None,
-        }
-    }
-
-    /// Runs the walk from the initial state with the inline expander,
-    /// calling `on_terminal` on every terminal. Stall faults only bias
-    /// samplers; the systematic search strips them
-    /// ([`FaultPlan::without_stalls`]).
-    pub fn run_inline(&self, on_terminal: impl FnMut(&Executor, &Outcome)) -> ExploreReport {
-        let mut root = Executor::with_record(self.program, self.record);
-        if let Some(plan) = self.fault {
-            root.set_fault_plan(plan.without_stalls());
-        }
-        let mode = Mode::resolve(&self.limits, self.fault.is_some());
-        let mut ledger = Ledger::start(self, mode);
-        let mut inline = Inline {
-            mode,
-            profile: &self.profile,
-            seen: FxHashSet::default(),
-            on_terminal,
-        };
-        if let Some(outcome) = root.outcome().cloned() {
-            // No scheduling choice at all: the tree is a single leaf
-            // with an empty degree product.
-            (inline.on_terminal)(&root, &outcome);
-            ledger.leaf(&outcome, root, 1.0, 0);
-        } else {
-            search(&mut ledger, &mut inline, root);
-        }
-        ledger.finish()
-    }
-
-    /// Appends the configured deadline and chaos seed, when set.
-    fn push_bounds<'v>(&self, fields: &mut Vec<(&'static str, Value<'v>)>) {
-        let deadline = self.limits.deadline.map(|d| d.as_millis() as u64);
-        fields.extend(deadline.map(|ms| ("deadline_ms", Value::U64(ms))));
-        fields.extend(self.fault.map(|plan| ("chaos_seed", Value::U64(plan.seed))));
-    }
-
-    fn emit(&self, name: &'static str, fields: &[(&'static str, Value<'_>)]) {
-        let scope = "explore";
-        self.sink.emit(&Event {
-            scope,
-            name,
-            fields,
-        });
-    }
-}
-
 /// A branch state's scheduling context: the enabled threads in
 /// scheduler order, plus what the classic prune verdicts read. A DPOR
 /// head carries only `enabled`; the [`Dpor`] engine keeps the rest.
 #[derive(Debug, Clone, Default)]
-struct Head {
-    pub enabled: Vec<ThreadId>,
-    /// Sleep set: threads an explored sibling subtree covers. The inline
-    /// walk appends each child it runs (no later verdict changes).
-    pub sleep: Vec<ThreadId>,
+pub(crate) struct Head {
+    enabled: Vec<ThreadId>,
+    /// Sleep set: threads an explored sibling subtree covers. The walk
+    /// appends each child it runs (no later verdict changes).
+    sleep: Vec<ThreadId>,
     /// Preemptions spent on the path (counted only under a bound).
-    pub preemptions: u32,
+    preemptions: u32,
     /// The thread that took the last step into this state.
-    pub last: Option<ThreadId>,
+    last: Option<ThreadId>,
     /// Classic cursor: the next child, and the last child no prune
     /// verdict skips (fixed at open: the final survivor is one check).
     next: usize,
@@ -179,7 +103,7 @@ enum Prune {
 }
 
 impl Head {
-    pub fn of(exec: &Executor) -> Head {
+    fn of(exec: &Executor) -> Head {
         let (enabled, last) = (exec.enabled(), exec.last_scheduled());
         Head {
             enabled,
@@ -196,7 +120,7 @@ impl Head {
     /// The classic prune verdict for child `t`: a pure function of the
     /// state the frame was opened with.
     #[inline]
-    pub fn prune(&self, t: ThreadId, mode: Mode) -> Option<Prune> {
+    fn prune(&self, t: ThreadId, mode: Mode) -> Option<Prune> {
         if mode.sleep && self.sleep.contains(&t) {
             Some(Prune::Sleep)
         } else if mode.bound.is_some_and(|b| self.preemptions >= b) && self.preempts(t) {
@@ -211,44 +135,38 @@ impl Head {
 /// mode. Footprints are real next-op footprints, captured before the
 /// step that consumes the op: the race scan's exactness depends on it.
 #[derive(Debug, Default)]
-struct Trail {
+pub(crate) struct Trail {
     /// Forced and fused steps after the chosen one, in execution order.
-    pub forced: Vec<(ThreadId, Footprint)>,
+    forced: Vec<(ThreadId, Footprint)>,
     /// Branch end: the child's next-op footprints ([`Dpor::push_frame`]).
-    pub fps: Vec<Footprint>,
+    fps: Vec<Footprint>,
     /// Terminal end: the ops it cut off before they ran ([`pending_ops`]).
-    pub pending: Vec<(ThreadId, Footprint)>,
+    pending: Vec<(ThreadId, Footprint)>,
     /// Terminal end: the edge's last step aborted the run
     /// ([`Outcome::is_abort`]).
-    pub abort: bool,
+    abort: bool,
 }
 
 /// Where an edge ends.
 #[derive(Debug)]
 enum End {
     /// The execution finished (or hit the step budget).
-    Terminal(Executor, Outcome),
+    Terminal(Outcome),
     /// A state with more than one enabled thread was reached.
-    Branch(Executor, Head),
+    Branch(Head),
     /// Classic sleep sets proved the whole subtree redundant.
     Redundant,
 }
 
 /// One child edge, ready to commit.
 #[derive(Debug)]
-struct Edge {
-    /// [`Executor::snapshot_bytes_saved`] of the parent.
-    pub saved: u64,
+pub(crate) struct Edge {
+    /// The child's executor, at the state the edge ends in.
+    exec: Executor,
     /// Invisible steps fused into the edge.
-    pub fused: u64,
-    pub trail: Trail,
-    pub end: End,
-}
-
-/// A forward run's end.
-enum Run {
-    Terminal(Outcome),
-    Branch(Vec<ThreadId>),
+    fused: u64,
+    trail: Trail,
+    end: End,
 }
 
 /// `true` when two optional footprints are known to commute.
@@ -256,11 +174,69 @@ fn commutes(a: &Option<Footprint>, b: Option<Footprint>) -> bool {
     matches!((a, b), (Some(a), Some(b)) if a.independent(&b))
 }
 
-/// Steps `choice` on `child`, then runs forward while there is no real
-/// scheduling choice, maintaining the classic sleep set in
-/// `child_sleep`: sleepers that stop being enabled are dropped, a state
-/// whose every enabled thread is asleep ends the edge as redundant
-/// (`None`), and a forced step wakes the sleepers it conflicts with.
+/// What a forward run books besides its steps: the one part of
+/// [`forward`] a strategy supplies.
+trait Book {
+    /// Whether the run goes on from a state whose enabled threads are
+    /// `enabled`; `false` ends the edge as redundant.
+    fn awake(&mut self, _enabled: &[ThreadId]) -> bool {
+        true
+    }
+
+    /// Books the forced step the sole enabled thread `t` is about to
+    /// take from `exec`'s state.
+    fn forced(&mut self, exec: &Executor, t: ThreadId);
+
+    /// Books the invisible step `t` is about to take, whose footprint is
+    /// `fp`, fused into the edge.
+    fn fused(&mut self, _t: ThreadId, _fp: Footprint) {}
+}
+
+/// Classic bookkeeping, on the child's sleep set: sleepers that stop
+/// being enabled are dropped, a state whose every enabled thread is
+/// asleep ends the edge as redundant, and a forced step wakes the
+/// sleepers it conflicts with. A forced step reads no footprint once no
+/// sleeper is left, and no sleeper wakes on a fused step (an empty
+/// footprint conflicts with nothing). Without sleep sets the set stays
+/// empty, and a non-terminal state always has an enabled thread.
+impl Book for Vec<ThreadId> {
+    #[inline]
+    fn awake(&mut self, enabled: &[ThreadId]) -> bool {
+        if self.is_empty() {
+            return true;
+        }
+        self.retain(|t| enabled.contains(t));
+        !enabled.iter().all(|t| self.contains(t))
+    }
+
+    #[inline]
+    fn forced(&mut self, exec: &Executor, t: ThreadId) {
+        if !self.is_empty() {
+            let fp = exec.next_footprint(t);
+            self.retain(|&s| commutes(&fp, exec.next_footprint(s)));
+        }
+    }
+}
+
+/// DPOR bookkeeping, on the edge's log of forced steps: every forced
+/// *and fused* step's `(thread, footprint)`, which the walk commits to
+/// the race log and filters frame-side sleep sets against. A fused step
+/// enters the log with its (empty) invisible footprint, so it
+/// contributes a program-order clock edge and no races.
+impl Book for Vec<(ThreadId, Footprint)> {
+    fn forced(&mut self, exec: &Executor, t: ThreadId) {
+        let fp = exec.next_footprint(t).expect("an enabled thread has an op");
+        self.push((t, fp));
+    }
+
+    fn fused(&mut self, t: ThreadId, fp: Footprint) {
+        self.push((t, fp));
+    }
+}
+
+/// The forward run: steps `choice` on `child`, then runs forward while
+/// there is no real scheduling choice, booking every forced and fused
+/// step in `book` before taking it.
 ///
 /// With `fuse` on, "no real scheduling choice" extends past sole-enabled
 /// states: while the *last-stepped* thread's next op is invisible
@@ -269,98 +245,50 @@ fn commutes(a: &Option<Footprint>, b: Option<Footprint>) -> bool {
 /// is a global both-mover, so every interleaving that delays it reaches
 /// the same states through an equivalent trace; executing it eagerly
 /// prunes whole subtrees without losing a single outcome. Fused steps
-/// are counted into `fused`; sleepers never wake on them (an empty
-/// footprint conflicts with nothing).
+/// are counted into `fused`.
 ///
 /// One `enabled` buffer serves the whole run, and a branch end hands it
-/// on; a terminal end takes the outcome [`Executor::step`] returned.
-fn advance(
+/// to the branch head; a terminal end takes the outcome
+/// [`Executor::step`] returned.
+fn forward(
     child: &mut Executor,
     choice: ThreadId,
     mode: Mode,
-    child_sleep: &mut Vec<ThreadId>,
+    book: &mut impl Book,
     fused: &mut u64,
-) -> Option<Run> {
+) -> End {
     let mut stepped = (child.step(choice)).expect("explorer only chooses enabled threads");
     let mut cur = choice;
     let mut enabled = Vec::new();
     loop {
         if let StepResult::Done(outcome) = stepped {
-            return Some(Run::Terminal(outcome));
+            return End::Terminal(outcome);
         }
         if child.steps() >= mode.max_steps {
-            return Some(Run::Terminal(Outcome::StepLimit));
+            return End::Terminal(Outcome::StepLimit);
         }
         child.enabled_into(&mut enabled);
-        if mode.sleep {
-            child_sleep.retain(|t| enabled.contains(t));
-            if enabled.iter().all(|t| child_sleep.contains(t)) {
-                return None;
-            }
+        if !book.awake(&enabled) {
+            return End::Redundant;
         }
         if enabled.len() == 1 {
             cur = enabled[0];
-            if mode.sleep && !child_sleep.is_empty() {
-                // Wake sleepers whose op conflicts with the forced
-                // step we are about to take.
-                let fp = child.next_footprint(cur);
-                child_sleep.retain(|&t| commutes(&fp, child.next_footprint(t)));
-            }
-            stepped = child.step(cur).expect("sole enabled thread");
-        } else if mode.fuse
-            && child
-                .next_footprint(cur)
-                .is_some_and(|fp| fp.is_invisible())
+            book.forced(child, cur);
+        } else if let Some(fp) =
+            (mode.fuse.then(|| child.next_footprint(cur)).flatten()).filter(Footprint::is_invisible)
         {
             // Invisible next op on the running thread: fuse it into
             // this edge. The op touches nothing and cannot block or
             // abort, so the thread is enabled and the step succeeds.
             *fused += 1;
-            stepped = child.step(cur).expect("an invisible op never blocks");
+            book.fused(cur, fp);
         } else {
-            return Some(Run::Branch(enabled));
+            let head = Head {
+                enabled,
+                ..Head::default()
+            };
+            return End::Branch(head);
         }
-    }
-}
-
-/// The DPOR-mode forward run: like [`advance`], but instead of sleep
-/// bookkeeping it records every forced *and fused* step's
-/// `(thread, footprint)` into `forced`, which the walk commits to the
-/// race log and filters frame-side sleep sets against. A fused step
-/// enters the log with its (empty) invisible footprint, so it
-/// contributes a program-order clock edge and no races.
-fn advance_dpor(
-    child: &mut Executor,
-    choice: ThreadId,
-    mode: Mode,
-    forced: &mut Vec<(ThreadId, Footprint)>,
-    fused: &mut u64,
-) -> Run {
-    let mut stepped = (child.step(choice)).expect("explorer only chooses enabled threads");
-    let mut cur = choice;
-    let mut enabled = Vec::new();
-    loop {
-        if let StepResult::Done(outcome) = stepped {
-            return Run::Terminal(outcome);
-        }
-        if child.steps() >= mode.max_steps {
-            return Run::Terminal(Outcome::StepLimit);
-        }
-        child.enabled_into(&mut enabled);
-        let fp = if enabled.len() == 1 {
-            cur = enabled[0];
-            child
-                .next_footprint(cur)
-                .expect("an enabled thread has an op")
-        } else if let Some(fp) =
-            (mode.fuse.then(|| child.next_footprint(cur)).flatten()).filter(Footprint::is_invisible)
-        {
-            *fused += 1;
-            fp
-        } else {
-            return Run::Branch(enabled);
-        };
-        forced.push((cur, fp));
         stepped = (child.step(cur)).expect("a forced or invisible step succeeds");
     }
 }
@@ -400,7 +328,7 @@ fn derive_truncation(deadline_hit: bool, report: &ExploreReport) -> Option<Trunc
     }
 }
 
-/// How often (in completed schedules) an enabled [`Sink`] receives an
+/// How often (in completed schedules) an enabled `Sink` receives an
 /// `explore`/`progress` event during long sweeps.
 const PROGRESS_EVERY: u64 = 25_000;
 
@@ -413,8 +341,7 @@ const PROGRESS_CHECK_EVERY: u64 = 64;
 /// `explore` scope events (`start`, `progress`, `progress_est`,
 /// `report`). Only the walk writes it, in preorder.
 struct Ledger<'a> {
-    setup: &'a Setup<'a>,
-    mode: Mode,
+    explorer: &'a Explorer<'a>,
     report: ExploreReport,
     estimator: KnuthEstimator,
     progress: Option<ProgressTracker>,
@@ -422,28 +349,45 @@ struct Ledger<'a> {
     deadline_hit: bool,
 }
 
+/// Appends `explorer`'s deadline and chaos seed, when set.
+fn push_bounds(explorer: &Explorer<'_>, fields: &mut Vec<(&'static str, Value<'_>)>) {
+    let deadline = explorer.limits.deadline.map(|d| d.as_millis() as u64);
+    fields.extend(deadline.map(|ms| ("deadline_ms", Value::U64(ms))));
+    let seed = explorer.fault.map(|plan| plan.seed);
+    fields.extend(seed.map(|seed| ("chaos_seed", Value::U64(seed))));
+}
+
+/// Emits an `explore` scope event on `explorer`'s sink.
+fn emit(explorer: &Explorer<'_>, name: &'static str, fields: &[(&'static str, Value<'_>)]) {
+    let scope = "explore";
+    explorer.sink.emit(&Event {
+        scope,
+        name,
+        fields,
+    });
+}
+
 impl<'a> Ledger<'a> {
     /// Starts the clock and emits `explore`/`start`.
-    fn start(setup: &'a Setup<'a>, mode: Mode) -> Ledger<'a> {
-        if setup.sink.enabled() {
+    fn start(explorer: &'a Explorer<'a>, mode: Mode) -> Ledger<'a> {
+        if explorer.sink.enabled() {
             let mut fields = vec![
-                ("program", Value::Str(setup.program.name())),
-                ("threads", Value::U64(setup.program.n_threads() as u64)),
-                ("max_schedules", Value::U64(setup.limits.max_schedules)),
+                ("program", Value::Str(explorer.program.name())),
+                ("threads", Value::U64(explorer.program.n_threads() as u64)),
+                ("max_schedules", Value::U64(explorer.limits.max_schedules)),
                 ("sleep_sets", Value::Bool(mode.sleep)),
                 ("dedup_states", Value::Bool(mode.dedup)),
                 ("fuse", Value::Bool(mode.fuse)),
             ];
             fields.extend(mode.dpor.then_some(("dpor", Value::Bool(true))));
-            setup.push_bounds(&mut fields);
-            setup.emit("start", &fields);
+            push_bounds(explorer, &mut fields);
+            emit(explorer, "start", &fields);
         }
         Ledger {
-            setup,
-            mode,
+            explorer,
             report: ExploreReport::default(),
             estimator: KnuthEstimator::new(),
-            progress: setup.progress_every.map(ProgressTracker::new),
+            progress: explorer.progress_every.map(ProgressTracker::new),
             stopwatch: Stopwatch::start(),
             deadline_hit: false,
         }
@@ -453,19 +397,14 @@ impl<'a> Ledger<'a> {
     /// schedule budget. `true` means the walk must stop.
     #[inline]
     fn stop(&mut self) -> bool {
-        let limits = &self.setup.limits;
+        let limits = &self.explorer.limits;
         if (limits.deadline).is_some_and(|d| self.stopwatch.elapsed() >= d) {
-            self.deadline();
+            self.deadline_hit = true;
+            self.report.truncated = true;
         } else if self.report.schedules_run >= limits.max_schedules {
             self.report.truncated = true;
         }
         self.report.truncated
-    }
-
-    /// Records that the wall deadline cut the search short.
-    fn deadline(&mut self) {
-        self.deadline_hit = true;
-        self.report.truncated = true;
     }
 
     /// Ends a walk. One that spent its whole schedule budget counts as
@@ -473,7 +412,7 @@ impl<'a> Ledger<'a> {
     /// eagerly popped frames must not make it look complete. Stopping
     /// at the first failure keeps precedence.
     fn spent(&mut self) {
-        let (limits, report) = (&self.setup.limits, &mut self.report);
+        let (limits, report) = (&self.explorer.limits, &mut self.report);
         if report.schedules_run >= limits.max_schedules
             && !(limits.stop_on_first_failure && report.first_failure.is_some())
         {
@@ -496,18 +435,19 @@ impl<'a> Ledger<'a> {
         } else if outcome.is_ok() && report.first_ok.is_none() {
             report.first_ok = Some(leaf.schedule_taken());
         }
-        if self.setup.sink.enabled() && self.report.schedules_run.is_multiple_of(PROGRESS_EVERY) {
-            self.setup.emit("progress", &self.tally());
+        let explorer = self.explorer;
+        if explorer.sink.enabled() && self.report.schedules_run.is_multiple_of(PROGRESS_EVERY) {
+            emit(explorer, "progress", &self.tally());
         }
         self.progress_tick(depth);
-        self.setup.limits.stop_on_first_failure && self.report.first_failure.is_some()
+        explorer.limits.stop_on_first_failure && self.report.first_failure.is_some()
     }
 
     /// The fields every progress event starts with.
     fn tally(&self) -> [(&'static str, Value<'a>); 4] {
         let r = &self.report;
         [
-            ("program", Value::Str(self.setup.program.name())),
+            ("program", Value::Str(self.explorer.program.name())),
             ("schedules", Value::U64(r.schedules_run)),
             ("steps", Value::U64(r.steps_total)),
             ("failures", Value::U64(r.counts.failures())),
@@ -530,7 +470,7 @@ impl<'a> Ledger<'a> {
             return;
         }
         let rate = tracker.sample(report.schedules_run, elapsed);
-        if !self.setup.sink.enabled() {
+        if !self.explorer.sink.enabled() {
             return;
         }
         let est_total = self.estimator.estimate();
@@ -551,7 +491,7 @@ impl<'a> Ledger<'a> {
         ]);
         let eta = eta_ms(est_total - report.schedules_run as f64, rate);
         fields.extend(eta.map(|ms| ("eta_ms", Value::U64(ms))));
-        self.setup.emit("progress_est", &fields);
+        emit(self.explorer, "progress_est", &fields);
     }
 
     /// Derives the truncation reason, stamps the wall time and the
@@ -561,11 +501,11 @@ impl<'a> Ledger<'a> {
         report.est_total_schedules = self.estimator.estimate();
         report.truncation = derive_truncation(self.deadline_hit, report);
         report.stats.wall = self.stopwatch.elapsed();
-        let (setup, report) = (self.setup, self.report);
-        if !setup.sink.enabled() {
+        let (explorer, report) = (self.explorer, self.report);
+        if !explorer.sink.enabled() {
             return report;
         }
-        let name = setup.program.name();
+        let name = explorer.program.name();
         let truncation = (report.truncation).map_or_else(|| "none".to_owned(), |t| t.to_string());
         let (c, s) = (&report.counts, &report.stats);
         let mut fields = vec![
@@ -597,8 +537,8 @@ impl<'a> Ledger<'a> {
             ),
             ("wall_us", Value::U64(s.wall.as_micros() as u64)),
         ];
-        setup.push_bounds(&mut fields);
-        setup.emit("report", &fields);
+        push_bounds(explorer, &mut fields);
+        emit(explorer, "report", &fields);
         report
     }
 }
@@ -610,18 +550,17 @@ impl<'a> Ledger<'a> {
 type Pick = Option<(usize, bool)>;
 
 /// A search strategy: which children of a branch state run, and what
-/// committing an edge to one of them means.
-trait Strategy {
-    /// The per-child body: take `choice` on `exec`, a snapshot of the
-    /// state `head` describes (whose [`Executor::snapshot_bytes_saved`]
-    /// is `saved`), and run forward.
-    fn body(
-        mode: Mode,
+/// running and committing an edge to one of them means.
+pub(crate) trait Strategy {
+    /// Takes `choice` on `exec`, a snapshot of the state `head`
+    /// describes, and runs it [`forward`], timed as [`Phase::Step`] on
+    /// `profile`.
+    fn edge(
+        &mut self,
         profile: &PhaseProfiler,
         head: &mut Head,
         exec: Executor,
         choice: ThreadId,
-        saved: u64,
     ) -> Edge;
 
     /// Opens the frame of a branch child reached from frame `parent`
@@ -645,7 +584,7 @@ trait Strategy {
 /// The classic search: a cursor over every enabled child, minus the
 /// children the sleep set or the preemption bound prunes.
 #[derive(Debug)]
-struct Classic {
+pub(crate) struct Classic {
     pub mode: Mode,
 }
 
@@ -660,14 +599,14 @@ impl Classic {
 
 impl Strategy for Classic {
     #[inline]
-    fn body(
-        mode: Mode,
+    fn edge(
+        &mut self,
         profile: &PhaseProfiler,
         head: &mut Head,
         mut exec: Executor,
         choice: ThreadId,
-        saved: u64,
     ) -> Edge {
+        let mode = self.mode;
         let preemptions =
             head.preemptions + u32::from(mode.bound.is_some() && head.preempts(choice));
         // Sleep propagation: a sleeping sibling stays asleep in the
@@ -682,27 +621,16 @@ impl Strategy for Classic {
             head.sleep.push(choice);
         }
         let mut fused = 0;
-        let run = profile.time(Phase::Step, || {
-            advance(&mut exec, choice, mode, &mut sleep, &mut fused)
+        let mut end = profile.time(Phase::Step, || {
+            forward(&mut exec, choice, mode, &mut sleep, &mut fused)
         });
-        let end = match run {
-            None => End::Redundant,
-            Some(Run::Terminal(outcome)) => End::Terminal(exec, outcome),
-            Some(Run::Branch(enabled)) => {
-                let last = exec.last_scheduled();
-                let head = Head {
-                    enabled,
-                    sleep,
-                    preemptions,
-                    last,
-                    ..Head::default()
-                };
-                End::Branch(exec, head)
-            }
-        };
+        if let End::Branch(child) = &mut end {
+            (child.sleep, child.preemptions) = (sleep, preemptions);
+            child.last = exec.last_scheduled();
+        }
         let trail = Trail::default();
         Edge {
-            saved,
+            exec,
             fused,
             trail,
             end,
@@ -753,41 +681,32 @@ impl Strategy for Classic {
 /// while the walk is below it, so a frame never hands its executor to a
 /// child.
 #[derive(Debug)]
-struct DporSearch {
-    dpor: Dpor,
+pub(crate) struct DporSearch {
+    pub mode: Mode,
+    pub dpor: Dpor,
 }
 
 impl Strategy for DporSearch {
-    fn body(
-        mode: Mode,
+    fn edge(
+        &mut self,
         profile: &PhaseProfiler,
         _head: &mut Head,
         mut exec: Executor,
         choice: ThreadId,
-        saved: u64,
     ) -> Edge {
         let mut trail = Trail::default();
         let mut fused = 0;
-        let run = profile.time(Phase::Step, || {
-            advance_dpor(&mut exec, choice, mode, &mut trail.forced, &mut fused)
+        let end = profile.time(Phase::Step, || {
+            forward(&mut exec, choice, self.mode, &mut trail.forced, &mut fused)
         });
-        let end = match run {
-            Run::Terminal(outcome) => {
-                trail.pending = pending_ops(&exec);
-                trail.abort = outcome.is_abort();
-                End::Terminal(exec, outcome)
-            }
-            Run::Branch(enabled) => {
-                trail.fps = footprints(&exec, &enabled);
-                let head = Head {
-                    enabled,
-                    ..Head::default()
-                };
-                End::Branch(exec, head)
-            }
-        };
+        if let End::Terminal(outcome) = &end {
+            trail.pending = pending_ops(&exec);
+            trail.abort = outcome.is_abort();
+        } else if let End::Branch(head) = &end {
+            trail.fps = footprints(&exec, &head.enabled);
+        }
         Edge {
-            saved,
+            exec,
             fused,
             trail,
             end,
@@ -847,72 +766,14 @@ impl Strategy for DporSearch {
     }
 }
 
-/// The expander: runs the child the walk picks when it picks it, and
-/// nothing else.
-struct Inline<'a, F> {
-    mode: Mode,
-    profile: &'a PhaseProfiler,
-    seen: FxHashSet<u64>,
-    on_terminal: F,
-}
-
-/// A branch state on the walk.
-#[derive(Debug)]
-struct Node {
-    /// `None` once the final survivor took it.
+/// One frame of the walk: a branch state on the current path.
+struct Frame {
+    /// The branch state; `None` once the final survivor took it.
     exec: Option<Executor>,
     /// [`Executor::snapshot_bytes_saved`] of `exec`, computed at the
     /// first child: the same for every child, as the state never
     /// changes on the stack.
     saved: Option<u64>,
-}
-
-impl From<Executor> for Node {
-    fn from(exec: Executor) -> Node {
-        let exec = Some(exec);
-        Node { exec, saved: None }
-    }
-}
-
-impl<F: FnMut(&Executor, &Outcome)> Inline<'_, F> {
-    /// The edge to child `index` of `node`; `last` marks the final
-    /// survivor, whose parent state is no longer needed.
-    #[inline]
-    fn edge<S: Strategy>(
-        &mut self,
-        node: &mut Node,
-        head: &mut Head,
-        index: usize,
-        last: bool,
-    ) -> Edge {
-        let parent = node.exec.as_ref().expect("an open frame keeps its state");
-        let saved = *(node.saved).get_or_insert_with(|| parent.snapshot_bytes_saved());
-        let snapshot = self.profile.enter(Phase::Snapshot);
-        let exec = if last {
-            // Copy-on-write children share structure instead of
-            // borrowing from the parent, so the parent can move.
-            node.exec.take().expect("an open frame keeps its state")
-        } else {
-            parent.clone()
-        };
-        drop(snapshot);
-        let choice = head.enabled[index];
-        S::body(self.mode, self.profile, head, exec, choice, saved)
-    }
-
-    /// State dedup: claims a branch child's state for it, `false` when
-    /// an earlier prefix owns it. Repairs the child's fingerprint, the
-    /// only place a search hashes state.
-    #[inline]
-    fn claim(&mut self, exec: &mut Executor) -> bool {
-        let key = self.profile.time(Phase::Hash, || exec.flush_state_key());
-        self.profile.time(Phase::Dedup, || self.seen.insert(key))
-    }
-}
-
-/// One frame of the walk: a branch state on the current path.
-struct Frame {
-    node: Node,
     head: Head,
     /// Branch depth (root = 1): a classic frame leaves the stack with its
     /// final survivor, so the stack can be shorter than the path.
@@ -923,32 +784,54 @@ struct Frame {
     path_degree: f64,
 }
 
-/// Runs [`walk`] from the non-terminal `root` with the strategy the
-/// ledger's mode selects.
-fn search<F: FnMut(&Executor, &Outcome)>(
-    ledger: &mut Ledger<'_>,
-    inline: &mut Inline<'_, F>,
-    root: Executor,
-) {
-    let mode = ledger.mode;
-    if mode.dpor {
-        let dpor = Dpor::new(ledger.setup.program.n_threads());
-        walk(ledger, &mut DporSearch { dpor }, inline, root);
-    } else {
-        walk(ledger, &mut Classic { mode }, inline, root);
+impl Frame {
+    fn new(exec: Executor, head: Head, depth: u64, path_degree: f64) -> Frame {
+        let (exec, saved) = (Some(exec), None);
+        Frame {
+            exec,
+            saved,
+            head,
+            depth,
+            path_degree,
+        }
     }
 }
 
-/// The depth-first walk over scheduling choices from `root`, committing
-/// edges in preorder: every order-sensitive decision (budgets, dedup
-/// verdicts, classification, witnesses, counters) happens here.
-fn walk<S: Strategy, F: FnMut(&Executor, &Outcome)>(
-    ledger: &mut Ledger<'_>,
-    strategy: &mut S,
-    inline: &mut Inline<'_, F>,
-    mut root: Executor,
-) {
-    let mode = ledger.mode;
+/// The depth-first walk over the scheduling choices of `explorer`'s
+/// program, with `strategy` and the reductions `mode` resolves to,
+/// committing edges in preorder: every order-sensitive decision (budgets, dedup verdicts,
+/// classification, witnesses, counters) happens here. It runs only the
+/// child it picks, when it picks it, moving a frame's state into its
+/// final survivor, and hands every terminal to `on_terminal` before
+/// classifying it. Stall faults only bias samplers; the systematic
+/// search strips them ([`crate::FaultPlan::without_stalls`]).
+pub(crate) fn walk<S: Strategy>(
+    explorer: &Explorer<'_>,
+    mode: Mode,
+    mut strategy: S,
+    mut on_terminal: impl FnMut(&Executor, &Outcome),
+) -> ExploreReport {
+    let profile = &*explorer.profile;
+    let mut root = Executor::with_record(explorer.program, explorer.record);
+    if let Some(plan) = explorer.fault {
+        root.set_fault_plan(plan.without_stalls());
+    }
+    let mut ledger = Ledger::start(explorer, mode);
+    if let Some(outcome) = root.outcome().cloned() {
+        // No scheduling choice at all: the tree is a single leaf with
+        // an empty degree product.
+        on_terminal(&root, &outcome);
+        ledger.leaf(&outcome, root, 1.0, 0);
+        return ledger.finish();
+    }
+    // State dedup: claims a branch state, `false` when an earlier
+    // prefix owns it. Repairs the state's fingerprint, the only place a
+    // search hashes state.
+    let mut seen = FxHashSet::default();
+    let mut claim = |exec: &mut Executor| {
+        let key = profile.time(Phase::Hash, || exec.flush_state_key());
+        profile.time(Phase::Dedup, || seen.insert(key))
+    };
     let mut head = Head::of(&root);
     let mut trail = Trail::default();
     if mode.dpor {
@@ -958,18 +841,12 @@ fn walk<S: Strategy, F: FnMut(&Executor, &Outcome)>(
     let opened = strategy.open(None, &mut head, &mut trail, report);
     debug_assert!(opened, "the root is never redundant");
     if mode.dedup {
-        inline.claim(&mut root);
+        claim(&mut root);
     }
     report.stats.branch_points = 1;
     report.stats.max_depth = 1;
     let path_degree = head.enabled.len() as f64;
-    let root = Frame {
-        node: Node::from(root),
-        head,
-        depth: 1,
-        path_degree,
-    };
-    let mut frames = vec![root];
+    let mut frames = vec![Frame::new(root, head, 1, path_degree)];
 
     while !frames.is_empty() {
         if ledger.stop() {
@@ -984,24 +861,36 @@ fn walk<S: Strategy, F: FnMut(&Executor, &Outcome)>(
         };
         let choice = top.head.enabled[index];
         let (depth, path_degree) = (top.depth, top.path_degree);
-        let mut edge = inline.edge::<S>(&mut top.node, &mut top.head, index, last);
+        let parent = top.exec.as_ref().expect("an open frame keeps its state");
+        let saved = *(top.saved).get_or_insert_with(|| parent.snapshot_bytes_saved());
+        let snapshot = profile.enter(Phase::Snapshot);
+        let exec = if last {
+            // Copy-on-write children share structure instead of
+            // borrowing from the parent, so the parent can move.
+            top.exec.take().expect("an open frame keeps its state")
+        } else {
+            parent.clone()
+        };
+        drop(snapshot);
+        let mut edge = strategy.edge(profile, &mut top.head, exec, choice);
         if last {
             frames.pop();
         }
         report.stats.snapshots += 1;
-        report.stats.snapshot_bytes_saved += edge.saved;
+        report.stats.snapshot_bytes_saved += saved;
         report.stats.fused_steps += edge.fused;
         report.stats.snapshots_elided += u64::from(last);
         strategy.commit(at, choice, &edge.trail);
         match edge.end {
-            End::Terminal(leaf, outcome) => {
-                (inline.on_terminal)(&leaf, &outcome);
-                if ledger.leaf(&outcome, leaf, path_degree, frames.len() as u64) {
+            End::Terminal(outcome) => {
+                on_terminal(&edge.exec, &outcome);
+                if ledger.leaf(&outcome, edge.exec, path_degree, frames.len() as u64) {
                     break;
                 }
             }
-            End::Branch(mut exec, mut head) => {
-                if mode.dedup && !inline.claim(&mut exec) {
+            End::Branch(mut head) => {
+                let mut exec = edge.exec;
+                if mode.dedup && !claim(&mut exec) {
                     report.states_deduped += 1;
                     continue;
                 }
@@ -1011,17 +900,13 @@ fn walk<S: Strategy, F: FnMut(&Executor, &Outcome)>(
                 report.stats.branch_points += 1;
                 report.stats.max_depth = report.stats.max_depth.max(depth + 1);
                 let path_degree = path_degree * head.enabled.len() as f64;
-                frames.push(Frame {
-                    node: Node::from(exec),
-                    head,
-                    depth: depth + 1,
-                    path_degree,
-                });
+                frames.push(Frame::new(exec, head, depth + 1, path_degree));
             }
             End::Redundant => report.sleep_pruned += 1,
         }
     }
     ledger.spent();
+    ledger.finish()
 }
 
 #[cfg(test)]
