@@ -32,11 +32,11 @@ use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use lfm_corpus::Corpus;
+use lfm_obs::Sink;
 use lfm_study::experiments::{
     coverage_growth_table, coverage_table, scheduler_table, scope_table, tm_table, witness_table,
 };
 use lfm_study::figures;
-use lfm_study::tables;
 use lfm_study::Table;
 use reduction::{dpor_table, fuse_table, reduction_report};
 
@@ -186,8 +186,10 @@ impl Artifact {
         }
     }
 
-    /// Renders the artifact (plain text or Markdown).
-    pub fn render(&self, corpus: &Corpus, markdown: bool) -> String {
+    /// Renders the artifact (plain text or Markdown). A table T1–T9
+    /// streams its `study`/`table` event to `sink`
+    /// ([`lfm_study::build_table`]).
+    pub fn render(&self, corpus: &Corpus, markdown: bool, sink: &dyn Sink) -> String {
         let table = |t: Table| {
             if markdown {
                 t.to_markdown()
@@ -197,7 +199,7 @@ impl Artifact {
         };
         match self {
             // `parse` admits only T1-T9 and F1-F5.
-            Artifact::Table(n) => table(tables::TABLES[usize::from(*n) - 1](corpus)),
+            Artifact::Table(n) => table(lfm_study::build_table(usize::from(*n), corpus, sink).0),
             Artifact::Figure(n) => figures::FIGURES[usize::from(*n) - 1]().to_string(),
             Artifact::Scope => table(scope_table()),
             Artifact::Detect => table(coverage_table()),
@@ -229,12 +231,17 @@ impl Artifact {
     /// Setting `LFM_INJECT_PANIC=<artifact-id>` forces a panic inside
     /// this artifact's render — the test hook proving the containment
     /// path end to end.
-    pub fn render_isolated(&self, corpus: &Corpus, markdown: bool) -> Result<String, String> {
+    pub fn render_isolated(
+        &self,
+        corpus: &Corpus,
+        markdown: bool,
+        sink: &dyn Sink,
+    ) -> Result<String, String> {
         catch_unwind(AssertUnwindSafe(|| {
             if std::env::var("LFM_INJECT_PANIC").as_deref() == Ok(self.id().as_str()) {
                 panic!("injected panic for artifact {}", self.id());
             }
-            self.render(corpus, markdown)
+            self.render(corpus, markdown, sink)
         }))
         .map_err(|payload| lfm_native::harness::panic_message(payload.as_ref()))
     }
@@ -243,6 +250,7 @@ impl Artifact {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lfm_obs::NoopSink;
 
     #[test]
     fn parse_selectors() {
@@ -295,7 +303,7 @@ mod tests {
     #[test]
     fn render_isolated_succeeds_without_injection() {
         let corpus = Corpus::full();
-        let out = Artifact::Table(2).render_isolated(&corpus, false);
+        let out = Artifact::Table(2).render_isolated(&corpus, false, &NoopSink);
         assert!(out.expect("T2 renders").contains("T2:"));
     }
 
@@ -306,9 +314,9 @@ mod tests {
     #[test]
     fn render_table_both_formats() {
         let corpus = Corpus::full();
-        let plain = Artifact::Table(2).render(&corpus, false);
+        let plain = Artifact::Table(2).render(&corpus, false, &NoopSink);
         assert!(plain.contains("T2:"));
-        let md = Artifact::Table(2).render(&corpus, true);
+        let md = Artifact::Table(2).render(&corpus, true, &NoopSink);
         assert!(md.contains("### T2"));
         assert!(md.contains("|---|"));
     }
@@ -316,7 +324,7 @@ mod tests {
     #[test]
     fn render_findings() {
         let corpus = Corpus::full();
-        let s = Artifact::Findings.render(&corpus, false);
+        let s = Artifact::Findings.render(&corpus, false, &NoopSink);
         assert!(s.contains("F1-pattern"));
         assert!(!s.contains("MISMATCH"));
     }

@@ -701,7 +701,8 @@ USAGE:
 
 GLOBAL OPTIONS:
   --log-jsonl <path>                stream structured run events (explore,
-                                    detect, stm scopes) to <path> as JSONL
+                                    budget, study and serve scopes) to
+                                    <path> as JSONL
   --chaos <seed>                    inject a seeded deterministic fault plan
                                     (spurious wakeups, try_lock failures,
                                     forced tx aborts) into kernel exploration
@@ -922,7 +923,7 @@ pub fn run_opts(command: Command, sink: Arc<dyn Sink>, opts: &RunOptions) -> Run
         ),
         Command::Export => RunOutput::clean(lfm_corpus::to_json(&Corpus::full())),
         Command::Version => RunOutput::clean(version_text()),
-        Command::Tables { only, markdown } => run_tables(only, markdown, opts),
+        Command::Tables { only, markdown } => run_tables(only, markdown, opts, sink.as_ref()),
         Command::TablesMode { mode, path } => {
             let verdict = mode.run(&path);
             let text = verdict
@@ -1110,8 +1111,15 @@ fn run_kernel(kernel: &Kernel, id: &str, stats: bool, sink: &Arc<dyn Sink>) -> S
 
 /// The `tables` command: every selected artifact rendered under panic
 /// isolation (a panicking generator degrades the run but every other
-/// artifact still renders), plus the `--metrics` exposition.
-fn run_tables(only: Option<Artifact>, markdown: bool, opts: &RunOptions) -> RunOutput {
+/// artifact still renders), plus the `--metrics` exposition. Each table
+/// T1–T9 streams a `study`/`table` event to `sink`, and a run of every
+/// artifact ends with `study`/`tables`.
+fn run_tables(
+    only: Option<Artifact>,
+    markdown: bool,
+    opts: &RunOptions,
+    sink: &dyn Sink,
+) -> RunOutput {
     let corpus = Corpus::full();
     let artifacts = match only {
         Some(a) => vec![a],
@@ -1119,16 +1127,23 @@ fn run_tables(only: Option<Artifact>, markdown: bool, opts: &RunOptions) -> RunO
     };
     let stopwatch = Stopwatch::start();
     let mut failed = 0u64;
+    let mut tables_built = 0;
     let mut out = String::new();
     for artifact in &artifacts {
-        match artifact.render_isolated(&corpus, markdown) {
-            Ok(rendered) => out.push_str(&rendered),
+        match artifact.render_isolated(&corpus, markdown, sink) {
+            Ok(rendered) => {
+                tables_built += usize::from(matches!(artifact, Artifact::Table(_)));
+                out.push_str(&rendered);
+            }
             Err(payload) => {
                 failed += 1;
                 out.push_str(&format!("FAILED {}: {payload}\n", artifact.id()));
             }
         }
         out.push('\n');
+    }
+    if only.is_none() {
+        lfm_study::emit_tables_total(sink, tables_built, stopwatch.elapsed());
     }
     let mut degraded = failed > 0;
     if let Some(path) = &opts.metrics {
@@ -2924,6 +2939,24 @@ mod tests {
                 out.text
             );
         }
+    }
+
+    #[test]
+    fn run_opts_tables_streams_one_study_event_per_table() {
+        let sink = Arc::new(lfm_obs::MemorySink::new());
+        run_opts(
+            Command::Tables {
+                only: Some(Artifact::Table(1)),
+                markdown: false,
+            },
+            Arc::clone(&sink) as Arc<dyn Sink>,
+            &RunOptions::default(),
+        );
+        let tables = sink.events_named("study", "table");
+        assert_eq!(tables.len(), 1, "{tables:?}");
+        assert_eq!(tables[0].get("id").and_then(|id| id.as_str()), Some("T1"));
+        // Only a run of every artifact ends with the total.
+        assert!(sink.events_named("study", "tables").is_empty());
     }
 
     #[test]

@@ -12,8 +12,8 @@ use lfm_detect::{
 };
 use lfm_kernels::{registry, Family, Kernel};
 use lfm_sim::{
-    explore::trace_of, minimize, random::PctScheduler, Explorer, PairCoverage, RandomWalker, Trace,
-    Witness,
+    explore::trace_of, minimize, random::PctScheduler, ExploreLimits, Explorer, PairCoverage,
+    RandomWalker, Trace, Witness,
 };
 use lfm_stm::{evaluate_all, TmVerdict};
 
@@ -369,11 +369,11 @@ pub fn coverage_growth() -> Vec<CoverageGrowthRow> {
             // exploration, not sleep sets — pair coverage distinguishes
             // read-read orderings that partial-order reduction collapses.
             let mut universe = PairCoverage::new();
-            Explorer::new(&program)
-                .record_events()
-                .run_with_callback(|exec, _| {
-                    universe.observe_events(&exec.events());
-                });
+            let max_steps = ExploreLimits::default().max_steps;
+            Explorer::new(&program).run_with_callback(|exec, _| {
+                let (trace, _) = trace_of(&program, &exec.schedule_taken(), max_steps);
+                universe.observe_events(&trace.events);
+            });
             // Random campaigns.
             let traces = RandomWalker::new(&program, 0xBEEF).collect_traces(25);
             let mut cov5 = PairCoverage::new();

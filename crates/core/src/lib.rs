@@ -40,5 +40,5 @@ pub mod table;
 pub mod tables;
 
 pub use findings::{check_all, Finding};
-pub use profile::{profile_tables, TableTiming};
+pub use profile::{build_table, emit_tables_total, profile_tables, TableTiming};
 pub use table::Table;

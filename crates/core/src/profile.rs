@@ -1,9 +1,11 @@
 //! Per-table build timings for the study pipeline.
 //!
-//! [`profile_tables`] is [`all_tables`](crate::tables::all_tables) with a
-//! stopwatch around each generator, so regressions in corpus-query cost
-//! show up per table instead of as one opaque total. The tables produced
-//! are identical to the plain path — timing is observation only.
+//! [`build_table`] is one [`TABLES`](crate::tables::TABLES) generator
+//! with a stopwatch around it and a `study` event after it, so
+//! regressions in corpus-query cost show up per table instead of as one
+//! opaque total; [`profile_tables`] builds all nine that way. The tables
+//! produced are identical to the plain path — timing is observation
+//! only.
 
 use std::time::Duration;
 
@@ -22,58 +24,54 @@ pub struct TableTiming {
     pub wall: Duration,
 }
 
-/// Builds all nine tables, timing each build and streaming one `study`
-/// scope `table` event per table (plus a final `tables` total) to `sink`.
-pub fn profile_tables(corpus: &Corpus, sink: &dyn Sink) -> (Vec<Table>, Vec<TableTiming>) {
-    type Builder = fn(&Corpus) -> Table;
-    let builders: [Builder; 9] = [
-        tables::table1,
-        tables::table2,
-        tables::table3,
-        tables::table4,
-        tables::table5,
-        tables::table6,
-        tables::table7,
-        tables::table8,
-        tables::table9,
-    ];
-    let total_watch = Stopwatch::start();
-    let mut out = Vec::with_capacity(builders.len());
-    let mut timings = Vec::with_capacity(builders.len());
-    for build in builders {
-        let watch = Stopwatch::start();
-        let table = build(corpus);
-        let wall = watch.elapsed();
-        if sink.enabled() {
-            sink.emit(&Event {
-                scope: "study",
-                name: "table",
-                fields: &[
-                    ("id", Value::Str(&table.id)),
-                    ("rows", Value::U64(table.len() as u64)),
-                    ("wall_us", Value::U64(wall.as_micros() as u64)),
-                ],
-            });
-        }
-        timings.push(TableTiming {
-            id: table.id.clone(),
-            wall,
+/// Builds table `T<n>` (`n` in 1..=9) with its [`tables::TABLES`]
+/// generator, timing the build and streaming its `study` scope `table`
+/// event (`id`, `rows`, `wall_us`) to `sink`.
+pub fn build_table(n: usize, corpus: &Corpus, sink: &dyn Sink) -> (Table, Duration) {
+    let watch = Stopwatch::start();
+    let table = tables::TABLES[n - 1](corpus);
+    let wall = watch.elapsed();
+    if sink.enabled() {
+        sink.emit(&Event {
+            scope: "study",
+            name: "table",
+            fields: &[
+                ("id", Value::Str(&table.id)),
+                ("rows", Value::U64(table.len() as u64)),
+                ("wall_us", Value::U64(wall.as_micros() as u64)),
+            ],
         });
-        out.push(table);
     }
+    (table, wall)
+}
+
+/// Streams the `study` scope `tables` event that ends a run of every
+/// table: `tables` built, in `wall`.
+pub fn emit_tables_total(sink: &dyn Sink, tables: usize, wall: Duration) {
     if sink.enabled() {
         sink.emit(&Event {
             scope: "study",
             name: "tables",
             fields: &[
-                ("tables", Value::U64(out.len() as u64)),
-                (
-                    "wall_us",
-                    Value::U64(total_watch.elapsed().as_micros() as u64),
-                ),
+                ("tables", Value::U64(tables as u64)),
+                ("wall_us", Value::U64(wall.as_micros() as u64)),
             ],
         });
     }
+}
+
+/// Builds all nine tables with [`build_table`], then streams the
+/// [`emit_tables_total`] event to `sink`.
+pub fn profile_tables(corpus: &Corpus, sink: &dyn Sink) -> (Vec<Table>, Vec<TableTiming>) {
+    let total_watch = Stopwatch::start();
+    let (out, timings): (Vec<Table>, Vec<TableTiming>) = (1..=tables::TABLES.len())
+        .map(|n| {
+            let (table, wall) = build_table(n, corpus, sink);
+            let id = table.id.clone();
+            (table, TableTiming { id, wall })
+        })
+        .unzip();
+    emit_tables_total(sink, out.len(), total_watch.elapsed());
     (out, timings)
 }
 

@@ -11,7 +11,7 @@ use crate::ids::{CondId, MutexId, RwId, SemId, ThreadId, VarId};
 use crate::locals::Locals;
 use crate::outcome::{BlockedOn, Outcome};
 use crate::program::{Instr, Program};
-use crate::pvec::{PSeq, ScheduleLog};
+use crate::pvec::{chunk_table_bytes, ScheduleLog};
 use crate::schedule::Schedule;
 use crate::state::{CondState, MutexState, RwState, SemState};
 use crate::statehash::{Comp, Fnv, StateHash};
@@ -145,9 +145,9 @@ struct ColdTables {
 /// shared variables, the sync-object tables, each thread's state and
 /// the state fingerprint's slots sit behind `Rc`s that the clone merely
 /// bumps. The schedule taken keeps its newest entries inline, which the
-/// clone copies, and shares the older ones, frozen; the recorded event
-/// log shares chunks through a table of chunk pointers, which a
-/// recorded clone copies. A mutation after a snapshot pays only for the
+/// clone copies, and shares the older ones, frozen. The recorded event
+/// log is a plain vector: only replays record, and no search clones a
+/// recorded executor. A mutation after a snapshot pays only for the
 /// component it touches, via `Rc::make_mut` — divergent futures of a
 /// branch point share everything they have not yet written.
 ///
@@ -189,7 +189,7 @@ pub struct Executor {
     last_scheduled: Option<ThreadId>,
     taken: ScheduleLog,
     record: RecordMode,
-    events: PSeq<Event>,
+    events: Vec<Event>,
     fault: Option<FaultPlan>,
     hash: StateHash,
 }
@@ -251,7 +251,7 @@ impl Executor {
             last_scheduled: None,
             taken: ScheduleLog::default(),
             record,
-            events: PSeq::new(),
+            events: Vec::new(),
             fault: None,
             hash: StateHash::with_sizes(
                 program.n_vars(),
@@ -337,11 +337,10 @@ impl Executor {
         self.last_scheduled
     }
 
-    /// The events recorded so far, materialized from the persistent log
-    /// ([`RecordMode::Full`] only; empty otherwise). Use
-    /// [`Executor::into_trace`] for the [`Trace`] form.
-    pub fn events(&self) -> Vec<Event> {
-        self.events.to_vec()
+    /// The events recorded so far ([`RecordMode::Full`] only; empty
+    /// otherwise). Use [`Executor::into_trace`] for the [`Trace`] form.
+    pub fn events(&self) -> &[Event] {
+        &self.events
     }
 
     /// Extracts the recorded trace ([`RecordMode::Full`] only; an empty
@@ -351,7 +350,7 @@ impl Executor {
             program: self.program.name().to_string(),
             n_threads: self.program.n_threads(),
             n_vars: self.program.n_vars(),
-            events: self.events.to_vec(),
+            events: self.events,
         }
     }
 
@@ -463,13 +462,17 @@ impl Executor {
                 f.finish()
             }
             Comp::Rw(i) => {
+                // The readers are a set (no semantics reads their order),
+                // so they fold without order, like a thread's locals.
                 let rw = &self.cold.rws[i];
-                let mut f = hash_opt_thread(Fnv::new().byte(4).usize(i), rw.writer);
-                f = f.usize(rw.readers.len());
-                for &r in &rw.readers {
-                    f = f.usize(r.index());
-                }
-                f.finish()
+                let readers_fold = rw
+                    .readers
+                    .iter()
+                    .fold(0u64, |fold, r| fold ^ Fnv::new().usize(r.index()).finish());
+                hash_opt_thread(Fnv::new().byte(4).usize(i), rw.writer)
+                    .usize(rw.readers.len())
+                    .u64(readers_fold)
+                    .finish()
             }
             Comp::Sem(i) => Fnv::new()
                 .byte(5)
@@ -603,15 +606,16 @@ impl Executor {
     }
 
     /// Bytes a copy-on-write clone of this state actually copies: the
-    /// executor struct, the per-thread `Rc` table, and the logs'
-    /// chunk-pointer tables. Same deterministic size model as
+    /// executor struct, the per-thread `Rc` table, and both logs, each
+    /// charged as a table of chunk pointers, one per 64 entries, whatever
+    /// its layout. Same deterministic size model as
     /// [`Executor::snapshot_deep_bytes`].
     pub fn snapshot_shallow_bytes(&self) -> u64 {
         use std::mem::size_of;
         let bytes = size_of::<Executor>()
             + self.threads.len() * size_of::<Rc<ThreadState>>()
             + self.taken.clone_cost_bytes()
-            + self.events.clone_cost_bytes();
+            + chunk_table_bytes(self.events.len());
         bytes as u64
     }
 

@@ -17,7 +17,7 @@ use std::time::Duration;
 use lfm_obs::{NoopSink, PhaseProfiler, Sink};
 
 use crate::dpor::Dpor;
-use crate::exec::{Executor, RecordMode, ReplayDeviation};
+use crate::exec::{Executor, RecordMode};
 use crate::fault::FaultPlan;
 use crate::frontier::{walk, Classic, DporSearch, Mode};
 use crate::outcome::Outcome;
@@ -373,7 +373,6 @@ pub type OutcomeSet = BTreeSet<(String, u64)>;
 pub struct Explorer<'p> {
     pub(crate) program: &'p Program,
     pub(crate) limits: ExploreLimits,
-    pub(crate) record: RecordMode,
     pub(crate) sink: Arc<dyn Sink>,
     pub(crate) fault: Option<FaultPlan>,
     pub(crate) profile: Arc<PhaseProfiler>,
@@ -386,20 +385,11 @@ impl<'p> Explorer<'p> {
         Explorer {
             program,
             limits: ExploreLimits::default(),
-            record: RecordMode::Off,
             sink: Arc::new(NoopSink),
             fault: None,
             profile: Arc::new(PhaseProfiler::disabled()),
             progress_every: None,
         }
-    }
-
-    /// Records every execution's events so `run_with_callback` observers
-    /// can read [`Executor::events`] (e.g. for coverage measurement).
-    /// Slows exploration; off by default.
-    pub fn record_events(mut self) -> Explorer<'p> {
-        self.record = RecordMode::Full;
-        self
     }
 
     /// Streams `explore` scope events (start, periodic progress, final
@@ -505,7 +495,10 @@ impl<'p> Explorer<'p> {
     }
 
     /// Runs the exploration, invoking `on_terminal` with the executor and
-    /// outcome of every terminal state (before it is discarded).
+    /// outcome of every terminal state (before it is discarded). The
+    /// executor records no events: without a fault plan, [`trace_of`]
+    /// its [`schedule_taken`](Executor::schedule_taken) with the same
+    /// `max_steps` gives the terminal's recorded run.
     pub fn run_with_callback(&self, on_terminal: impl FnMut(&Executor, &Outcome)) -> ExploreReport {
         let mode = Mode::resolve(&self.limits, self.fault.is_some());
         if mode.dpor {
@@ -532,23 +525,12 @@ impl<'p> Explorer<'p> {
 }
 
 /// Re-executes one schedule with full recording and returns its trace.
+/// A search records nothing: the events of a terminal it reached are
+/// the trace of its schedule, replayed with the search's `max_steps`.
 pub fn trace_of(program: &Program, schedule: &Schedule, max_steps: usize) -> (Trace, Outcome) {
-    let (trace, outcome, _) = trace_of_checked(program, schedule, max_steps);
-    (trace, outcome)
-}
-
-/// [`trace_of`] plus the [`ReplayDeviation`] account: a trace rebuilt
-/// from a schedule that named out-of-range or not-enabled threads is
-/// not evidence about the schedule's original program, and this
-/// variant lets the caller tell.
-pub fn trace_of_checked(
-    program: &Program,
-    schedule: &Schedule,
-    max_steps: usize,
-) -> (Trace, Outcome, ReplayDeviation) {
     let mut exec = Executor::with_record(program, RecordMode::Full);
-    let (outcome, deviation) = exec.replay_checked(schedule, max_steps);
-    (exec.into_trace(), outcome, deviation)
+    let outcome = exec.replay(schedule, max_steps);
+    (exec.into_trace(), outcome)
 }
 
 #[cfg(test)]

@@ -455,38 +455,14 @@ mod tests {
         assert!(!unlock.hands_off_to(&fp(&Stmt::Lock(MutexId::from_index(1)))));
     }
 
-    #[test]
-    fn independent_enabled_pairs_commute() {
-        // Executor-level witness for the relation's contract: wherever two
-        // enabled ops have independent footprints, stepping them in either
-        // order reaches the same state. Walks the full state space of a
-        // program mixing plain accesses with mutex traffic.
-        use crate::{Executor, Expr, ProgramBuilder};
+    /// Walks the full state space of `program` and, wherever two enabled
+    /// ops have independent footprints, steps them in either order and
+    /// asserts both orders reach the same state key. Returns the number
+    /// of pairs checked.
+    fn check_independent_pairs_commute(program: &crate::Program) -> usize {
+        use crate::Executor;
 
-        let mut b = ProgramBuilder::new("commute");
-        let x = b.var("x", 0);
-        let y = b.var("y", 0);
-        let m = b.mutex();
-        b.thread(
-            "a",
-            vec![
-                Stmt::Lock(m),
-                Stmt::read(x, "t"),
-                Stmt::write(x, Expr::local("t") + Expr::lit(1)),
-                Stmt::Unlock(m),
-            ],
-        );
-        b.thread(
-            "b",
-            vec![Stmt::write(y, 1), Stmt::read(y, "u"), Stmt::write(x, 5)],
-        );
-        b.thread(
-            "c",
-            vec![Stmt::read(y, "v"), Stmt::Lock(m), Stmt::Unlock(m)],
-        );
-        let program = b.build().expect("builds");
-
-        let mut stack = vec![Executor::new(&program)];
+        let mut stack = vec![Executor::new(program)];
         let mut seen = std::collections::BTreeSet::new();
         let mut pairs_checked = 0usize;
         while let Some(exec) = stack.pop() {
@@ -514,7 +490,8 @@ mod tests {
                     assert_eq!(
                         pq.state_key(),
                         qp.state_key(),
-                        "independent ops must commute"
+                        "independent ops must commute: {p} and {q} in {}",
+                        program.name()
                     );
                     pairs_checked += 1;
                 }
@@ -525,8 +502,57 @@ mod tests {
                 stack.push(child);
             }
         }
+        pairs_checked
+    }
+
+    #[test]
+    fn independent_enabled_pairs_commute() {
+        // Executor-level witness for the relation's contract: wherever two
+        // enabled ops have independent footprints, stepping them in either
+        // order reaches the same state. One program mixes plain accesses
+        // with mutex traffic; in the other two threads read-acquire one
+        // rwlock, whose readers form a set.
+        use crate::{Expr, ProgramBuilder};
+
+        let mut b = ProgramBuilder::new("commute");
+        let x = b.var("x", 0);
+        let y = b.var("y", 0);
+        let m = b.mutex();
+        b.thread(
+            "a",
+            vec![
+                Stmt::Lock(m),
+                Stmt::read(x, "t"),
+                Stmt::write(x, Expr::local("t") + Expr::lit(1)),
+                Stmt::Unlock(m),
+            ],
+        );
+        b.thread(
+            "b",
+            vec![Stmt::write(y, 1), Stmt::read(y, "u"), Stmt::write(x, 5)],
+        );
+        b.thread(
+            "c",
+            vec![Stmt::read(y, "v"), Stmt::Lock(m), Stmt::Unlock(m)],
+        );
+        let pairs_checked = check_independent_pairs_commute(&b.build().expect("builds"));
         assert!(
             pairs_checked > 50,
+            "the walk must exercise independent pairs, saw {pairs_checked}"
+        );
+
+        let mut b = ProgramBuilder::new("commute_readers");
+        let x = b.var("x", 0);
+        let rw = b.rwlock();
+        for name in ["a", "b"] {
+            b.thread(
+                name,
+                vec![Stmt::RwRead(rw), Stmt::read(x, "t"), Stmt::RwUnlock(rw)],
+            );
+        }
+        let pairs_checked = check_independent_pairs_commute(&b.build().expect("builds"));
+        assert!(
+            pairs_checked > 5,
             "the walk must exercise independent pairs, saw {pairs_checked}"
         );
     }

@@ -812,7 +812,7 @@ pub(crate) fn walk<S: Strategy>(
     mut on_terminal: impl FnMut(&Executor, &Outcome),
 ) -> ExploreReport {
     let profile = &*explorer.profile;
-    let mut root = Executor::with_record(explorer.program, explorer.record);
+    let mut root = Executor::new(explorer.program);
     if let Some(plan) = explorer.fault {
         root.set_fault_plan(plan.without_stalls());
     }

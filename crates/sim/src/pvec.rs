@@ -1,35 +1,28 @@
-//! Persistent append-only logs with cheap clones.
+//! The schedule log: a persistent append-only list with cheap clones.
 //!
-//! The executor's grow-only logs (the schedule taken, the recorded
-//! event trace) used to be flat vectors, so every model-checker
-//! snapshot copied the entire O(steps) history. Here the history is
-//! shared between clones, and divergent futures of a branch point can
-//! never observe each other's appends:
-//!
-//! - [`ScheduleLog`], the schedule taken, grows on every step of every
-//!   search. It keeps its newest entries inline and freezes each full
-//!   run of them into a shared, immutable node linked to the one
-//!   before, so a clone copies a few words and one pointer, and a push
-//!   allocates once per [`TAIL`] entries.
-//! - [`PSeq`], the event log, grows only when recording. Its history
-//!   lives in chunked `Rc` storage: a clone copies a small table of
-//!   chunk pointers, and a push mutates the last chunk in place while
-//!   this sequence is its sole owner — otherwise it opens a fresh
-//!   chunk, leaving the shared history untouched.
+//! The executor's schedule taken grows on every step of every search,
+//! and every model-checker snapshot clones it. A flat vector would copy
+//! the entire O(steps) history per snapshot. [`ScheduleLog`] keeps its
+//! newest entries inline and freezes each full run of them into a
+//! shared, immutable node linked to the one before, so a clone copies a
+//! few words and one pointer, a push allocates once per [`TAIL`]
+//! entries, and divergent futures of a branch point never observe each
+//! other's pushes.
 
 use std::rc::Rc;
 
 use crate::ids::ThreadId;
 
-/// Elements per chunk. Clones copy the chunk-pointer table (`len /
-/// CHUNK` words), so the constant trades per-clone pointer count
-/// against the capacity wasted when a shared chunk is abandoned early.
+/// Elements per chunk of the chunked log layout that the snapshot size
+/// model charges: a clone of it copies one pointer per `CHUNK` elements.
 const CHUNK: usize = 64;
 
 /// The bytes a clone of a `len`-element chunked log copies: one chunk
 /// pointer per [`CHUNK`] elements, for the canonical packed layout.
-/// The executor's snapshot size model charges both logs this way.
-fn chunk_table_bytes(len: usize) -> usize {
+/// The executor's snapshot size model charges both of its logs this
+/// way, whatever their layout, so `snapshot_bytes_saved` stays
+/// comparable across versions.
+pub(crate) fn chunk_table_bytes(len: usize) -> usize {
     len.div_ceil(CHUNK) * std::mem::size_of::<Rc<Vec<()>>>()
 }
 
@@ -120,133 +113,9 @@ impl ScheduleLog {
     }
 }
 
-/// An append-only sequence whose clones share history through `Rc`d
-/// chunks (copy-on-write at chunk granularity).
-#[derive(Debug, Clone)]
-pub(crate) struct PSeq<T> {
-    chunks: Vec<Rc<Vec<T>>>,
-    len: usize,
-}
-
-impl<T> Default for PSeq<T> {
-    fn default() -> PSeq<T> {
-        PSeq::new()
-    }
-}
-
-impl<T> PSeq<T> {
-    pub(crate) fn new() -> PSeq<T> {
-        PSeq {
-            chunks: Vec::new(),
-            len: 0,
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
-        self.chunks.iter().flat_map(|c| c.iter())
-    }
-
-    /// Heap bytes a clone of this sequence copies (the chunk-pointer
-    /// table), as opposed to the `len * size_of::<T>()` a flat log
-    /// would. Reported for the *canonical packed* layout (`len /
-    /// CHUNK` rounded up) rather than the live table, so the figure is
-    /// a deterministic function of length alone: the live table can
-    /// run slightly longer when clones abandon partially-filled
-    /// chunks, and that drift would otherwise leak layout history into
-    /// the explorer's `snapshot_bytes_saved` accounting.
-    pub(crate) fn clone_cost_bytes(&self) -> usize {
-        chunk_table_bytes(self.len)
-    }
-
-    /// Appends an element: in place when the last chunk is uniquely
-    /// owned and has room, otherwise into a fresh chunk. Never mutates
-    /// a chunk any clone can still see.
-    pub(crate) fn push(&mut self, value: T) {
-        if let Some(last) = self.chunks.last_mut() {
-            if let Some(chunk) = Rc::get_mut(last) {
-                if chunk.len() < CHUNK {
-                    chunk.push(value);
-                    self.len += 1;
-                    return;
-                }
-            }
-        }
-        let mut chunk = Vec::with_capacity(CHUNK);
-        chunk.push(value);
-        self.chunks.push(Rc::new(chunk));
-        self.len += 1;
-    }
-}
-
-impl<T: Clone> PSeq<T> {
-    /// Materializes the whole sequence into a flat vector.
-    pub(crate) fn to_vec(&self) -> Vec<T> {
-        let mut out = Vec::with_capacity(self.len);
-        for chunk in &self.chunks {
-            out.extend_from_slice(chunk);
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn push_and_materialize_round_trip() {
-        let mut s: PSeq<usize> = PSeq::new();
-        assert!(s.is_empty());
-        for i in 0..200 {
-            s.push(i);
-        }
-        assert_eq!(s.len(), 200);
-        assert_eq!(s.to_vec(), (0..200).collect::<Vec<_>>());
-        assert_eq!(s.iter().copied().collect::<Vec<_>>(), s.to_vec());
-    }
-
-    #[test]
-    fn clones_never_observe_each_others_appends() {
-        let mut a: PSeq<u32> = PSeq::new();
-        for i in 0..70 {
-            a.push(i);
-        }
-        let mut b = a.clone();
-        a.push(1000);
-        b.push(2000);
-        b.push(2001);
-        let va = a.to_vec();
-        let vb = b.to_vec();
-        assert_eq!(va.len(), 71);
-        assert_eq!(vb.len(), 72);
-        assert_eq!(va[..70], vb[..70]);
-        assert_eq!(va[70], 1000);
-        assert_eq!(vb[70..], [2000, 2001]);
-    }
-
-    #[test]
-    fn clone_shares_chunks_until_written() {
-        let mut a: PSeq<u8> = PSeq::new();
-        for _ in 0..CHUNK {
-            a.push(7);
-        }
-        let b = a.clone();
-        // The full chunk is shared, so pushing must open a new chunk
-        // rather than touch it.
-        a.push(9);
-        assert_eq!(b.len(), CHUNK);
-        assert_eq!(a.len(), CHUNK + 1);
-        assert!(b.to_vec().iter().all(|&x| x == 7));
-    }
 
     fn t(i: usize) -> ThreadId {
         ThreadId::from_index(i)
@@ -332,18 +201,5 @@ mod tests {
                 n.div_ceil(CHUNK) * std::mem::size_of::<Rc<Vec<ThreadId>>>(),
             );
         }
-    }
-
-    #[test]
-    fn clone_cost_tracks_chunk_table_not_length() {
-        let mut s: PSeq<u64> = PSeq::new();
-        for _ in 0..(CHUNK * 4) {
-            s.push(0);
-        }
-        // 4 chunks -> 4 pointers, regardless of the 256 elements.
-        assert_eq!(
-            s.clone_cost_bytes(),
-            4 * std::mem::size_of::<Rc<Vec<u64>>>()
-        );
     }
 }

@@ -5,10 +5,9 @@
 //! windows, while bounded systematic or priority-based (PCT) scheduling
 //! finds them quickly. These schedulers make that comparison measurable.
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use lfm_obs::{Event, NoopSink, Sink, Stopwatch, Value};
+use lfm_obs::Stopwatch;
 
 use crate::exec::{Executor, RecordMode};
 use crate::explore::OutcomeCounts;
@@ -43,35 +42,33 @@ impl RandomWalkReport {
     }
 }
 
-fn run_trials(
+/// One trial: a fresh executor with `fault` installed, run through
+/// [`Executor::run_with`] with `picker` choosing every step.
+fn run_trial(
     program: &Program,
-    trials: u64,
-    max_steps: usize,
+    record: RecordMode,
     fault: Option<FaultPlan>,
-    mut pick: impl FnMut(u64, &Executor, &[ThreadId]) -> ThreadId,
-) -> RandomWalkReport {
+    max_steps: usize,
+    picker: impl FnMut(&[ThreadId]) -> ThreadId,
+) -> (Executor, Outcome) {
+    let mut exec = Executor::with_record(program, record);
+    if let Some(plan) = fault {
+        exec.set_fault_plan(plan);
+    }
+    let outcome = exec.run_with(max_steps, picker);
+    (exec, outcome)
+}
+
+/// Runs `trials` trials, one call of `trial` each, into a report.
+fn batch(trials: u64, mut trial: impl FnMut() -> (Executor, Outcome)) -> RandomWalkReport {
     let stopwatch = Stopwatch::start();
     let mut counts = OutcomeCounts::default();
     let mut first_failure = None;
-    for trial in 0..trials {
-        let mut exec = Executor::new(program);
-        if let Some(plan) = fault {
-            exec.set_fault_plan(plan);
-        }
-        let outcome = loop {
-            if let Some(o) = exec.outcome().cloned() {
-                break o;
-            }
-            if exec.steps() >= max_steps {
-                break Outcome::StepLimit;
-            }
-            let enabled = exec.enabled();
-            let choice = pick(trial, &exec, &enabled);
-            exec.step(choice).expect("picker chose an enabled thread");
-        };
+    for _ in 0..trials {
+        let (exec, outcome) = trial();
         counts.add(&outcome);
         if outcome.is_failure() && first_failure.is_none() {
-            first_failure = Some((exec.schedule_taken().clone(), outcome));
+            first_failure = Some((exec.schedule_taken(), outcome));
         }
     }
     RandomWalkReport {
@@ -82,31 +79,12 @@ fn run_trials(
     }
 }
 
-/// Emits the walker/PCT batch summary when the sink is listening.
-fn emit_batch(sink: &dyn Sink, name: &str, program: &Program, report: &RandomWalkReport) {
-    if !sink.enabled() {
-        return;
-    }
-    sink.emit(&Event {
-        scope: "randomwalk",
-        name,
-        fields: &[
-            ("program", Value::Str(program.name())),
-            ("trials", Value::U64(report.trials)),
-            ("failures", Value::U64(report.counts.failures())),
-            ("failure_rate", Value::F64(report.failure_rate())),
-            ("wall_us", Value::U64(report.wall.as_micros() as u64)),
-        ],
-    });
-}
-
 /// Uniform random scheduling (naive stress testing).
 #[derive(Debug, Clone)]
 pub struct RandomWalker<'p> {
     program: &'p Program,
     seed: u64,
     max_steps: usize,
-    sink: Arc<dyn Sink>,
     fault: Option<FaultPlan>,
 }
 
@@ -117,7 +95,6 @@ impl<'p> RandomWalker<'p> {
             program,
             seed,
             max_steps: 5_000,
-            sink: Arc::new(NoopSink),
             fault: None,
         }
     }
@@ -135,51 +112,34 @@ impl<'p> RandomWalker<'p> {
         self
     }
 
-    /// Streams `randomwalk` scope batch summaries to `sink`. Observation
-    /// only: trial outcomes are identical whatever the sink.
-    pub fn with_sink(mut self, sink: Arc<dyn Sink>) -> RandomWalker<'p> {
-        self.sink = sink;
-        self
+    /// One trial drawing a uniformly random enabled thread per step.
+    fn trial(&self, record: RecordMode, rng: &mut SplitMix64) -> (Executor, Outcome) {
+        run_trial(
+            self.program,
+            record,
+            self.fault,
+            self.max_steps,
+            |enabled| enabled[rng.range(0..enabled.len())],
+        )
     }
 
     /// Runs `trials` independent random-schedule executions.
     pub fn run_trials(&self, trials: u64) -> RandomWalkReport {
         let mut rng = SplitMix64::new(self.seed);
-        let report = run_trials(
-            self.program,
-            trials,
-            self.max_steps,
-            self.fault,
-            move |_, _, enabled| enabled[rng.range(0..enabled.len())],
-        );
-        emit_batch(self.sink.as_ref(), "report", self.program, &report);
-        report
+        batch(trials, || self.trial(RecordMode::Off, &mut rng))
     }
 
     /// Runs `trials` executions with full recording, returning each trace
     /// with its outcome — the input sampler for the dynamic detectors.
+    /// The same seed draws the same schedules as [`RandomWalker::run_trials`].
     pub fn collect_traces(&self, trials: u64) -> Vec<(Trace, Outcome)> {
         let mut rng = SplitMix64::new(self.seed);
-        let mut out = Vec::with_capacity(trials as usize);
-        for _ in 0..trials {
-            let mut exec = Executor::with_record(self.program, RecordMode::Full);
-            if let Some(plan) = self.fault {
-                exec.set_fault_plan(plan);
-            }
-            let outcome = loop {
-                if let Some(o) = exec.outcome().cloned() {
-                    break o;
-                }
-                if exec.steps() >= self.max_steps {
-                    break Outcome::StepLimit;
-                }
-                let enabled = exec.enabled();
-                let choice = enabled[rng.range(0..enabled.len())];
-                exec.step(choice).expect("chosen thread is enabled");
-            };
-            out.push((exec.into_trace(), outcome));
-        }
-        out
+        (0..trials)
+            .map(|_| {
+                let (exec, outcome) = self.trial(RecordMode::Full, &mut rng);
+                (exec.into_trace(), outcome)
+            })
+            .collect()
     }
 }
 
@@ -229,11 +189,8 @@ impl<'p> PctScheduler<'p> {
         // `max_steps` would make change points almost never fire on short
         // kernels.
         let k_steps = self.program.static_visible_ops().max(2);
-        let stopwatch = Stopwatch::start();
         let mut rng = SplitMix64::new(self.seed);
-        let mut counts = OutcomeCounts::default();
-        let mut first_failure = None;
-        for _ in 0..trials {
+        batch(trials, || {
             // Random initial priorities: a random permutation, higher is
             // more urgent. Change points drop the running thread to the
             // lowest band.
@@ -248,40 +205,27 @@ impl<'p> PctScheduler<'p> {
             change_points.sort_unstable();
             let mut next_change = 0usize;
             let mut low_band = 0i64;
-
-            let mut exec = Executor::new(self.program);
-            if let Some(plan) = self.fault {
-                exec.set_fault_plan(plan);
-            }
-            let outcome = loop {
-                if let Some(o) = exec.outcome().cloned() {
-                    break o;
-                }
-                if exec.steps() >= self.max_steps {
-                    break Outcome::StepLimit;
-                }
-                let enabled = exec.enabled();
-                let choice = *enabled
-                    .iter()
-                    .max_by_key(|t| priorities[t.index()])
-                    .expect("enabled set non-empty");
-                if next_change < change_points.len() && exec.steps() >= change_points[next_change] {
-                    low_band -= 1;
-                    priorities[choice.index()] = low_band;
-                    next_change += 1;
-                }
-                exec.step(choice).expect("chosen thread is enabled");
-            };
-            counts.add(&outcome);
-            if outcome.is_failure() && first_failure.is_none() {
-                first_failure = Some((exec.schedule_taken().clone(), outcome));
-            }
-        }
-        RandomWalkReport {
-            counts,
-            trials,
-            first_failure,
-            wall: stopwatch.elapsed(),
-        }
+            // A fresh executor has taken as many steps as picks made.
+            let mut steps = 0usize;
+            run_trial(
+                self.program,
+                RecordMode::Off,
+                self.fault,
+                self.max_steps,
+                |enabled| {
+                    let choice = *enabled
+                        .iter()
+                        .max_by_key(|t| priorities[t.index()])
+                        .expect("enabled set non-empty");
+                    if next_change < change_points.len() && steps >= change_points[next_change] {
+                        low_band -= 1;
+                        priorities[choice.index()] = low_band;
+                        next_change += 1;
+                    }
+                    steps += 1;
+                    choice
+                },
+            )
+        })
     }
 }

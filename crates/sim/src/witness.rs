@@ -30,6 +30,7 @@ use lfm_obs::json::{self, Json};
 use lfm_obs::ChromeTrace;
 
 use crate::exec::{Executor, RecordMode};
+use crate::explore::trace_of;
 use crate::footprint::{Footprint, ObjKind};
 use crate::ids::{ThreadId, VarId};
 use crate::outcome::Outcome;
@@ -444,9 +445,7 @@ impl Witness {
                 found,
             });
         }
-        let mut exec = Executor::with_record(program, RecordMode::Full);
-        exec.replay(&self.schedule, self.schedule.len());
-        let trace = exec.into_trace();
+        let (trace, _) = trace_of(program, &self.schedule, self.schedule.len());
         out.process_name(pid, &trace.program);
         for (tid, thread) in program.threads().iter().enumerate() {
             out.thread_name(pid, tid as u64, thread.name());

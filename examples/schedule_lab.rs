@@ -11,7 +11,7 @@
 
 use learning_from_mistakes::kernels::registry;
 use learning_from_mistakes::sim::{
-    explore::trace_of, render_timeline, Explorer, PairCoverage, RandomWalker,
+    explore::trace_of, render_timeline, ExploreLimits, Explorer, PairCoverage, RandomWalker,
 };
 
 fn main() {
@@ -70,9 +70,11 @@ fn main() {
     // --- access-pair coverage growth ---------------------------------
     println!("\naccess-pair coverage under random testing:");
     let mut universe = PairCoverage::new();
-    Explorer::new(&program)
-        .record_events()
-        .run_with_callback(|exec, _| universe.observe_events(&exec.events()));
+    let max_steps = ExploreLimits::default().max_steps;
+    Explorer::new(&program).run_with_callback(|exec, _| {
+        let (trace, _) = trace_of(&program, &exec.schedule_taken(), max_steps);
+        universe.observe_events(&trace.events);
+    });
     let traces = RandomWalker::new(&program, 0xBEEF).collect_traces(25);
     let mut cov = PairCoverage::new();
     for (i, (trace, _)) in traces.iter().enumerate() {

@@ -4,6 +4,7 @@
 
 use learning_from_mistakes::corpus::{BugClass, Corpus};
 use learning_from_mistakes::kernels::registry;
+use learning_from_mistakes::obs::NoopSink;
 use learning_from_mistakes::study::{check_all, figures, tables};
 use lfm_bench::Artifact;
 
@@ -120,7 +121,7 @@ fn full_report_is_complete_and_clean() {
         .take_while(|&artifact| artifact != Artifact::Chaos)
         .map(|artifact| {
             artifact
-                .render_isolated(&corpus, false)
+                .render_isolated(&corpus, false, &NoopSink)
                 .unwrap_or_else(|payload| panic!("{} failed: {payload}", artifact.id()))
         })
         .collect();
