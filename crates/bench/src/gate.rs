@@ -16,6 +16,8 @@
 //!   every host, the throughput and tracing-overhead floors on
 //!   multi-core hosts.
 
+use lfm_obs::Sink;
+
 use crate::perf::{
     baseline_states_per_sec, perf_json, perf_measure, PERF_BUDGET, PERF_GATE_KERNEL,
 };
@@ -85,10 +87,11 @@ impl Mode {
         Mode::ALL.into_iter().find(|mode| mode.flag() == flag)
     }
 
-    /// Runs the mode against the document at `path`.
-    pub fn run(self, path: &str) -> Verdict {
+    /// Runs the mode against the document at `path`. The snapshot
+    /// streams its `study` and `detect` events to `sink`.
+    pub fn run(self, path: &str, sink: &dyn Sink) -> Verdict {
         match self {
-            Mode::Snapshot => snapshot(path),
+            Mode::Snapshot => snapshot(path, sink),
             Mode::BenchExplore => bench_explore(path),
             Mode::CheckExplore => check_explore(path),
             Mode::BenchServe => bench_serve(path),
@@ -132,8 +135,8 @@ impl Verdict {
     }
 }
 
-fn snapshot(path: &str) -> Verdict {
-    match std::fs::write(path, crate::snapshot::obs_snapshot()) {
+fn snapshot(path: &str, sink: &dyn Sink) -> Verdict {
+    match std::fs::write(path, crate::snapshot::obs_snapshot(sink)) {
         Ok(()) => Verdict::new().end(format!("metrics snapshot written to {path}")),
         Err(e) => Verdict::new().fail(format!("cannot write metrics snapshot to `{path}`: {e}")),
     }
@@ -393,7 +396,7 @@ mod tests {
         let empty = empty.to_string_lossy().into_owned();
         let missing = "/nonexistent/lfm/BENCH.json";
         let check = |mode: Mode, path: &str| {
-            let verdict = mode.run(path);
+            let verdict = mode.run(path, &lfm_obs::NoopSink);
             assert!(!verdict.pass, "{verdict:?}");
             assert_eq!(verdict.lines.len(), 1, "{verdict:?}");
             verdict.lines[0].clone()

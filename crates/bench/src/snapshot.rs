@@ -7,7 +7,7 @@
 //! so benchmark runs leave a comparable artifact next to the tables.
 
 use lfm_kernels::{registry, Family};
-use lfm_obs::{json, NoopSink};
+use lfm_obs::{json, Sink};
 use lfm_sim::{ExploreLimits, ExploreReport, Explorer, RandomWalker};
 use lfm_stm::tl2::TSpace;
 use lfm_study::experiments::WitnessRow;
@@ -17,12 +17,14 @@ use crate::{push_fields, push_objects};
 /// Schema identifier embedded in every snapshot.
 pub const SNAPSHOT_SCHEMA: &str = "lfm-obs/v1";
 
-/// Builds the full metrics snapshot as a JSON document.
+/// Builds the full metrics snapshot as a JSON document, streaming the
+/// detector pipeline's `detect` events and the table builds' `study`
+/// events to `sink`.
 ///
 /// Deliberately small budgets: the snapshot is a smoke-level profile of
 /// every subsystem, not a benchmark — `cargo bench` owns the real
 /// measurements.
-pub fn obs_snapshot() -> String {
+pub fn obs_snapshot(sink: &dyn Sink) -> String {
     let mut out = String::with_capacity(4096);
     out.push('{');
     push_fields(&mut out, &[("schema", json::quote(SNAPSHOT_SCHEMA))]);
@@ -72,7 +74,7 @@ pub fn obs_snapshot() -> String {
     let (training, test): (Vec<_>, Vec<_>) = sampled.into_iter().partition(|(_, o)| o.is_ok());
     let training: Vec<_> = training.into_iter().map(|(t, _)| t).collect();
     let test: Vec<_> = test.into_iter().map(|(t, _)| t).collect();
-    let (_, detect_stats) = lfm_detect::detect_all_with_stats(&training, &test, &NoopSink);
+    let (_, detect_stats) = lfm_detect::detect_all_with_stats(&training, &test, sink);
     out.push_str(",\"detect\":{\"passes\":");
     push_objects(&mut out, &detect_stats.passes, |pass| {
         vec![
@@ -194,7 +196,7 @@ pub fn obs_snapshot() -> String {
 
     // Table-generator timings over the full corpus.
     let corpus = lfm_corpus::Corpus::full();
-    let (_, timings) = lfm_study::profile_tables(&corpus, &NoopSink);
+    let (_, timings) = lfm_study::profile_tables(&corpus, sink);
     out.push_str(",\"study\":{\"tables\":");
     push_objects(&mut out, &timings, |timing| {
         vec![
@@ -215,7 +217,11 @@ mod tests {
 
     #[test]
     fn snapshot_covers_every_subsystem() {
-        let snap = obs_snapshot();
+        let sink = lfm_obs::MemorySink::new();
+        let snap = obs_snapshot(&sink);
+        // The table builds stream to the session sink.
+        assert_eq!(sink.events_named("study", "table").len(), 9);
+        assert_eq!(sink.events_named("study", "tables").len(), 1);
         assert!(snap.starts_with('{') && snap.ends_with('}'));
         assert!(snap.contains("\"schema\":\"lfm-obs/v1\""));
         for family in Family::ALL {

@@ -153,9 +153,10 @@ pub enum Command {
         /// requests and the preemption-bounded rung fall back to the
         /// classic search).
         dpor: bool,
-        /// Explorer worker pool size.
+        /// Checks that explore at once (the exploration slots).
         workers: Option<usize>,
-        /// Job queue bound (also the admission ladder's shed point).
+        /// Checks that may wait for a slot (also the admission
+        /// ladder's shed point).
         queue: Option<usize>,
         /// Maximum simultaneously open connections.
         max_conns: Option<usize>,
@@ -664,8 +665,11 @@ USAGE:
                                     run the fingerprint-keyed model-checking
                                     service (lfm-serve/v1 JSONL over TCP):
                                     caches reports by program fingerprint,
-                                    degrades down the budget ladder under
-                                    queue pressure, sheds past capacity;
+                                    explores a miss on its connection's
+                                    thread once one of --workers slots is
+                                    free (--queue more checks may wait),
+                                    degrades down the budget ladder as
+                                    they wait, sheds past capacity;
                                     stops on a wire shutdown request and
                                     drains in-flight work; --chaos seeds
                                     sim-level faults into every exploration,
@@ -925,7 +929,7 @@ pub fn run_opts(command: Command, sink: Arc<dyn Sink>, opts: &RunOptions) -> Run
         Command::Version => RunOutput::clean(version_text()),
         Command::Tables { only, markdown } => run_tables(only, markdown, opts, sink.as_ref()),
         Command::TablesMode { mode, path } => {
-            let verdict = mode.run(&path);
+            let verdict = mode.run(&path, sink.as_ref());
             let text = verdict
                 .lines
                 .iter()

@@ -4,12 +4,12 @@
 //! The PR 2 degradation ladder trades coverage for latency when a
 //! *deadline* is tight; here the same ladder trades coverage for
 //! throughput when the *queue* is deep. An idle server explores
-//! exhaustively; as the worker queue fills, new misses are admitted at
-//! progressively cheaper rungs; past the last threshold they are shed
-//! outright with a retry hint. The queue can therefore never grow past
-//! its bound — overload degrades answers first and availability last,
-//! instead of growing an unbounded backlog (the failure shape the
-//! paper's corpus keeps finding under load).
+//! exhaustively; as checks line up for exploration slots, new misses
+//! are admitted at progressively cheaper rungs; past the last threshold
+//! they are shed outright with a retry hint. The line can therefore
+//! never grow past its bound — overload degrades answers first and
+//! availability last, instead of growing an unbounded backlog (the
+//! failure shape the paper's corpus keeps finding under load).
 
 use lfm_sim::DegradeLevel;
 
@@ -43,9 +43,9 @@ pub struct AdmissionLadder {
 }
 
 impl AdmissionLadder {
-    /// A ladder for a worker queue of capacity `queue_cap`: the four
-    /// rungs split the depth range evenly, and shedding starts exactly
-    /// when the queue is full.
+    /// A ladder for at most `queue_cap` checks waiting for a slot: the
+    /// four rungs split the depth range evenly, and shedding starts
+    /// exactly when the line is full.
     pub fn for_queue(queue_cap: usize) -> AdmissionLadder {
         let cap = queue_cap.max(4);
         AdmissionLadder {

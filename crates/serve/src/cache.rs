@@ -3,7 +3,7 @@
 //! Keys are `lfm-trace/v1` program fingerprints (mixed with the
 //! sim-chaos seed when fault injection is on — the same program under
 //! a different fault plan is a different result). Values are the
-//! canonical report bytes rendered once by the worker that explored
+//! canonical report bytes rendered once by the handler that explored
 //! the miss; a hit hands those bytes back verbatim, which is the whole
 //! determinism argument — a hit cannot differ from the exploration
 //! that filled it because it *is* that exploration's bytes.
@@ -11,8 +11,9 @@
 //! Single-flight: concurrent misses for one key coalesce. The first
 //! claims the slot and explores; the rest block (bounded) on the
 //! condvar and wake to the filled value. A claimer that fails —
-//! worker panic, shed after claim, uncacheable result — *abandons* the
-//! slot so a waiter can reclaim instead of waiting forever.
+//! exploration panic, shed after claim, uncacheable result —
+//! *abandons* the slot so a waiter can reclaim instead of waiting
+//! forever.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};

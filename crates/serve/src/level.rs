@@ -4,7 +4,7 @@
 //! exactly that rung with the limits, confidence grading and PCT
 //! sampling of the `BudgetedExplorer` ladder (`lfm_sim::budget`), so a
 //! served report means the same thing a budgeted one does. Unlike the
-//! ladder, a service worker never climbs back up — the level was chosen
+//! ladder, a served check never climbs back up — the level was chosen
 //! from queue pressure, and the point is bounded per-request work.
 
 use std::time::Duration;

@@ -4,18 +4,19 @@
 //! "millions of users" face of the reproduction. A long-running,
 //! std-only JSONL-over-TCP server accepts kernel-checking requests,
 //! dedups them by the lfm-trace/v1 program fingerprint, returns cached
-//! reports on hit, and shards misses across a persistent explorer
-//! worker pool — degrading down the PR 2 budget ladder
-//! (exhaustive → sleep-set → preemption-bounded → PCT) under queue
-//! pressure instead of queueing unboundedly.
+//! reports on hit, and explores each miss on its connection's own
+//! thread under a bounded gate of exploration slots — degrading down
+//! the budget ladder (exhaustive → sleep-set → preemption-bounded →
+//! PCT) as checks wait for a slot, instead of queueing unboundedly.
 //!
 //! The paper's core lesson is that concurrency failures manifest under
 //! load and rare timings; a service built on that corpus has no excuse
 //! to fail the same way. Robustness is therefore the headline:
 //!
-//! - **Admission control** ([`admission`]): queue depth picks the
-//!   exploration rung; past the last rung the request is *shed* with an
-//!   explicit retry-after response, never queued unboundedly.
+//! - **Admission control** ([`admission`]): the number of checks
+//!   waiting for an exploration slot picks the rung; past the last rung
+//!   the request is *shed* with an explicit retry-after response, never
+//!   queued unboundedly.
 //! - **Per-request wall deadlines** reusing the `WallDeadline`
 //!   truncation contract — a slow exploration is truncated and labeled,
 //!   not hung.
@@ -45,7 +46,6 @@ pub mod chaos;
 pub mod client;
 pub mod level;
 pub mod load;
-pub mod pool;
 pub mod protocol;
 pub mod server;
 pub mod trace;

@@ -6,7 +6,7 @@
 //! failure — never retried), `pong`, or `bye`.
 //!
 //! Determinism contract: the `report` object is rendered once, by the
-//! worker that explored the miss, from deterministic report fields only
+//! handler that explored the miss, from deterministic report fields only
 //! (no wall times, no host state) and cached verbatim. A cache hit
 //! replays those exact bytes, so hit and originating miss are
 //! byte-identical — [`report_raw`] exists so tests can assert that

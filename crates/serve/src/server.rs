@@ -1,47 +1,47 @@
 //! The TCP server: accept loop, connection handlers, drain choreography.
 //!
-//! Thread model: one accept thread, one detached handler thread per
-//! connection (capped by `max_conns`), and a persistent worker pool
-//! ([`crate::pool`]). A handler serves its connection's requests one
-//! after another until the client closes it, it idles past the read
-//! timeout, or the drain ends it; a [`Client`](crate::Client) keeps
-//! its connection, so one handler serves many requests. Handlers never
-//! explore — they parse, consult the cache, get an admission verdict,
-//! enqueue, and wait for the worker's reply; the exploration capacity
-//! of the server is exactly the pool.
+//! Thread model: one accept thread and one detached handler thread per
+//! connection (capped by `max_conns`). A handler serves its
+//! connection's requests one after another until the client closes it,
+//! it idles past the read timeout, or the drain ends it; a
+//! [`Client`](crate::Client) keeps its connection, so one handler
+//! serves many requests. A handler that leads a cache miss explores it
+//! on its own thread, once the exploration gate grants it a slot: at
+//! most `workers` checks explore at once, at most `queue_cap` more wait
+//! for a slot and get one in arrival order, and the number waiting is
+//! the admission ladder's depth. No check is handed to another thread,
+//! so the handler that claims a key always fills or abandons it.
 //!
 //! Graceful shutdown (`shutdown` op on the wire, or
 //! [`ServerHandle::request_shutdown`] — the SIGTERM equivalent): stop
 //! accepting and shut the read side of every open connection. A
 //! handler idle between requests then reads EOF and exits at once; one
-//! mid-request still writes its reply, then exits. The drain then
-//! waits for the handlers, drains the queued jobs through the pool,
-//! joins the workers and flushes the sink. [`ServerHandle::wait`]
-//! blocks through all of it and reports a [`DrainSummary`].
+//! mid-request still finishes its check, writes its reply, then exits.
+//! The drain waits for the handlers and flushes the sink.
+//! [`ServerHandle::wait`] blocks through all of it and reports a
+//! [`DrainSummary`].
 //!
 //! Response writing reuses the `JsonlSink` accounting discipline: a
 //! client that disconnects mid-response is a counted, logged
-//! `write_errors` increment — never a panic, never a wedged worker
-//! (the worker already replied through the channel; only the handler's
-//! final write fails).
+//! `write_errors` increment — never a panic (the exploration already
+//! filled the cache; only the handler's final write fails).
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use lfm_obs::json::{self, Json};
 use lfm_obs::{Counter, Event, Histogram, HistogramSnapshot, Registry, Sink, Value};
-use lfm_sim::{fingerprint, splitmix64, FaultPlan, Program};
+use lfm_sim::{fingerprint, splitmix64, DegradeLevel, FaultPlan, Program, Truncation};
 
 use crate::admission::{level_index, Admission, AdmissionLadder, LEVELS};
 use crate::cache::{Lookup, ReportCache};
-use crate::level::LevelCaps;
-use crate::pool::{Job, JobQueue, WorkerCtx, WorkerPool};
+use crate::level::{check_at_level, CheckOutcome, LevelCaps};
 use crate::protocol::{
     self, parse_request, render_bye, render_error, render_ok, render_pong, render_shed, Request,
     TraceContext, STATS_SCHEMA,
@@ -51,10 +51,6 @@ use crate::trace::{push_span, SpanRec, Stage, Tracer, STAGES};
 /// How long a coalesced probe waits on another request's in-flight
 /// exploration when the request carries no deadline.
 const COALESCE_WAIT: Duration = Duration::from_secs(10);
-/// Slack added to the reply wait beyond the request deadline: the
-/// worker truncates at the deadline itself, this only covers queue
-/// hand-off and rendering.
-const REPLY_GRACE: Duration = Duration::from_secs(60);
 /// How long the drain waits for open connections before giving up and
 /// reporting an unclean drain.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(30);
@@ -64,10 +60,12 @@ const DRAIN_TIMEOUT: Duration = Duration::from_secs(30);
 pub struct ServerConfig {
     /// Bind address; port 0 picks a free port.
     pub addr: String,
-    /// Worker pool size.
+    /// Checks that explore at once: the exploration slots, each its
+    /// own trace track (`lfm-serve worker-N` for slot N).
     pub workers: usize,
-    /// Job queue bound; also the shed threshold of the admission
-    /// ladder.
+    /// Checks that may wait for an exploration slot; a check arriving
+    /// past it is shed as `queue-full`. Also the shed threshold of the
+    /// admission ladder.
     pub queue_cap: usize,
     /// Maximum simultaneously open connections; excess connections get
     /// an immediate shed response. A client holds its connection
@@ -119,7 +117,8 @@ pub struct ServeStats {
     /// Requests refused with a `shed` response (admission, queue-full,
     /// busy, draining, or connection cap).
     pub shed: Counter,
-    /// `error` responses (bad request, unknown kernel, worker failure).
+    /// `error` responses (bad request, unknown kernel, exploration
+    /// panic).
     pub errors: Counter,
     /// Response lines that failed to write (client gone mid-response).
     /// The `JsonlSink::write_errors` discipline at the service edge.
@@ -128,7 +127,7 @@ pub struct ServeStats {
     pub worker_panics: Counter,
     /// Results served but not cached (deadline-truncated).
     pub uncacheable: Counter,
-    /// Jobs executed by the pool.
+    /// Explorations run, one per admitted miss granted a slot.
     pub jobs_executed: Counter,
     /// Connections accepted.
     pub conns_opened: Counter,
@@ -208,7 +207,7 @@ impl ServeStats {
         );
         registry.counter(
             "lfm_serve_jobs_total",
-            "Explorations executed by the pool",
+            "Explorations run in an exploration slot",
             self.jobs_executed.get(),
         );
         registry.counter(
@@ -319,9 +318,9 @@ pub struct StatsSnapshot {
     pub uptime_ms: u64,
     /// `check` requests currently inside the handler.
     pub in_flight: u64,
-    /// Jobs queued right now.
+    /// Checks waiting for an exploration slot right now.
     pub queue_depth: u64,
-    /// Queue bound.
+    /// Most checks that may wait for a slot.
     pub queue_cap: u64,
     /// Open connections.
     pub conns: u64,
@@ -502,15 +501,15 @@ impl StatsSnapshot {
 pub struct DrainSummary {
     /// The service counters once the drain finished.
     pub stats: StatsSnapshot,
-    /// `true` when every connection closed and every queued job
-    /// drained within the drain timeout.
+    /// `true` when every connection closed within the drain timeout,
+    /// each after finishing the check it was in.
     pub clean: bool,
 }
 
 struct Shared {
     config: ServerConfig,
     ladder: AdmissionLadder,
-    queue: Arc<JobQueue>,
+    slots: Slots,
     cache: Arc<ReportCache>,
     stats: Arc<ServeStats>,
     sink: Arc<dyn Sink>,
@@ -552,8 +551,8 @@ impl Shared {
         StatsSnapshot {
             uptime_ms: self.tracer.epoch().elapsed().as_millis() as u64,
             in_flight: self.in_flight.load(Ordering::Relaxed),
-            queue_depth: self.queue.len() as u64,
-            queue_cap: self.queue.cap() as u64,
+            queue_depth: self.slots.waiting() as u64,
+            queue_cap: self.slots.cap as u64,
             conns: self.conns.lock().unwrap().len() as u64,
             requests,
             checks,
@@ -640,8 +639,7 @@ impl Shared {
 #[derive(Debug)]
 pub struct ServerHandle {
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
-    pool: Option<WorkerPool>,
+    accept: JoinHandle<()>,
 }
 
 /// Constructor namespace for the server.
@@ -649,42 +647,24 @@ pub struct ServerHandle {
 pub struct Server;
 
 impl Server {
-    /// Binds, spawns the pool and the accept loop, returns immediately.
+    /// Binds, spawns the accept loop, returns immediately.
     pub fn start(config: ServerConfig, sink: Arc<dyn Sink>) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let queue = Arc::new(JobQueue::new(config.queue_cap));
-        let cache = Arc::new(ReportCache::new());
-        let stats = Arc::new(ServeStats::new());
-        let chaos = config.chaos.map(FaultPlan::new);
-        let ladder = AdmissionLadder::for_queue(config.queue_cap);
-        let tracer = Arc::new(Tracer::new(
-            config.trace,
-            config.trace_slow_ms,
-            Arc::clone(&sink),
-        ));
-        let pool = WorkerPool::start(
-            config.workers,
-            WorkerCtx {
-                queue: Arc::clone(&queue),
-                cache: Arc::clone(&cache),
-                stats: Arc::clone(&stats),
-                sink: Arc::clone(&sink),
-                chaos,
-                caps: config.caps,
-                tracer: Arc::clone(&tracer),
-            },
-        );
         let shared = Arc::new(Shared {
+            ladder: AdmissionLadder::for_queue(config.queue_cap),
+            slots: Slots::new(config.workers, config.queue_cap),
+            cache: Arc::new(ReportCache::new()),
+            stats: Arc::new(ServeStats::new()),
+            chaos: config.chaos.map(FaultPlan::new),
+            tracer: Arc::new(Tracer::new(
+                config.trace,
+                config.trace_slow_ms,
+                Arc::clone(&sink),
+            )),
             config,
-            ladder,
-            queue,
-            cache,
-            stats,
             sink,
-            chaos,
             addr,
-            tracer,
             in_flight: AtomicU64::new(0),
             req_seq: AtomicU64::new(0),
             shutting_down: AtomicBool::new(false),
@@ -709,11 +689,7 @@ impl Server {
             .name("lfm-serve-accept".to_owned())
             .spawn(move || accept_loop(&listener, &accept_shared))
             .expect("spawn accept thread");
-        Ok(ServerHandle {
-            shared,
-            accept: Some(accept),
-            pool: Some(pool),
-        })
+        Ok(ServerHandle { shared, accept })
     }
 }
 
@@ -759,18 +735,16 @@ impl ServerHandle {
     }
 
     /// Blocks until a shutdown is requested, then drains: joins the
-    /// accept loop, waits for open connections, drains the job queue
-    /// through the pool, joins the workers, flushes the sink.
-    pub fn wait(mut self) -> DrainSummary {
+    /// accept loop, waits for open connections (each finishes the
+    /// check it is in), flushes the sink.
+    pub fn wait(self) -> DrainSummary {
         {
             let mut requested = self.shared.shutdown_requested.lock().unwrap();
             while !*requested {
                 requested = self.shared.shutdown_cv.wait(requested).unwrap();
             }
         }
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
+        let _ = self.accept.join();
         // Open connections finish their in-flight request (idle ones
         // already read EOF); the drain timeout bounds us.
         let mut clean = true;
@@ -790,12 +764,6 @@ impl ServerHandle {
                     .unwrap();
                 conns = guard;
             }
-        }
-        // Queued jobs still drain through the pool before the workers
-        // see the close.
-        self.shared.queue.close();
-        if let Some(pool) = self.pool.take() {
-            pool.join();
         }
         let summary = DrainSummary {
             stats: self.shared.stats_snapshot(),
@@ -912,7 +880,7 @@ fn handle_conn(stream: &TcpStream, shared: &Arc<Shared>) {
             continue;
         }
         // One request timeline: the handler's spans live on track 0,
-        // worker spans arrive through the job reply.
+        // its exploration's on the slot's track.
         let tracer = &shared.tracer;
         let mut spans: Vec<SpanRec> = Vec::new();
         push_span(
@@ -1105,7 +1073,7 @@ fn handle_check(
         }
         Lookup::Claimed => {
             let admit_start = Instant::now();
-            let verdict = shared.ladder.admit(shared.queue.len());
+            let verdict = shared.ladder.admit(shared.slots.waiting());
             push_span(
                 &shared.stats,
                 &shared.tracer,
@@ -1130,52 +1098,246 @@ fn handle_check(
                         build_target(kernel_id, variant_slug)
                             .expect("a target that built once builds again")
                     });
-                    let (reply, result) = sync_channel(1);
-                    let job = Job {
-                        key,
-                        kernel: kernel_id.to_owned(),
-                        variant: variant_slug.to_owned(),
-                        fingerprint: fp,
-                        program,
-                        level,
-                        deadline,
-                        accepted_at: Instant::now(),
-                        reply,
-                    };
-                    if shared.queue.push(job).is_err() {
+                    let accepted_at = Instant::now();
+                    let Some(slot) = shared.slots.take() else {
                         shared.cache.abandon(key);
                         shared.stats.shed.inc();
                         emit_shed(shared, kernel_id, "queue-full");
                         return render_shed("queue-full", crate::admission::RETRY_AFTER_MS, trace);
-                    }
-                    let grace = deadline.unwrap_or(Duration::ZERO) + REPLY_GRACE;
-                    match result.recv_timeout(grace) {
-                        Ok(job_reply) => {
-                            spans.extend(job_reply.spans);
-                            match job_reply.result {
-                                Ok(body) => {
-                                    let us = record_latency(shared, started);
-                                    shared.stats.latency_by_level[level_index(level)].record(us);
-                                    render_ok(false, trace, &body)
-                                }
-                                Err(reason) => {
-                                    shared.stats.errors.inc();
-                                    render_error(&reason, trace)
-                                }
-                            }
+                    };
+                    let miss = Miss {
+                        key,
+                        kernel: kernel_id,
+                        variant: variant_slug,
+                        fingerprint: fp,
+                        level,
+                        accepted_at,
+                    };
+                    let explored = explore(shared, slot, &miss, spans, || {
+                        // The wait for a slot counts against the
+                        // request's wall budget: a deadline is a
+                        // promise to the client, not to us.
+                        let remaining = deadline.map(|d| d.saturating_sub(accepted_at.elapsed()));
+                        let (caps, chaos) = (shared.config.caps, shared.chaos);
+                        check_at_level(&program, level, caps, chaos, remaining)
+                    });
+                    match explored {
+                        Ok(body) => {
+                            let us = record_latency(shared, started);
+                            shared.stats.latency_by_level[level_index(level)].record(us);
+                            render_ok(false, trace, &body)
                         }
-                        Err(_) => {
-                            // The worker outlived even the grace
-                            // period; release the claim so the key is
-                            // not wedged (a late fill still wins).
-                            shared.cache.abandon(key);
+                        Err(reason) => {
                             shared.stats.errors.inc();
-                            render_error("exploration timed out past its grace period", trace)
+                            render_error(&reason, trace)
                         }
                     }
                 }
             }
         }
+    }
+}
+
+/// The exploration gate: at most `slots` admitted checks explore at
+/// once and at most `cap` more wait for a slot. A waiter holds a
+/// ticket, and slots go to tickets in the order they were issued (the
+/// wait line is FIFO; without tickets a new arrival could take the
+/// slot a woken waiter was owed). A slot's index is its check's trace
+/// track, `1 + index`.
+#[derive(Debug)]
+struct Slots {
+    state: Mutex<SlotState>,
+    /// Broadcast, under the lock, after every grant and every release.
+    changed: Condvar,
+    /// Most checks that may wait for a slot.
+    cap: usize,
+}
+
+#[derive(Debug)]
+struct SlotState {
+    /// Tickets issued.
+    issued: u64,
+    /// Tickets granted a slot: `issued - served` checks wait.
+    served: u64,
+    /// Free slot indices; the last freed is granted first.
+    free: Vec<usize>,
+}
+
+impl Slots {
+    fn new(slots: usize, cap: usize) -> Slots {
+        Slots {
+            state: Mutex::new(SlotState {
+                issued: 0,
+                served: 0,
+                free: (0..slots.max(1)).rev().collect(),
+            }),
+            changed: Condvar::new(),
+            cap: cap.max(1),
+        }
+    }
+
+    /// Checks waiting for a slot right now: the admission ladder's
+    /// depth and the stats reply's `queue_depth`. Racy by nature;
+    /// [`Slots::take`] re-checks the bound.
+    fn waiting(&self) -> usize {
+        let state = self.state.lock().expect("slot gate poisoned");
+        (state.issued - state.served) as usize
+    }
+
+    /// Takes a slot, waiting behind every earlier ticket, or returns
+    /// `None` at once when `cap` checks already wait.
+    fn take(&self) -> Option<Slot<'_>> {
+        let mut state = self.state.lock().expect("slot gate poisoned");
+        // The bound is checked and the ticket taken in one critical
+        // section: in two, arrivals could all pass the check before any
+        // took its ticket (`tests/slots_model.rs`).
+        if state.issued - state.served >= self.cap as u64 {
+            return None;
+        }
+        let ticket = state.issued;
+        state.issued += 1;
+        while state.served != ticket || state.free.is_empty() {
+            state = self.changed.wait(state).expect("slot gate poisoned");
+        }
+        state.served += 1;
+        let index = state.free.pop().expect("a free slot was just seen");
+        // The next ticket may find a slot free too, and its holder may
+        // have been woken before this grant and gone back to sleep.
+        self.changed.notify_all();
+        Some(Slot { slots: self, index })
+    }
+}
+
+/// A granted exploration slot; dropping it frees the slot.
+#[derive(Debug)]
+struct Slot<'a> {
+    slots: &'a Slots,
+    index: usize,
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        // A poisoned gate already fails every `take`; a drop must not
+        // panic.
+        if let Ok(mut state) = self.slots.state.lock() {
+            state.free.push(self.index);
+            self.slots.changed.notify_all();
+        }
+    }
+}
+
+/// An admitted miss: its cache key, what its report names, its rung,
+/// and when admission accepted it (the slot wait runs from there).
+struct Miss<'a> {
+    key: u64,
+    kernel: &'a str,
+    variant: &'a str,
+    fingerprint: u64,
+    level: DegradeLevel,
+    accepted_at: Instant,
+}
+
+/// Explores an admitted miss in `slot`, which frees on return: `run`
+/// explores, and its report fills the miss's cache claim. A panic in
+/// `run` is contained: it is counted and logged, the claim is abandoned
+/// so a waiter can reclaim the key, and the check answers an error.
+/// Records `queue_wait` (admission to slot), `worker_claim` and
+/// `explore` on the slot's trace track.
+fn explore(
+    shared: &Shared,
+    slot: Slot<'_>,
+    miss: &Miss<'_>,
+    spans: &mut Vec<SpanRec>,
+    run: impl FnOnce() -> CheckOutcome,
+) -> Result<Arc<str>, String> {
+    let (stats, tracer, sink) = (&shared.stats, &shared.tracer, &shared.sink);
+    stats.jobs_executed.inc();
+    let pid = 1 + slot.index as u64;
+    let claimed = Instant::now();
+    push_span(
+        stats,
+        tracer,
+        spans,
+        Stage::QueueWait,
+        pid,
+        miss.accepted_at,
+        claimed,
+    );
+    let explore_start = Instant::now();
+    push_span(
+        stats,
+        tracer,
+        spans,
+        Stage::WorkerClaim,
+        pid,
+        claimed,
+        explore_start,
+    );
+    let outcome = catch_unwind(AssertUnwindSafe(run));
+    push_span(
+        stats,
+        tracer,
+        spans,
+        Stage::Explore,
+        pid,
+        explore_start,
+        Instant::now(),
+    );
+    match outcome {
+        Ok(out) => {
+            let body = protocol::render_report(miss.kernel, miss.variant, miss.fingerprint, &out);
+            if sink.enabled() {
+                sink.emit(&Event {
+                    scope: "serve",
+                    name: "job",
+                    fields: &[
+                        ("kernel", Value::Str(miss.kernel)),
+                        ("variant", Value::Str(miss.variant)),
+                        ("level", Value::U64(level_index(miss.level) as u64)),
+                        ("schedules", Value::U64(out.schedules)),
+                        ("failures", Value::U64(out.counts.failures())),
+                    ],
+                });
+            }
+            // A deadline-truncated report reflects this request's wall
+            // budget, not the program — caching it would serve one
+            // caller's truncation to everyone forever. Reply with it,
+            // but release the claim unfilled.
+            if out.truncation == Some(Truncation::WallDeadline) {
+                stats.uncacheable.inc();
+                shared.cache.abandon(miss.key);
+                Ok(Arc::from(body))
+            } else {
+                Ok(shared.cache.fill(miss.key, body))
+            }
+        }
+        Err(payload) => {
+            stats.worker_panics.inc();
+            shared.cache.abandon(miss.key);
+            let reason = panic_text(payload.as_ref());
+            if sink.enabled() {
+                sink.emit(&Event {
+                    scope: "serve",
+                    name: "worker_panic",
+                    fields: &[
+                        ("kernel", Value::Str(miss.kernel)),
+                        ("variant", Value::Str(miss.variant)),
+                        ("reason", Value::Str(&reason)),
+                    ],
+                });
+            }
+            Err(format!("exploration panicked: {reason}"))
+        }
+    }
+}
+
+fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_owned()
     }
 }
 
@@ -1232,6 +1394,7 @@ mod tests {
     use super::*;
     use crate::client::{Client, RetryPolicy};
     use crate::level::LevelCaps;
+    use lfm_obs::MemorySink;
 
     fn test_config() -> ServerConfig {
         ServerConfig {
@@ -1450,6 +1613,15 @@ mod tests {
         // The wire line round-trips exactly through render/parse.
         let line = snapshot.render();
         assert_eq!(StatsSnapshot::parse(&line).expect("parses"), snapshot);
+        // Stage and level rows are objects that name their row.
+        assert!(
+            line.contains("\"stages\":[{\"stage\":\"accept\",\"count\":"),
+            "{line}"
+        );
+        assert!(
+            line.contains("\"levels\":[{\"level\":\"exhaustive\",\"count\":"),
+            "{line}"
+        );
         handle.request_shutdown();
         assert!(handle.wait().clean);
     }
@@ -1484,5 +1656,163 @@ mod tests {
         assert!(handle.wait().clean);
         quiet.request_shutdown();
         assert!(quiet.wait().clean);
+    }
+
+    /// Waits until `slots` has `n` checks waiting.
+    fn await_waiting(slots: &Slots, n: usize) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while slots.waiting() < n {
+            assert!(Instant::now() < deadline, "{n} waiters never queued");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn slots_admit_cap_waiters_and_refuse_the_next() {
+        let slots = Slots::new(1, 2);
+        let held = slots.take().expect("a free slot");
+        assert_eq!(slots.waiting(), 0);
+        std::thread::scope(|scope| {
+            let waiters: Vec<_> = (0..2)
+                .map(|_| scope.spawn(|| slots.take().map(|slot| slot.index)))
+                .collect();
+            await_waiting(&slots, 2);
+            // A refused take returns at once; an admitted one would
+            // wait for `held`.
+            let third = scope.spawn(|| slots.take().map(|slot| slot.index));
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !third.is_finished() && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            drop(held);
+            assert_eq!(third.join().unwrap(), None, "a third waiter is refused");
+            for waiter in waiters {
+                assert_eq!(waiter.join().unwrap(), Some(0));
+            }
+        });
+        assert_eq!(slots.waiting(), 0);
+    }
+
+    #[test]
+    fn slots_go_to_waiters_in_arrival_order() {
+        let slots = Slots::new(1, 3);
+        let granted = Mutex::new(Vec::new());
+        let held = slots.take().expect("a free slot");
+        std::thread::scope(|scope| {
+            for arrival in 0..2 {
+                let (slots, granted) = (&slots, &granted);
+                scope.spawn(move || {
+                    let _slot = slots.take().expect("room to wait");
+                    granted.lock().unwrap().push(arrival);
+                });
+                // The next waiter arrives only once this one holds its
+                // ticket.
+                await_waiting(slots, arrival + 1);
+            }
+            // A new arrival finds the slot just freed, before either
+            // woken waiter runs, and still queues behind both.
+            drop(held);
+            let _slot = slots.take().expect("room to wait");
+            granted.lock().unwrap().push(2);
+        });
+        assert_eq!(granted.into_inner().unwrap(), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn a_freed_slot_index_is_granted_again() {
+        let slots = Slots::new(2, 1);
+        let first = slots.take().expect("slot 0");
+        let second = slots.take().expect("slot 1");
+        assert_eq!((first.index, second.index), (0, 1));
+        drop(first);
+        let third = slots.take().expect("slot 0 again");
+        assert_eq!(third.index, 0, "tracks stay within 1..=workers");
+        drop((second, third));
+        assert_eq!(slots.state.lock().unwrap().free.len(), 2);
+    }
+
+    /// An admitted miss of `toctou_flag/buggy` under `key`, with its
+    /// cache claim already taken, as a handler holds it.
+    fn claimed_miss(shared: &Shared, key: u64) -> (Miss<'static>, Program) {
+        assert!(matches!(
+            shared.cache.lookup_or_claim(key, Duration::from_secs(1)),
+            Lookup::Claimed
+        ));
+        let program = build_target("toctou_flag", "buggy").expect("kernel exists");
+        let miss = Miss {
+            key,
+            kernel: "toctou_flag",
+            variant: "buggy",
+            fingerprint: fingerprint(&program),
+            level: DegradeLevel::Exhaustive,
+            accepted_at: Instant::now(),
+        };
+        (miss, program)
+    }
+
+    #[test]
+    fn explore_fills_the_claim_on_the_slot_track() {
+        let mut config = test_config();
+        config.trace = true;
+        let handle = Server::start(config, Arc::new(lfm_obs::NoopSink)).expect("server starts");
+        let shared = &handle.shared;
+        let (miss, program) = claimed_miss(shared, 77);
+        let mut spans = Vec::new();
+        let slot = shared.slots.take().expect("a free slot");
+        let caps = shared.config.caps;
+        let body = explore(shared, slot, &miss, &mut spans, || {
+            check_at_level(&program, miss.level, caps, None, None)
+        })
+        .expect("no panic");
+        let stages: Vec<Stage> = spans.iter().map(|s| s.stage).collect();
+        assert_eq!(
+            stages,
+            vec![Stage::QueueWait, Stage::WorkerClaim, Stage::Explore]
+        );
+        assert!(spans.iter().all(|s| s.pid >= 1), "slot track");
+        assert!(shared.stats.stages[Stage::Explore.index()].count() >= 1);
+        assert!(body.contains("\"kernel\":\"toctou_flag\""), "{body}");
+        assert!(body.contains("\"failures\":"), "{body}");
+        // The same bytes are now cached.
+        match shared.cache.lookup_or_claim(77, Duration::from_secs(1)) {
+            Lookup::Hit(cached) => assert_eq!(&*cached, &*body),
+            other => panic!("expected hit, got {other:?}"),
+        }
+        assert_eq!(shared.stats.jobs_executed.get(), 1);
+        assert_eq!(shared.stats.worker_panics.get(), 0);
+        handle.request_shutdown();
+        assert!(handle.wait().clean);
+    }
+
+    #[test]
+    fn a_panicking_exploration_is_contained_and_frees_its_slot() {
+        let sink = Arc::new(MemorySink::new());
+        let config = ServerConfig {
+            workers: 1,
+            queue_cap: 1,
+            ..test_config()
+        };
+        let handle = Server::start(config, Arc::clone(&sink) as Arc<dyn Sink>).expect("starts");
+        let shared = &handle.shared;
+        let (miss, _) = claimed_miss(shared, 78);
+        let slot = shared.slots.take().expect("a free slot");
+        let outcome = explore(shared, slot, &miss, &mut Vec::new(), || panic!("boom"));
+        assert_eq!(outcome, Err("exploration panicked: boom".to_owned()));
+        assert_eq!(shared.stats.worker_panics.get(), 1);
+        assert_eq!(sink.events_named("serve", "worker_panic").len(), 1);
+        assert_eq!(
+            shared.slots.state.lock().unwrap().free,
+            vec![0],
+            "slot freed"
+        );
+        assert!(
+            matches!(
+                shared.cache.lookup_or_claim(78, Duration::from_secs(1)),
+                Lookup::Claimed
+            ),
+            "the key is claimable again"
+        );
+        handle.request_shutdown();
+        assert!(handle.wait().clean);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Every request handled by the server is attributed, stage by stage,
 //! to the pipeline it flowed through (frame read, parse, cache probe,
-//! admission, queue, worker, exploration, reply write). Stage
+//! admission, slot wait, slot setup, exploration, reply write). Stage
 //! durations always feed the `lfm_serve_stage_us` histograms; the full
 //! per-request *timeline* is additionally captured — as typed span
 //! records in a bounded [`Ring`], and as `lfm-obs/v1` `serve`/`span`
@@ -20,8 +20,9 @@
 //!
 //! The ring tail converts to a Perfetto-loadable Chrome trace via
 //! [`Tracer::dump_chrome`]: one `pid` per track (0 = connection
-//! handlers, `1 + N` = worker `N`), one `tid` per request sequence
-//! number, one `"X"` complete event per stage span.
+//! handlers, `1 + N` = exploration slot `N`, labelled `worker-N`), one
+//! `tid` per request sequence number, one `"X"` complete event per
+//! stage span.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -54,9 +55,10 @@ pub enum Stage {
     CoalesceWait,
     /// Admission-ladder verdict.
     Admission,
-    /// Between enqueue and a worker claiming the job.
+    /// Between admission and the check's exploration slot being
+    /// granted.
     QueueWait,
-    /// Worker-side setup between claim and exploration start.
+    /// Setup between the slot grant and exploration start.
     WorkerClaim,
     /// The exploration itself.
     Explore,
@@ -110,13 +112,14 @@ impl Stage {
 }
 
 /// One recorded stage span. Timestamps are microsecond offsets from
-/// the tracer epoch (server start), so spans recorded by the handler
-/// and by a worker line up on one timeline.
+/// the tracer epoch (server start), so spans recorded on every track
+/// line up on one timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanRec {
     /// Which stage this span covers.
     pub stage: Stage,
-    /// Trace track: 0 = connection handlers, `1 + N` = worker `N`.
+    /// Trace track: 0 = connection handlers, `1 + N` = exploration
+    /// slot `N`.
     pub pid: u64,
     /// Start offset from the tracer epoch, microseconds.
     pub ts_us: u64,
@@ -268,7 +271,7 @@ impl Tracer {
         let tail = self.ring.tail();
         let mut trace = ChromeTrace::new();
         // One process_name metadata record per track, so Perfetto
-        // shows "worker-N" instead of bare pids.
+        // shows "worker-N" (exploration slot N) instead of bare pids.
         let mut pids: Vec<u64> = tail.iter().map(|(_, r)| r.span.pid).collect();
         pids.sort_unstable();
         pids.dedup();
