@@ -16,6 +16,8 @@
 //!   every host, the throughput and tracing-overhead floors on
 //!   multi-core hosts.
 
+use std::sync::Arc;
+
 use lfm_obs::Sink;
 
 use crate::perf::{
@@ -88,8 +90,8 @@ impl Mode {
     }
 
     /// Runs the mode against the document at `path`. The snapshot
-    /// streams its `study` and `detect` events to `sink`.
-    pub fn run(self, path: &str, sink: &dyn Sink) -> Verdict {
+    /// streams its `explore`, `study` and `detect` events to `sink`.
+    pub fn run(self, path: &str, sink: &Arc<dyn Sink>) -> Verdict {
         match self {
             Mode::Snapshot => snapshot(path, sink),
             Mode::BenchExplore => bench_explore(path),
@@ -135,7 +137,7 @@ impl Verdict {
     }
 }
 
-fn snapshot(path: &str, sink: &dyn Sink) -> Verdict {
+fn snapshot(path: &str, sink: &Arc<dyn Sink>) -> Verdict {
     match std::fs::write(path, crate::snapshot::obs_snapshot(sink)) {
         Ok(()) => Verdict::new().end(format!("metrics snapshot written to {path}")),
         Err(e) => Verdict::new().fail(format!("cannot write metrics snapshot to `{path}`: {e}")),
@@ -396,7 +398,8 @@ mod tests {
         let empty = empty.to_string_lossy().into_owned();
         let missing = "/nonexistent/lfm/BENCH.json";
         let check = |mode: Mode, path: &str| {
-            let verdict = mode.run(path, &lfm_obs::NoopSink);
+            let sink: Arc<dyn Sink> = Arc::new(lfm_obs::NoopSink);
+            let verdict = mode.run(path, &sink);
             assert!(!verdict.pass, "{verdict:?}");
             assert_eq!(verdict.lines.len(), 1, "{verdict:?}");
             verdict.lines[0].clone()

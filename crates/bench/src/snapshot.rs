@@ -6,6 +6,8 @@
 //! one JSON document. `lfm tables --json <path>` writes it
 //! so benchmark runs leave a comparable artifact next to the tables.
 
+use std::sync::Arc;
+
 use lfm_kernels::{registry, Family};
 use lfm_obs::{json, Sink};
 use lfm_sim::{ExploreLimits, ExploreReport, Explorer, RandomWalker};
@@ -18,13 +20,15 @@ use crate::{push_fields, push_objects};
 pub const SNAPSHOT_SCHEMA: &str = "lfm-obs/v1";
 
 /// Builds the full metrics snapshot as a JSON document, streaming the
-/// detector pipeline's `detect` events and the table builds' `study`
-/// events to `sink`.
+/// per-family explorations' `explore` events, the detector pipeline's
+/// `detect` events and the table builds' `study` events to `sink`. The
+/// timed E-perf and E-obs runs stay unobserved: E-obs measures what
+/// observation costs itself.
 ///
 /// Deliberately small budgets: the snapshot is a smoke-level profile of
 /// every subsystem, not a benchmark — `cargo bench` owns the real
 /// measurements.
-pub fn obs_snapshot(sink: &dyn Sink) -> String {
+pub fn obs_snapshot(sink: &Arc<dyn Sink>) -> String {
     let mut out = String::with_capacity(4096);
     out.push('{');
     push_fields(&mut out, &[("schema", json::quote(SNAPSHOT_SCHEMA))]);
@@ -36,6 +40,7 @@ pub fn obs_snapshot(sink: &dyn Sink) -> String {
             .iter()
             .map(|kernel| {
                 Explorer::new(&kernel.buggy())
+                    .with_sink(Arc::clone(sink))
                     .limits(ExploreLimits {
                         max_schedules: 2_000,
                         sleep_sets: true,
@@ -74,7 +79,7 @@ pub fn obs_snapshot(sink: &dyn Sink) -> String {
     let (training, test): (Vec<_>, Vec<_>) = sampled.into_iter().partition(|(_, o)| o.is_ok());
     let training: Vec<_> = training.into_iter().map(|(t, _)| t).collect();
     let test: Vec<_> = test.into_iter().map(|(t, _)| t).collect();
-    let (_, detect_stats) = lfm_detect::detect_all_with_stats(&training, &test, sink);
+    let (_, detect_stats) = lfm_detect::detect_all_with_stats(&training, &test, sink.as_ref());
     out.push_str(",\"detect\":{\"passes\":");
     push_objects(&mut out, &detect_stats.passes, |pass| {
         vec![
@@ -196,7 +201,7 @@ pub fn obs_snapshot(sink: &dyn Sink) -> String {
 
     // Table-generator timings over the full corpus.
     let corpus = lfm_corpus::Corpus::full();
-    let (_, timings) = lfm_study::profile_tables(&corpus, sink);
+    let (_, timings) = lfm_study::profile_tables(&corpus, sink.as_ref());
     out.push_str(",\"study\":{\"tables\":");
     push_objects(&mut out, &timings, |timing| {
         vec![
@@ -217,11 +222,16 @@ mod tests {
 
     #[test]
     fn snapshot_covers_every_subsystem() {
-        let sink = lfm_obs::MemorySink::new();
-        let snap = obs_snapshot(&sink);
-        // The table builds stream to the session sink.
+        let sink = Arc::new(lfm_obs::MemorySink::new());
+        let snap = obs_snapshot(&(Arc::clone(&sink) as Arc<dyn Sink>));
+        // The table builds and the per-family explorations stream to the
+        // session sink: one exploration per buggy kernel, each too short
+        // for a progress event.
         assert_eq!(sink.events_named("study", "table").len(), 9);
         assert_eq!(sink.events_named("study", "tables").len(), 1);
+        assert_eq!(sink.events_named("explore", "start").len(), 29);
+        assert_eq!(sink.events_named("explore", "report").len(), 29);
+        assert_eq!(sink.events_named("explore", "progress").len(), 0);
         assert!(snap.starts_with('{') && snap.ends_with('}'));
         assert!(snap.contains("\"schema\":\"lfm-obs/v1\""));
         for family in Family::ALL {

@@ -929,7 +929,7 @@ pub fn run_opts(command: Command, sink: Arc<dyn Sink>, opts: &RunOptions) -> Run
         Command::Version => RunOutput::clean(version_text()),
         Command::Tables { only, markdown } => run_tables(only, markdown, opts, sink.as_ref()),
         Command::TablesMode { mode, path } => {
-            let verdict = mode.run(&path, sink.as_ref());
+            let verdict = mode.run(&path, &sink);
             let text = verdict
                 .lines
                 .iter()

@@ -45,6 +45,18 @@ pub enum BuildError {
         /// The auto-start target.
         target: ThreadId,
     },
+    /// The program has more than 64 threads: the executor and the
+    /// search keep a set of threads in one `u64`.
+    TooManyThreads {
+        /// Threads the builder was given.
+        threads: usize,
+    },
+    /// A thread body names more than 64 distinct locals: the executor
+    /// keeps a thread's written locals in one `u64`.
+    TooManyLocals {
+        /// Thread whose body is invalid.
+        thread: ThreadId,
+    },
 }
 
 impl fmt::Display for BuildError {
@@ -71,6 +83,12 @@ impl fmt::Display for BuildError {
             }
             BuildError::SpawnOfAutoStartThread { thread, target } => {
                 write!(f, "thread {thread} spawns auto-start thread {target}")
+            }
+            BuildError::TooManyThreads { threads } => {
+                write!(f, "program has {threads} threads; at most 64 are supported")
+            }
+            BuildError::TooManyLocals { thread } => {
+                write!(f, "thread {thread} names more than 64 locals")
             }
         }
     }

@@ -1,21 +1,21 @@
 //! The executor: a deterministic interpreter advancing one visible
 //! operation at a time under external scheduling control.
 
+use std::ops::Index;
 use std::rc::Rc;
 
 use crate::error::ExecError;
-use crate::expr::Expr;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::footprint::Footprint;
-use crate::ids::{CondId, MutexId, RwId, SemId, ThreadId, VarId};
-use crate::locals::Locals;
+use crate::ids::{threads_in, CondId, MutexId, RwId, SemId, ThreadId, VarId};
+use crate::lower::{Code, Instr, Locals, Op};
 use crate::outcome::{BlockedOn, Outcome};
-use crate::program::{Instr, Program};
+use crate::program::Program;
 use crate::pvec::{chunk_table_bytes, ScheduleLog};
 use crate::schedule::Schedule;
 use crate::state::{CondState, MutexState, RwState, SemState};
 use crate::statehash::{Comp, Fnv, StateHash};
-use crate::stmt::{RmwOp, Stmt};
+use crate::stmt::RmwOp;
 use crate::trace::{Event, EventKind, Trace, VectorClock};
 use crate::txn::TxState;
 
@@ -24,16 +24,21 @@ use crate::txn::TxState;
 const LOCAL_FUEL: u32 = 100_000;
 
 /// Bytes [`Executor::snapshot_deep_bytes`] charges per thread state,
-/// before its variable-length parts. This and the four per-object
-/// sizes below are each type's x86-64 `size_of` when the size model
-/// was fixed, pinned so that a layout change (the locals list, a
-/// dropped field) leaves `snapshot_bytes_saved` comparable across
-/// versions.
+/// before its variable-length parts. This and the other sizes below
+/// are each type's x86-64 `size_of` when the size model was fixed,
+/// pinned so that a layout change (slot-indexed locals, lowered
+/// instructions, a dropped field) leaves `snapshot_bytes_saved`
+/// comparable across versions.
 const THREAD_STATE_BYTES: usize = 200;
 const MUTEX_STATE_BYTES: usize = 64;
 const COND_STATE_BYTES: usize = 56;
 const RW_STATE_BYTES: usize = 56;
 const SEM_STATE_BYTES: usize = 64;
+/// Per compiled instruction of the program.
+const INSTR_BYTES: usize = 88;
+/// Per written local, in a thread or in a transaction's snapshot of
+/// its locals: a `(&'static str, i64)` entry.
+const LOCAL_BYTES: usize = 24;
 
 /// Default bound on transaction aborts before the execution is classified
 /// [`Outcome::TxRetryLimit`].
@@ -81,7 +86,7 @@ impl ReplayDeviation {
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum ThreadStatus {
     /// Declared with `thread_deferred` and not yet spawned.
     NotStarted,
@@ -132,6 +137,63 @@ struct ColdTables {
     io_journal: Vec<(ThreadId, &'static str)>,
 }
 
+/// Threads whose state handles an executor keeps inline. A program with
+/// more keeps them on the heap, and each snapshot of it allocates one
+/// table.
+const INLINE_THREADS: usize = 4;
+
+/// The per-thread state handles, indexed by thread.
+#[derive(Debug, Clone)]
+enum Threads {
+    Inline(u8, [Option<Rc<ThreadState>>; INLINE_THREADS]),
+    Spilled(Vec<Rc<ThreadState>>),
+}
+
+impl Threads {
+    fn new(states: Vec<Rc<ThreadState>>) -> Threads {
+        if states.len() > INLINE_THREADS {
+            return Threads::Spilled(states);
+        }
+        let mut table: [Option<Rc<ThreadState>>; INLINE_THREADS] = Default::default();
+        let len = states.len() as u8;
+        for (slot, state) in table.iter_mut().zip(states) {
+            *slot = Some(state);
+        }
+        Threads::Inline(len, table)
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Threads::Inline(len, _) => usize::from(*len),
+            Threads::Spilled(states) => states.len(),
+        }
+    }
+
+    /// Thread `i`'s handle, to unshare it.
+    fn handle(&mut self, i: usize) -> &mut Rc<ThreadState> {
+        match self {
+            Threads::Inline(_, table) => table[i].as_mut().expect("a thread of the program"),
+            Threads::Spilled(states) => &mut states[i],
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &ThreadState> + '_ {
+        (0..self.len()).map(|i| &self[i])
+    }
+}
+
+impl Index<usize> for Threads {
+    type Output = ThreadState;
+
+    #[inline]
+    fn index(&self, i: usize) -> &ThreadState {
+        match self {
+            Threads::Inline(_, table) => table[i].as_deref().expect("a thread of the program"),
+            Threads::Spilled(states) => &states[i],
+        }
+    }
+}
+
 /// A deterministic interpreter for one execution of a [`Program`].
 ///
 /// The executor is `Clone`; the model checker snapshots it at branch
@@ -140,16 +202,29 @@ struct ColdTables {
 ///
 /// # Copy-on-write snapshots
 ///
-/// A clone is O(pointers), not O(state). Unrecorded, it makes one heap
-/// allocation, the table of per-thread [`Rc`]s. The program handle, the
-/// shared variables, the sync-object tables, each thread's state and
-/// the state fingerprint's slots sit behind `Rc`s that the clone merely
-/// bumps. The schedule taken keeps its newest entries inline, which the
-/// clone copies, and shares the older ones, frozen. The recorded event
+/// A clone is O(pointers), not O(state). Unrecorded, it allocates
+/// nothing for a program of up to four threads, whose table of
+/// per-thread [`Rc`]s is inline; a wider program's clone allocates that
+/// table. The program handle, the shared variables, the sync-object
+/// tables, each thread's state and the state fingerprint's slots sit
+/// behind `Rc`s that the clone merely bumps. The schedule taken keeps
+/// its newest entries inline, which the clone copies, and shares the
+/// older ones, frozen. The recorded event
 /// log is a plain vector: only replays record, and no search clones a
 /// recorded executor. A mutation after a snapshot pays only for the
 /// component it touches, via `Rc::make_mut` — divergent futures of a
-/// branch point share everything they have not yet written.
+/// branch point share everything they have not yet written. Unsharing
+/// the variables is one allocation (they are one `Rc<[i64]>`), and so
+/// is unsharing a thread that holds no lock and runs no transaction:
+/// its locals sit inline in its state up to four slots.
+///
+/// # Lowered code, enabled mask
+///
+/// The executor steps on the code [`crate::ProgramBuilder::build`]
+/// lowered once: locals by slot, expressions without boxed nodes.
+/// After each step it recomputes one `u64` mask of the enabled
+/// threads, which [`Executor::is_enabled`], the quiescence check and
+/// the explorer's forward run all read.
 ///
 /// # Thread-confined
 ///
@@ -181,9 +256,11 @@ struct ColdTables {
 #[derive(Debug, Clone)]
 pub struct Executor {
     program: Rc<Program>,
-    vars: Rc<Vec<i64>>,
+    vars: Rc<[i64]>,
     cold: Rc<ColdTables>,
-    threads: Vec<Rc<ThreadState>>,
+    threads: Threads,
+    /// Bit `i` set when thread `i` can step; 0 once the run is done.
+    enabled: u64,
     steps: usize,
     outcome: Option<Outcome>,
     last_scheduled: Option<ThreadId>,
@@ -206,7 +283,7 @@ impl Executor {
         // Clocks exist only when recording (see the type's docs); a
         // zero-length clock is empty and owns no heap.
         let clock_len = if record == RecordMode::Full { n } else { 0 };
-        let threads: Vec<Rc<ThreadState>> = program
+        let threads = program
             .threads()
             .iter()
             .map(|t| {
@@ -217,7 +294,7 @@ impl Executor {
                         ThreadStatus::NotStarted
                     },
                     pc: 0,
-                    locals: Locals::default(),
+                    locals: Locals::new(t.slots().len()),
                     held: Vec::new(),
                     tx: None,
                     tx_retries: 0,
@@ -226,7 +303,7 @@ impl Executor {
             })
             .collect();
         let mut exec = Executor {
-            vars: Rc::new(program.var_init().to_vec()),
+            vars: Rc::from(program.var_init()),
             cold: Rc::new(ColdTables {
                 mutexes: (0..program.n_mutexes())
                     .map(|_| MutexState::new(clock_len))
@@ -245,7 +322,8 @@ impl Executor {
                 io_journal: Vec::new(),
             }),
             program: Rc::new(program.clone()),
-            threads,
+            threads: Threads::new(threads),
+            enabled: 0,
             steps: 0,
             outcome: None,
             last_scheduled: None,
@@ -271,7 +349,7 @@ impl Executor {
                 exec.fast_forward(tid);
             }
         }
-        exec.check_quiescence();
+        exec.refresh_enabled();
         exec
     }
 
@@ -359,21 +437,15 @@ impl Executor {
     /// thread has no next operation (not started / finished).
     pub(crate) fn next_footprint(&self, thread: ThreadId) -> Option<Footprint> {
         let ts = &self.threads[thread.index()];
-        match &ts.status {
-            ThreadStatus::Reacquire { mutex, .. } => Some(Footprint::of_reacquire(*mutex)),
-            ThreadStatus::WaitingCond { mutex, .. } => Some(Footprint::of_reacquire(*mutex)),
-            ThreadStatus::Ready => self.peek_op(thread).map(|stmt| {
+        match ts.status {
+            ThreadStatus::Reacquire { mutex, .. } | ThreadStatus::WaitingCond { mutex, .. } => {
+                Some(Footprint::of_reacquire(mutex))
+            }
+            ThreadStatus::Ready => self.peek_op(thread.index()).map(|op| match op {
                 // Only a commit's footprint reads the transaction's sets.
-                let touched: Vec<VarId> = match (&ts.tx, stmt) {
-                    (Some(tx), Stmt::TxCommit) => tx
-                        .read_set
-                        .iter()
-                        .map(|(v, _)| *v)
-                        .chain(tx.write_set.iter().map(|(v, _)| *v))
-                        .collect(),
-                    _ => Vec::new(),
-                };
-                let fp = Footprint::of_stmt(stmt, &touched);
+                Op::TxCommit => {
+                    (ts.tx.as_ref()).map_or_else(Footprint::default, Footprint::of_commit)
+                }
                 // Dynamic refinement: an assert condition reads only the
                 // owner's locals (the builder rejects `Expr::Shared` in
                 // thread bodies), so its verdict cannot change until this
@@ -381,12 +453,10 @@ impl Executor {
                 // cannot abort and is invisible; a failing one stays
                 // visible so the explorer still branches before the abort
                 // cuts off sibling outcomes.
-                if let Stmt::Assert { cond, .. } = stmt {
-                    if Self::locals_eval(&ts.locals, cond) != 0 {
-                        return fp.without_effect();
-                    }
+                Op::Assert { cond, .. } if cond.eval(&ts.locals) != 0 => {
+                    Footprint::of_op(op).without_effect()
                 }
-                fp
+                op => Footprint::of_op(op),
             }),
             ThreadStatus::NotStarted | ThreadStatus::Finished => None,
         }
@@ -494,13 +564,12 @@ impl Executor {
                     ThreadStatus::Finished => f.byte(4),
                 };
                 f = f.usize(ts.pc);
+                // Each written local hashes as its name's bytes, 0xff and
+                // its value; the slot table keeps the name's part.
+                let slots = self.program.threads()[i].slots();
                 let mut locals_fold = 0u64;
-                for (name, value) in ts.locals.iter() {
-                    locals_fold ^= Fnv::new()
-                        .bytes(name.as_bytes())
-                        .byte(0xff)
-                        .i64(value)
-                        .finish();
+                for (slot, value) in ts.locals.iter() {
+                    locals_fold ^= slots.seed(slot).i64(value).finish();
                 }
                 f = f.usize(ts.locals.len()).u64(locals_fold);
                 f = f.usize(ts.held.len());
@@ -533,7 +602,7 @@ impl Executor {
     /// snapshot and marks its hash component dirty.
     fn thread_mut(&mut self, t: ThreadId) -> &mut ThreadState {
         self.hash.touch(Comp::Thread(t.index()));
-        Rc::make_mut(&mut self.threads[t.index()])
+        Rc::make_mut(self.threads.handle(t.index()))
     }
 
     fn mutex_mut(&mut self, m: MutexId) -> &mut MutexState {
@@ -572,7 +641,7 @@ impl Executor {
     /// (`THREAD_STATE_BYTES` and its siblings), not at their current
     /// layouts.
     pub fn snapshot_deep_bytes(&self) -> u64 {
-        use std::mem::{size_of, size_of_val};
+        use std::mem::size_of;
         let n = self.threads.len();
         let clock_bytes = n * size_of::<u32>();
         let mut bytes = size_of::<Executor>();
@@ -585,17 +654,17 @@ impl Executor {
             bytes += RW_STATE_BYTES + rw.readers.len() * size_of::<ThreadId>() + clock_bytes;
         }
         bytes += self.cold.sems.len() * (SEM_STATE_BYTES + clock_bytes);
-        for ts in &self.threads {
+        for ts in self.threads.iter() {
             bytes += THREAD_STATE_BYTES + clock_bytes;
-            bytes += ts.locals.len() * size_of::<(&'static str, i64)>();
+            bytes += ts.locals.len() * LOCAL_BYTES;
             bytes += ts.held.len() * size_of::<MutexId>();
             if let Some(tx) = &ts.tx {
                 bytes += (tx.read_set.len() + tx.write_set.len()) * size_of::<(VarId, i64)>();
-                bytes += tx.locals_snapshot.len() * size_of::<(&'static str, i64)>();
+                bytes += tx.locals_snapshot.len() * LOCAL_BYTES;
             }
         }
         for t in self.program.threads() {
-            bytes += size_of_val(t.code());
+            bytes += t.code().len() * INSTR_BYTES;
         }
         bytes += self.taken.len() * size_of::<ThreadId>();
         for e in self.events.iter() {
@@ -630,7 +699,7 @@ impl Executor {
             .saturating_sub(self.snapshot_shallow_bytes())
     }
 
-    /// Threads that can take a step right now.
+    /// Threads that can take a step right now, in thread order.
     ///
     /// With a fault plan installed, threads in a stall window are filtered
     /// out (a bounded descheduling). The filter never empties the set —
@@ -647,11 +716,7 @@ impl Executor {
     /// so a run of many steps can reuse one allocation.
     pub(crate) fn enabled_into(&self, out: &mut Vec<ThreadId>) {
         out.clear();
-        out.extend(
-            (0..self.threads.len())
-                .map(ThreadId::from_index)
-                .filter(|&t| self.is_enabled(t)),
-        );
+        out.extend(threads_in(self.enabled));
         if out.len() > 1 {
             if let Some(plan) = &self.fault {
                 let stalled = |t: &ThreadId| plan.fires(FaultKind::Stall, self.steps, t.index());
@@ -662,44 +727,62 @@ impl Executor {
         }
     }
 
+    /// The threads that can take a step, bit `i` for thread `i`, with no
+    /// stall filter: the systematic search strips stalls from its plans.
+    #[inline]
+    pub(crate) fn enabled_mask(&self) -> u64 {
+        self.enabled
+    }
+
     /// `true` when `thread` can take a step.
     pub fn is_enabled(&self, thread: ThreadId) -> bool {
-        if self.outcome.is_some() {
-            return false;
+        (self.enabled.checked_shr(thread.index() as u32)).is_some_and(|bits| bits & 1 == 1)
+    }
+
+    /// The visible operation thread `i` will perform next, if any.
+    #[inline]
+    fn peek_op(&self, i: usize) -> Option<&Op> {
+        let code = self.program.threads()[i].code();
+        match code.get(self.threads[i].pc) {
+            Some(Instr::Op(op)) => Some(op),
+            _ => None,
         }
-        let ts = &self.threads[thread.index()];
-        match &ts.status {
+    }
+
+    /// Whether thread `i` can take a step in the current state.
+    fn can_step(&self, i: usize) -> bool {
+        match self.threads[i].status {
             ThreadStatus::NotStarted
             | ThreadStatus::Finished
             | ThreadStatus::WaitingCond { .. } => false,
             ThreadStatus::Reacquire { mutex, .. } => {
                 self.cold.mutexes[mutex.index()].owner.is_none()
             }
-            ThreadStatus::Ready => match self.peek_op(thread) {
-                None => false,
-                Some(stmt) => self.op_enabled(thread, stmt),
-            },
+            ThreadStatus::Ready => self.peek_op(i).is_some_and(|op| match op {
+                Op::Lock(m) => self.cold.mutexes[m.index()].owner.is_none(),
+                Op::RwRead(rw) => self.cold.rws[rw.index()].can_read(ThreadId::from_index(i)),
+                Op::RwWrite(rw) => self.cold.rws[rw.index()].can_write(ThreadId::from_index(i)),
+                Op::SemAcquire(s) => self.cold.sems[s.index()].count > 0,
+                Op::Join(t) => self.threads[t.index()].status == ThreadStatus::Finished,
+                _ => true,
+            }),
         }
     }
 
-    /// The visible operation `thread` will perform next, if any.
-    fn peek_op(&self, thread: ThreadId) -> Option<&Stmt> {
-        let ts = &self.threads[thread.index()];
-        let code = self.program.threads()[thread.index()].code();
-        match code.get(ts.pc) {
-            Some(Instr::Op(stmt)) => Some(stmt),
-            _ => None,
+    /// Recomputes the enabled mask, once per step; with no thread
+    /// enabled, the execution has quiesced.
+    fn refresh_enabled(&mut self) {
+        self.enabled = 0;
+        if self.outcome.is_some() {
+            return;
         }
-    }
-
-    fn op_enabled(&self, thread: ThreadId, stmt: &Stmt) -> bool {
-        match stmt {
-            Stmt::Lock(m) => self.cold.mutexes[m.index()].owner.is_none(),
-            Stmt::RwRead(rw) => self.cold.rws[rw.index()].can_read(thread),
-            Stmt::RwWrite(rw) => self.cold.rws[rw.index()].can_write(thread),
-            Stmt::SemAcquire(s) => self.cold.sems[s.index()].count > 0,
-            Stmt::Join(t) => self.threads[t.index()].status == ThreadStatus::Finished,
-            _ => true,
+        for i in 0..self.threads.len() {
+            if self.can_step(i) {
+                self.enabled |= 1 << i;
+            }
+        }
+        if self.enabled == 0 {
+            self.outcome = Some(self.quiesced());
         }
     }
 
@@ -720,29 +803,24 @@ impl Executor {
             self.thread_mut(thread).clock.tick(thread);
         }
 
-        if let ThreadStatus::Reacquire { mutex, signalled } =
-            self.threads[thread.index()].status.clone()
-        {
+        if let ThreadStatus::Reacquire { mutex, signalled } = self.threads[thread.index()].status {
             self.finish_wait(thread, mutex, signalled);
         } else {
-            // Borrow the statement through a program handle instead of
-            // cloning it: `Stmt` owns `Expr` trees, and a deep clone per
-            // step shows up in the explorer's hot-path profile.
+            // Borrow the op through a program handle: the step mutates
+            // the executor while it reads the op.
             let program = Rc::clone(&self.program);
             let code = program.threads()[thread.index()].code();
-            let stmt = match code.get(self.threads[thread.index()].pc) {
-                Some(Instr::Op(stmt)) => stmt,
+            let op = match code.get(self.threads[thread.index()].pc) {
+                Some(Instr::Op(op)) => op,
                 _ => unreachable!("enabled Ready thread has a visible op"),
             };
-            self.exec_op(thread, stmt);
+            self.exec_op(thread, op);
         }
 
-        if self.outcome.is_none() {
-            if self.threads[thread.index()].status == ThreadStatus::Ready {
-                self.fast_forward(thread);
-            }
-            self.check_quiescence();
+        if self.outcome.is_none() && self.threads[thread.index()].status == ThreadStatus::Ready {
+            self.fast_forward(thread);
         }
+        self.refresh_enabled();
         Ok(match &self.outcome {
             Some(o) => StepResult::Done(o.clone()),
             None => StepResult::Running,
@@ -761,6 +839,7 @@ impl Executor {
         while self.outcome.is_none() {
             if self.steps >= max_steps {
                 self.outcome = Some(Outcome::StepLimit);
+                self.enabled = 0;
                 break;
             }
             self.enabled_into(&mut enabled);
@@ -820,14 +899,8 @@ impl Executor {
 
     // ---- internals -----------------------------------------------------
 
-    fn locals_eval(locals: &Locals, e: &Expr) -> i64 {
-        e.eval(&|name| locals.get(name).unwrap_or(0), &|_| {
-            unreachable!("builder validation forbids Expr::Shared in thread bodies")
-        })
-    }
-
-    fn eval(&self, thread: ThreadId, e: &Expr) -> i64 {
-        Self::locals_eval(&self.threads[thread.index()].locals, e)
+    fn eval(&self, thread: ThreadId, code: &Code) -> i64 {
+        code.eval(&self.threads[thread.index()].locals)
     }
 
     /// Advances past purely-local instructions until the pc rests on a
@@ -835,25 +908,28 @@ impl Executor {
     fn fast_forward(&mut self, thread: ThreadId) {
         let program = Rc::clone(&self.program);
         let code = program.threads()[thread.index()].code();
+        // A pc already on a visible op has nothing to run: the thread
+        // stays shared with any snapshot.
+        if let Some(Instr::Op(_)) = code.get(self.threads[thread.index()].pc) {
+            return;
+        }
+        let ts = self.thread_mut(thread);
         let mut fuel = LOCAL_FUEL;
-        loop {
-            let ts = self.thread_mut(thread);
+        let exhausted = loop {
             match code.get(ts.pc) {
                 None => {
                     ts.status = ThreadStatus::Finished;
-                    self.record_event(thread, EventKind::ThreadExit);
-                    return;
+                    break false;
                 }
                 Some(Instr::Op(_)) => return,
-                Some(Instr::LocalSet { name, value }) => {
-                    let v = Self::locals_eval(&ts.locals, value);
-                    ts.locals.insert(name, v);
+                Some(Instr::LocalSet { slot, value }) => {
+                    let v = value.eval(&ts.locals);
+                    ts.locals.set(*slot, v);
                     ts.pc += 1;
                 }
                 Some(Instr::Jump(t)) => ts.pc = *t,
                 Some(Instr::JumpIfZero(cond, t)) => {
-                    let v = Self::locals_eval(&ts.locals, cond);
-                    if v == 0 {
+                    if cond.eval(&ts.locals) == 0 {
                         ts.pc = *t;
                     } else {
                         ts.pc += 1;
@@ -862,12 +938,13 @@ impl Executor {
             }
             fuel -= 1;
             if fuel == 0 {
-                self.outcome = Some(Outcome::Misuse {
-                    thread,
-                    error: ExecError::LocalFuelExhausted,
-                });
-                return;
+                break true;
             }
+        };
+        if exhausted {
+            self.misuse(thread, ExecError::LocalFuelExhausted);
+        } else {
+            self.record_event(thread, EventKind::ThreadExit);
         }
     }
 
@@ -942,9 +1019,9 @@ impl Executor {
 
     fn finish_wait(&mut self, thread: ThreadId, mutex: MutexId, signalled: bool) {
         // Re-acquire the mutex and resume past the Wait statement.
-        let cond = match self.peek_op(thread) {
-            Some(Stmt::Wait { cond, .. }) => *cond,
-            _ => unreachable!("Reacquire pc rests on the Wait stmt"),
+        let cond = match self.peek_op(thread.index()) {
+            Some(Op::Wait { cond, .. }) => *cond,
+            _ => unreachable!("Reacquire pc rests on the Wait op"),
         };
         let mclock = self.cold.mutexes[mutex.index()].clock.clone();
         let cclock = self.cold.conds[cond.index()].clock.clone();
@@ -964,18 +1041,18 @@ impl Executor {
         self.advance(thread);
     }
 
-    fn exec_op(&mut self, thread: ThreadId, stmt: &Stmt) {
-        match stmt {
-            Stmt::Read { var, into } => {
+    fn exec_op(&mut self, thread: ThreadId, op: &Op) {
+        match op {
+            Op::Read { var, into } => {
                 if self.tx_abort_if_invalid(thread) {
                     return;
                 }
                 let value = self.shared_read(thread, *var);
-                self.thread_mut(thread).locals.insert(into, value);
+                self.thread_mut(thread).locals.set(*into, value);
                 self.record_event(thread, EventKind::Read { var: *var, value });
                 self.advance(thread);
             }
-            Stmt::Write { var, value } => {
+            Op::Write { var, value } => {
                 let v = self.eval(thread, value);
                 if self.shared_write(thread, *var, v) {
                     self.record_event(
@@ -988,9 +1065,9 @@ impl Executor {
                 }
                 self.advance(thread);
             }
-            Stmt::Rmw {
+            Op::Rmw {
                 var,
-                op,
+                op: rmw,
                 operand,
                 into,
             } => {
@@ -999,7 +1076,7 @@ impl Executor {
                 }
                 let operand = self.eval(thread, operand);
                 let old = self.shared_read(thread, *var);
-                let new = match op {
+                let new = match rmw {
                     RmwOp::FetchAdd => old.wrapping_add(operand),
                     RmwOp::FetchSub => old.wrapping_sub(operand),
                     RmwOp::Exchange => operand,
@@ -1008,7 +1085,7 @@ impl Executor {
                 };
                 let direct = self.shared_write(thread, *var, new);
                 if let Some(into) = into {
-                    self.thread_mut(thread).locals.insert(into, old);
+                    self.thread_mut(thread).locals.set(*into, old);
                 }
                 if direct {
                     self.record_event(
@@ -1030,7 +1107,7 @@ impl Executor {
                 }
                 self.advance(thread);
             }
-            Stmt::Cas {
+            Op::Cas {
                 var,
                 expected,
                 new,
@@ -1048,9 +1125,9 @@ impl Executor {
                     self.shared_write(thread, *var, new);
                 }
                 let ts = self.thread_mut(thread);
-                ts.locals.insert(into, i64::from(success));
+                ts.locals.set(*into, i64::from(success));
                 if let Some(oi) = observed_into {
-                    ts.locals.insert(oi, observed);
+                    ts.locals.set(*oi, observed);
                 }
                 self.record_event(
                     thread,
@@ -1062,7 +1139,7 @@ impl Executor {
                 );
                 self.advance(thread);
             }
-            Stmt::Lock(m) => {
+            Op::Lock(m) => {
                 debug_assert!(self.cold.mutexes[m.index()].owner.is_none());
                 let mclock = self.cold.mutexes[m.index()].clock.clone();
                 let ts = self.thread_mut(thread);
@@ -1072,7 +1149,7 @@ impl Executor {
                 self.record_event(thread, EventKind::Lock(*m));
                 self.advance(thread);
             }
-            Stmt::Unlock(m) => {
+            Op::Unlock(m) => {
                 if self.cold.mutexes[m.index()].owner != Some(thread) {
                     self.misuse(thread, ExecError::UnlockNotHeld { mutex: *m });
                     return;
@@ -1084,7 +1161,7 @@ impl Executor {
                 self.record_event(thread, EventKind::Unlock(*m));
                 self.advance(thread);
             }
-            Stmt::TryLock { mutex, into } => {
+            Op::TryLock { mutex, into } => {
                 // A forced failure models a contender winning and releasing
                 // the lock between the check and the acquisition — legal
                 // for any try-lock.
@@ -1099,7 +1176,7 @@ impl Executor {
                 }
                 self.thread_mut(thread)
                     .locals
-                    .insert(into, i64::from(success));
+                    .set(*into, i64::from(success));
                 self.record_event(
                     thread,
                     EventKind::TryLock {
@@ -1109,7 +1186,7 @@ impl Executor {
                 );
                 self.advance(thread);
             }
-            Stmt::RwRead(rw) => {
+            Op::RwRead(rw) => {
                 debug_assert!(self.cold.rws[rw.index()].can_read(thread));
                 let rclock = self.cold.rws[rw.index()].clock.clone();
                 self.thread_mut(thread).clock.join(&rclock);
@@ -1117,7 +1194,7 @@ impl Executor {
                 self.record_event(thread, EventKind::RwRead(*rw));
                 self.advance(thread);
             }
-            Stmt::RwWrite(rw) => {
+            Op::RwWrite(rw) => {
                 debug_assert!(self.cold.rws[rw.index()].can_write(thread));
                 let rclock = self.cold.rws[rw.index()].clock.clone();
                 self.thread_mut(thread).clock.join(&rclock);
@@ -1125,7 +1202,7 @@ impl Executor {
                 self.record_event(thread, EventKind::RwWrite(*rw));
                 self.advance(thread);
             }
-            Stmt::RwUnlock(rw) => {
+            Op::RwUnlock(rw) => {
                 let state = &self.cold.rws[rw.index()];
                 if state.writer == Some(thread) {
                     self.rw_mut(*rw).writer = None;
@@ -1140,7 +1217,7 @@ impl Executor {
                 self.record_event(thread, EventKind::RwUnlock(*rw));
                 self.advance(thread);
             }
-            Stmt::Wait { cond, mutex } => {
+            Op::Wait { cond, mutex } => {
                 if self.cold.mutexes[mutex.index()].owner != Some(thread) {
                     self.misuse(thread, ExecError::WaitWithoutMutex { mutex: *mutex });
                     return;
@@ -1192,7 +1269,7 @@ impl Executor {
                 );
                 // pc stays on the Wait; WaitEnd advances it.
             }
-            Stmt::Signal(c) => {
+            Op::Signal(c) => {
                 let clock = self.threads[thread.index()].clock.clone();
                 self.cond_mut(*c).clock.join(&clock);
                 let woken = self.cond_mut(*c).waiters.pop_front();
@@ -1209,7 +1286,7 @@ impl Executor {
                 self.record_event(thread, EventKind::Signal(*c));
                 self.advance(thread);
             }
-            Stmt::Broadcast(c) => {
+            Op::Broadcast(c) => {
                 let clock = self.threads[thread.index()].clock.clone();
                 self.cond_mut(*c).clock.join(&clock);
                 while let Some(w) = self.cond_mut(*c).waiters.pop_front() {
@@ -1225,7 +1302,7 @@ impl Executor {
                 self.record_event(thread, EventKind::Broadcast(*c));
                 self.advance(thread);
             }
-            Stmt::SemAcquire(s) => {
+            Op::SemAcquire(s) => {
                 debug_assert!(self.cold.sems[s.index()].count > 0);
                 self.sem_mut(*s).count -= 1;
                 let sclock = self.cold.sems[s.index()].clock.clone();
@@ -1233,14 +1310,14 @@ impl Executor {
                 self.record_event(thread, EventKind::SemAcquire(*s));
                 self.advance(thread);
             }
-            Stmt::SemRelease(s) => {
+            Op::SemRelease(s) => {
                 self.sem_mut(*s).count += 1;
                 let clock = self.threads[thread.index()].clock.clone();
                 self.sem_mut(*s).clock.join(&clock);
                 self.record_event(thread, EventKind::SemRelease(*s));
                 self.advance(thread);
             }
-            Stmt::Spawn(t) => {
+            Op::Spawn(t) => {
                 if self.threads[t.index()].status != ThreadStatus::NotStarted {
                     self.misuse(thread, ExecError::DoubleSpawn { target: *t });
                     return;
@@ -1256,17 +1333,14 @@ impl Executor {
                 self.advance(thread);
                 self.fast_forward(*t);
             }
-            Stmt::Join(t) => {
+            Op::Join(t) => {
                 debug_assert_eq!(self.threads[t.index()].status, ThreadStatus::Finished);
                 let target_clock = self.threads[t.index()].clock.clone();
                 self.thread_mut(thread).clock.join(&target_clock);
                 self.record_event(thread, EventKind::Join(*t));
                 self.advance(thread);
             }
-            Stmt::LocalSet { .. } | Stmt::If { .. } | Stmt::While { .. } => {
-                unreachable!("local statements are compiled away")
-            }
-            Stmt::Assert { cond, msg } => {
+            Op::Assert { cond, msg } => {
                 let v = self.eval(thread, cond);
                 if v == 0 {
                     self.record_event(thread, EventKind::AssertFail(msg));
@@ -1278,7 +1352,7 @@ impl Executor {
                 }
                 self.advance(thread);
             }
-            Stmt::Io { tag } => {
+            Op::Io { tag } => {
                 Rc::make_mut(&mut self.cold).io_journal.push((thread, tag));
                 if self.threads[thread.index()].tx.is_some() {
                     let tx = self.thread_mut(thread).tx.as_mut().expect("checked above");
@@ -1287,14 +1361,14 @@ impl Executor {
                 self.record_event(thread, EventKind::Io(tag));
                 self.advance(thread);
             }
-            Stmt::TxBegin => {
+            Op::TxBegin => {
                 let ts = self.thread_mut(thread);
                 let tx = TxState::new(ts.pc, &ts.locals);
                 ts.tx = Some(tx);
                 self.record_event(thread, EventKind::TxBegin);
                 self.advance(thread);
             }
-            Stmt::TxRetry => {
+            Op::TxRetry => {
                 self.record_event(thread, EventKind::TxAbort);
                 let ts = self.thread_mut(thread);
                 let tx = ts
@@ -1308,7 +1382,7 @@ impl Executor {
                     self.outcome = Some(Outcome::TxRetryLimit { thread });
                 }
             }
-            Stmt::TxCommit => {
+            Op::TxCommit => {
                 // TL2 permits conservative aborts: a forced abort at commit
                 // is indistinguishable from a lost version-lock race.
                 let forced = self.fault_fires(FaultKind::TxAbort, thread);
@@ -1343,40 +1417,34 @@ impl Executor {
                     }
                 }
             }
-            Stmt::Yield => {
+            Op::Yield => {
                 self.record_event(thread, EventKind::Yield);
                 self.advance(thread);
             }
         }
     }
 
-    /// Checks whether the execution has quiesced: either finished cleanly
-    /// (evaluate final assertions) or deadlocked.
-    fn check_quiescence(&mut self) {
-        if self.outcome.is_some() {
-            return;
-        }
-        if (0..self.threads.len()).any(|i| self.is_enabled(ThreadId::from_index(i))) {
-            return;
-        }
+    /// The outcome of an execution in which no thread can move: it
+    /// finished cleanly (the final assertions decide) or deadlocked.
+    fn quiesced(&self) -> Outcome {
         let mut blocked = Vec::new();
         for (i, ts) in self.threads.iter().enumerate() {
             let tid = ThreadId::from_index(i);
-            match &ts.status {
+            match ts.status {
                 ThreadStatus::Finished | ThreadStatus::NotStarted => {}
                 ThreadStatus::WaitingCond { cond, .. } => {
-                    blocked.push((tid, BlockedOn::Cond(*cond)));
+                    blocked.push((tid, BlockedOn::Cond(cond)));
                 }
                 ThreadStatus::Reacquire { mutex, .. } => {
-                    blocked.push((tid, BlockedOn::CondReacquire(*mutex)));
+                    blocked.push((tid, BlockedOn::CondReacquire(mutex)));
                 }
                 ThreadStatus::Ready => {
-                    let on = match self.peek_op(tid) {
-                        Some(Stmt::Lock(m)) => BlockedOn::Mutex(*m),
-                        Some(Stmt::RwRead(rw)) => BlockedOn::RwRead(*rw),
-                        Some(Stmt::RwWrite(rw)) => BlockedOn::RwWrite(*rw),
-                        Some(Stmt::SemAcquire(s)) => BlockedOn::Semaphore(*s),
-                        Some(Stmt::Join(t)) => BlockedOn::Join(*t),
+                    let on = match self.peek_op(i) {
+                        Some(Op::Lock(m)) => BlockedOn::Mutex(*m),
+                        Some(Op::RwRead(rw)) => BlockedOn::RwRead(*rw),
+                        Some(Op::RwWrite(rw)) => BlockedOn::RwWrite(*rw),
+                        Some(Op::SemAcquire(s)) => BlockedOn::Semaphore(*s),
+                        Some(Op::Join(t)) => BlockedOn::Join(*t),
                         other => unreachable!("Ready-but-disabled thread at {other:?}"),
                     };
                     blocked.push((tid, on));
@@ -1384,9 +1452,9 @@ impl Executor {
             }
         }
         if blocked.is_empty() {
-            self.outcome = Some(self.finalize());
+            self.finalize()
         } else {
-            self.outcome = Some(Outcome::Deadlock { blocked });
+            Outcome::Deadlock { blocked }
         }
     }
 
@@ -1404,7 +1472,9 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::Expr;
     use crate::program::ProgramBuilder;
+    use crate::stmt::Stmt;
 
     fn t(i: usize) -> ThreadId {
         ThreadId::from_index(i)
@@ -2221,7 +2291,9 @@ mod tests {
 #[cfg(test)]
 mod edge_tests {
     use super::*;
+    use crate::expr::Expr;
     use crate::program::ProgramBuilder;
+    use crate::stmt::Stmt;
 
     fn t(i: usize) -> ThreadId {
         ThreadId::from_index(i)
@@ -2457,7 +2529,9 @@ mod edge_tests {
 #[cfg(test)]
 mod fault_tests {
     use super::*;
+    use crate::expr::Expr;
     use crate::program::ProgramBuilder;
+    use crate::stmt::Stmt;
 
     fn t(i: usize) -> ThreadId {
         ThreadId::from_index(i)

@@ -168,8 +168,8 @@ impl Expr {
     /// Evaluates the expression.
     ///
     /// `locals` resolves register names, `shared` resolves shared
-    /// variables (the executor passes a panicking resolver for thread-body
-    /// evaluation, which is unreachable given builder validation).
+    /// variables. The executor evaluates only final assertions this way;
+    /// thread bodies run as lowered code (`crate::lower::Code`).
     pub(crate) fn eval(
         &self,
         locals: &dyn Fn(&'static str) -> i64,
@@ -179,46 +179,55 @@ impl Expr {
             Expr::Lit(v) => *v,
             Expr::Local(name) => locals(name),
             Expr::Shared(var) => shared(*var),
-            Expr::Un(op, e) => {
-                let v = e.eval(locals, shared);
-                match op {
-                    UnOp::Neg => v.wrapping_neg(),
-                    UnOp::Not => i64::from(v == 0),
+            Expr::Un(op, e) => op.apply(e.eval(locals, shared)),
+            Expr::Bin(op, l, r) => op.apply(l.eval(locals, shared), r.eval(locals, shared)),
+        }
+    }
+}
+
+impl BinOp {
+    /// Applies the operator to evaluated operands.
+    #[inline]
+    pub(crate) fn apply(self, a: i64, b: i64) -> i64 {
+        match self {
+            BinOp::Add => a.wrapping_add(b),
+            BinOp::Sub => a.wrapping_sub(b),
+            BinOp::Mul => a.wrapping_mul(b),
+            BinOp::Div => {
+                if b == 0 {
+                    0
+                } else {
+                    a.wrapping_div(b)
                 }
             }
-            Expr::Bin(op, l, r) => {
-                let a = l.eval(locals, shared);
-                let b = r.eval(locals, shared);
-                match op {
-                    BinOp::Add => a.wrapping_add(b),
-                    BinOp::Sub => a.wrapping_sub(b),
-                    BinOp::Mul => a.wrapping_mul(b),
-                    BinOp::Div => {
-                        if b == 0 {
-                            0
-                        } else {
-                            a.wrapping_div(b)
-                        }
-                    }
-                    BinOp::Rem => {
-                        if b == 0 {
-                            0
-                        } else {
-                            a.wrapping_rem(b)
-                        }
-                    }
-                    BinOp::Eq => i64::from(a == b),
-                    BinOp::Ne => i64::from(a != b),
-                    BinOp::Lt => i64::from(a < b),
-                    BinOp::Le => i64::from(a <= b),
-                    BinOp::Gt => i64::from(a > b),
-                    BinOp::Ge => i64::from(a >= b),
-                    BinOp::And => i64::from(a != 0 && b != 0),
-                    BinOp::Or => i64::from(a != 0 || b != 0),
-                    BinOp::Min => a.min(b),
-                    BinOp::Max => a.max(b),
+            BinOp::Rem => {
+                if b == 0 {
+                    0
+                } else {
+                    a.wrapping_rem(b)
                 }
             }
+            BinOp::Eq => i64::from(a == b),
+            BinOp::Ne => i64::from(a != b),
+            BinOp::Lt => i64::from(a < b),
+            BinOp::Le => i64::from(a <= b),
+            BinOp::Gt => i64::from(a > b),
+            BinOp::Ge => i64::from(a >= b),
+            BinOp::And => i64::from(a != 0 && b != 0),
+            BinOp::Or => i64::from(a != 0 || b != 0),
+            BinOp::Min => a.min(b),
+            BinOp::Max => a.max(b),
+        }
+    }
+}
+
+impl UnOp {
+    /// Applies the operator to an evaluated operand.
+    #[inline]
+    pub(crate) fn apply(self, v: i64) -> i64 {
+        match self {
+            UnOp::Neg => v.wrapping_neg(),
+            UnOp::Not => i64::from(v == 0),
         }
     }
 }

@@ -11,7 +11,10 @@
 //! observable). Conservatism is sound: extra dependence only reduces
 //! pruning, never correctness.
 
+use crate::lower::Op;
+#[cfg(test)]
 use crate::stmt::Stmt;
+use crate::txn::TxState;
 
 /// Kinds of objects a footprint can mention.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,25 +127,25 @@ impl Footprint {
         }
     }
 
-    /// Footprint of a visible statement. `in_tx` marks transactional
-    /// context (buffered writes still conservatively count as writes).
-    pub fn of_stmt(stmt: &Stmt, tx_touched: &[crate::ids::VarId]) -> Footprint {
+    /// Footprint of a visible operation, except what is dynamic: a
+    /// transaction commit's variables ([`Footprint::of_commit`]) and an
+    /// assert's verdict (see [`Footprint::without_effect`]).
+    pub(crate) fn of_op(op: &Op) -> Footprint {
         let mut fp = Footprint::default();
-        match stmt {
-            Stmt::Read { var, .. } => fp.push(ObjKind::Var, var.index(), false),
-            Stmt::Write { var, .. } => fp.push(ObjKind::Var, var.index(), true),
-            Stmt::Rmw { var, .. } | Stmt::Cas { var, .. } => {
+        match op {
+            Op::Read { var, .. } => fp.push(ObjKind::Var, var.index(), false),
+            Op::Write { var, .. } | Op::Rmw { var, .. } | Op::Cas { var, .. } => {
                 fp.push(ObjKind::Var, var.index(), true)
             }
-            Stmt::Lock(m) => fp.push_role(ObjKind::Mutex, m.index(), true, Role::Acquire),
-            Stmt::Unlock(m) => fp.push_role(ObjKind::Mutex, m.index(), true, Role::Release),
+            Op::Lock(m) => fp.push_role(ObjKind::Mutex, m.index(), true, Role::Acquire),
+            Op::Unlock(m) => fp.push_role(ObjKind::Mutex, m.index(), true, Role::Release),
             // Try-lock never blocks: whether it sees the mutex held is an
             // observable outcome, so it races with lock/unlock normally.
-            Stmt::TryLock { mutex, .. } => fp.push(ObjKind::Mutex, mutex.index(), true),
-            Stmt::RwRead(rw) => fp.push_role(ObjKind::Rw, rw.index(), false, Role::Acquire),
-            Stmt::RwWrite(rw) => fp.push_role(ObjKind::Rw, rw.index(), true, Role::Acquire),
-            Stmt::RwUnlock(rw) => fp.push_role(ObjKind::Rw, rw.index(), true, Role::Release),
-            Stmt::Wait { cond, mutex } => {
+            Op::TryLock { mutex, .. } => fp.push(ObjKind::Mutex, mutex.index(), true),
+            Op::RwRead(rw) => fp.push_role(ObjKind::Rw, rw.index(), false, Role::Acquire),
+            Op::RwWrite(rw) => fp.push_role(ObjKind::Rw, rw.index(), true, Role::Acquire),
+            Op::RwUnlock(rw) => fp.push_role(ObjKind::Rw, rw.index(), true, Role::Release),
+            Op::Wait { cond, mutex } => {
                 // The wait statement itself never blocks (it atomically
                 // releases the mutex and parks), so the cond access races
                 // with signals normally — signal-before-wait is the lost
@@ -150,30 +153,52 @@ impl Footprint {
                 fp.push(ObjKind::Cond, cond.index(), true);
                 fp.push_role(ObjKind::Mutex, mutex.index(), true, Role::Release);
             }
-            Stmt::Signal(c) | Stmt::Broadcast(c) => fp.push(ObjKind::Cond, c.index(), true),
-            Stmt::SemAcquire(s) => fp.push_role(ObjKind::Sem, s.index(), true, Role::Acquire),
-            Stmt::SemRelease(s) => fp.push_role(ObjKind::Sem, s.index(), true, Role::Release),
-            Stmt::Spawn(t) | Stmt::Join(t) => fp.push(ObjKind::Thread, t.index(), true),
-            Stmt::Io { .. } => fp.push(ObjKind::Io, 0, true),
+            Op::Signal(c) | Op::Broadcast(c) => fp.push(ObjKind::Cond, c.index(), true),
+            Op::SemAcquire(s) => fp.push_role(ObjKind::Sem, s.index(), true, Role::Acquire),
+            Op::SemRelease(s) => fp.push_role(ObjKind::Sem, s.index(), true, Role::Release),
+            Op::Spawn(t) | Op::Join(t) => fp.push(ObjKind::Thread, t.index(), true),
+            Op::Io { .. } => fp.push(ObjKind::Io, 0, true),
             // A yield touches nothing and decides nothing: globally
             // invisible (the one statement fusion can always swallow).
-            Stmt::Yield => {}
+            Op::Yield => {}
             // Object-free but outcome-relevant: transactional boundaries
             // steer commit/retry control flow, and an assert may abort.
             // (`Executor::next_footprint` clears the flag for an assert
             // whose condition currently evaluates true — a verdict that
             // depends only on the owner's locals and so cannot change
             // under other threads' steps.)
-            Stmt::TxBegin | Stmt::TxRetry | Stmt::Assert { .. } => fp.effect = true,
-            Stmt::TxCommit => {
-                // Commit validates the read set and publishes the write
-                // set; conservatively a write on every touched variable.
-                for var in tx_touched {
-                    fp.push(ObjKind::Var, var.index(), true);
-                }
-            }
-            Stmt::LocalSet { .. } | Stmt::If { .. } | Stmt::While { .. } => {
-                unreachable!("local statements are never visible ops")
+            Op::TxBegin | Op::TxRetry | Op::Assert { .. } => fp.effect = true,
+            // The variables a commit touches are the transaction's, read
+            // at the commit: see `Footprint::of_commit`.
+            Op::TxCommit => {}
+        }
+        fp
+    }
+
+    /// Footprint of committing `tx`: it validates the read set and
+    /// publishes the write set, so conservatively a write on every
+    /// variable of both.
+    pub(crate) fn of_commit(tx: &TxState) -> Footprint {
+        let mut fp = Footprint::default();
+        for &(var, _) in tx.read_set.iter().chain(&tx.write_set) {
+            fp.push(ObjKind::Var, var.index(), true);
+        }
+        fp
+    }
+
+    /// Footprint of a visible statement whose commit, if it is one,
+    /// touches `tx_touched`.
+    #[cfg(test)]
+    pub(crate) fn of_stmt(stmt: &Stmt, tx_touched: &[crate::ids::VarId]) -> Footprint {
+        let mut lower = crate::lower::Lower::new(crate::ids::ThreadId::from_index(0));
+        let op = lower
+            .op(stmt)
+            .expect("lowers")
+            .expect("a visible statement");
+        let mut fp = Footprint::of_op(&op);
+        if op == Op::TxCommit {
+            for var in tx_touched {
+                fp.push(ObjKind::Var, var.index(), true);
             }
         }
         fp

@@ -20,7 +20,7 @@ use crate::exec::{Executor, StepResult};
 use crate::explore::{ExploreLimits, ExploreReport, Explorer, Truncation};
 use crate::footprint::Footprint;
 use crate::fxhash::FxHashSet;
-use crate::ids::ThreadId;
+use crate::ids::{threads_in, ThreadId};
 use crate::outcome::Outcome;
 
 /// The effective reductions and bounds for a run, resolved from the
@@ -76,23 +76,25 @@ impl Mode {
     }
 }
 
-/// A branch state's scheduling context: the enabled threads in
-/// scheduler order, plus what the classic prune verdicts read. A DPOR
+/// A branch state's scheduling context: the enabled threads, plus what
+/// the classic prune verdicts read. Thread sets are `u64` masks (bit
+/// `i` for thread `i`), and scheduler order is thread order. A DPOR
 /// head carries only `enabled`; the [`Dpor`] engine keeps the rest.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Head {
-    enabled: Vec<ThreadId>,
+    enabled: u64,
     /// Sleep set: threads an explored sibling subtree covers. The walk
-    /// appends each child it runs (no later verdict changes).
-    sleep: Vec<ThreadId>,
+    /// adds each child it runs (no later verdict changes).
+    sleep: u64,
     /// Preemptions spent on the path (counted only under a bound).
     preemptions: u32,
     /// The thread that took the last step into this state.
     last: Option<ThreadId>,
-    /// Classic cursor: the next child, and the last child no prune
-    /// verdict skips (fixed at open: the final survivor is one check).
-    next: usize,
-    last_live: usize,
+    /// Classic cursor: the children not yet picked or skipped, and the
+    /// last child no prune verdict skips (fixed at open: the final
+    /// survivor is one check).
+    todo: u64,
+    last_live: Option<ThreadId>,
 }
 
 /// Why the classic cursor skips a child without running it.
@@ -104,7 +106,7 @@ enum Prune {
 
 impl Head {
     fn of(exec: &Executor) -> Head {
-        let (enabled, last) = (exec.enabled(), exec.last_scheduled());
+        let (enabled, last) = (exec.enabled_mask(), exec.last_scheduled());
         Head {
             enabled,
             last,
@@ -114,14 +116,14 @@ impl Head {
 
     /// Whether scheduling `t` switches away from a still-enabled thread.
     fn preempts(&self, t: ThreadId) -> bool {
-        (self.last).is_some_and(|last| last != t && self.enabled.contains(&last))
+        (self.last).is_some_and(|last| last != t && self.enabled & last.bit() != 0)
     }
 
     /// The classic prune verdict for child `t`: a pure function of the
     /// state the frame was opened with.
     #[inline]
     fn prune(&self, t: ThreadId, mode: Mode) -> Option<Prune> {
-        if mode.sleep && self.sleep.contains(&t) {
+        if mode.sleep && self.sleep & t.bit() != 0 {
             Some(Prune::Sleep)
         } else if mode.bound.is_some_and(|b| self.preemptions >= b) && self.preempts(t) {
             Some(Prune::Preemption)
@@ -129,6 +131,13 @@ impl Head {
             None
         }
     }
+}
+
+/// The threads of `mask` for which `keep` holds.
+fn retain(mask: u64, mut keep: impl FnMut(ThreadId) -> bool) -> u64 {
+    threads_in(mask)
+        .filter(|&t| keep(t))
+        .fold(0, |kept, t| kept | t.bit())
 }
 
 /// What a DPOR edge logged for the race analysis; empty in classic
@@ -178,8 +187,8 @@ fn commutes(a: &Option<Footprint>, b: Option<Footprint>) -> bool {
 /// [`forward`] a strategy supplies.
 trait Book {
     /// Whether the run goes on from a state whose enabled threads are
-    /// `enabled`; `false` ends the edge as redundant.
-    fn awake(&mut self, _enabled: &[ThreadId]) -> bool {
+    /// `enabled` (a mask); `false` ends the edge as redundant.
+    fn awake(&mut self, _enabled: u64) -> bool {
         true
     }
 
@@ -192,28 +201,28 @@ trait Book {
     fn fused(&mut self, _t: ThreadId, _fp: Footprint) {}
 }
 
-/// Classic bookkeeping, on the child's sleep set: sleepers that stop
-/// being enabled are dropped, a state whose every enabled thread is
+/// Classic bookkeeping, on the child's sleep set (a mask): sleepers that
+/// stop being enabled are dropped, a state whose every enabled thread is
 /// asleep ends the edge as redundant, and a forced step wakes the
 /// sleepers it conflicts with. A forced step reads no footprint once no
 /// sleeper is left, and no sleeper wakes on a fused step (an empty
 /// footprint conflicts with nothing). Without sleep sets the set stays
 /// empty, and a non-terminal state always has an enabled thread.
-impl Book for Vec<ThreadId> {
+impl Book for u64 {
     #[inline]
-    fn awake(&mut self, enabled: &[ThreadId]) -> bool {
-        if self.is_empty() {
+    fn awake(&mut self, enabled: u64) -> bool {
+        if *self == 0 {
             return true;
         }
-        self.retain(|t| enabled.contains(t));
-        !enabled.iter().all(|t| self.contains(t))
+        *self &= enabled;
+        enabled & !*self != 0
     }
 
     #[inline]
     fn forced(&mut self, exec: &Executor, t: ThreadId) {
-        if !self.is_empty() {
+        if *self != 0 {
             let fp = exec.next_footprint(t);
-            self.retain(|&s| commutes(&fp, exec.next_footprint(s)));
+            *self = retain(*self, |s| commutes(&fp, exec.next_footprint(s)));
         }
     }
 }
@@ -247,9 +256,9 @@ impl Book for Vec<(ThreadId, Footprint)> {
 /// prunes whole subtrees without losing a single outcome. Fused steps
 /// are counted into `fused`.
 ///
-/// One `enabled` buffer serves the whole run, and a branch end hands it
-/// to the branch head; a terminal end takes the outcome
-/// [`Executor::step`] returned.
+/// The run reads the executor's enabled mask and builds no thread set;
+/// a branch end hands the mask to the branch head, and a terminal end
+/// takes the outcome [`Executor::step`] returned.
 fn forward(
     child: &mut Executor,
     choice: ThreadId,
@@ -259,7 +268,6 @@ fn forward(
 ) -> End {
     let mut stepped = (child.step(choice)).expect("explorer only chooses enabled threads");
     let mut cur = choice;
-    let mut enabled = Vec::new();
     loop {
         if let StepResult::Done(outcome) = stepped {
             return End::Terminal(outcome);
@@ -267,12 +275,12 @@ fn forward(
         if child.steps() >= mode.max_steps {
             return End::Terminal(Outcome::StepLimit);
         }
-        child.enabled_into(&mut enabled);
-        if !book.awake(&enabled) {
+        let enabled = child.enabled_mask();
+        if !book.awake(enabled) {
             return End::Redundant;
         }
-        if enabled.len() == 1 {
-            cur = enabled[0];
+        if enabled.is_power_of_two() {
+            cur = ThreadId::from_index(enabled.trailing_zeros() as usize);
             book.forced(child, cur);
         } else if let Some(fp) =
             (mode.fuse.then(|| child.next_footprint(cur)).flatten()).filter(Footprint::is_invisible)
@@ -293,10 +301,11 @@ fn forward(
     }
 }
 
-/// Next-op footprints of `enabled` at `exec`'s state.
-fn footprints(exec: &Executor, enabled: &[ThreadId]) -> Vec<Footprint> {
-    let fp = |&t| exec.next_footprint(t).expect("an enabled thread has an op");
-    enabled.iter().map(fp).collect()
+/// Next-op footprints of the `enabled` threads at `exec`'s state, in
+/// thread order.
+fn footprints(exec: &Executor, enabled: u64) -> Vec<Footprint> {
+    let fp = |t| exec.next_footprint(t).expect("an enabled thread has an op");
+    threads_in(enabled).map(fp).collect()
 }
 
 /// Pending next-op footprints of every thread a terminal state cut off
@@ -543,11 +552,10 @@ impl<'a> Ledger<'a> {
     }
 }
 
-/// A child pick: its position in the frame's enabled threads, and
-/// whether it is the frame's *final survivor* — every later sibling is
-/// pruned, so the frame is done once this child leaves and the parent's
-/// executor can move into it.
-type Pick = Option<(usize, bool)>;
+/// A child pick: the thread, and whether it is the frame's *final
+/// survivor* — every later sibling is pruned, so the frame is done once
+/// this child leaves and the parent's executor can move into it.
+type Pick = Option<(ThreadId, bool)>;
 
 /// A search strategy: which children of a branch state run, and what
 /// running and committing an edge to one of them means.
@@ -612,13 +620,11 @@ impl Strategy for Classic {
         // Sleep propagation: a sleeping sibling stays asleep in the
         // child iff its pending op commutes with the chosen one, and
         // later siblings must not redo this choice's equivalence class.
-        let mut sleep = Vec::new();
+        let mut sleep = 0;
         if mode.sleep {
             let fp = exec.next_footprint(choice);
-            sleep = (head.sleep.iter().copied())
-                .filter(|&s| commutes(&fp, exec.next_footprint(s)))
-                .collect();
-            head.sleep.push(choice);
+            sleep = retain(head.sleep, |s| commutes(&fp, exec.next_footprint(s)));
+            head.sleep |= choice.bit();
         }
         let mut fused = 0;
         let mut end = profile.time(Phase::Step, || {
@@ -644,33 +650,30 @@ impl Strategy for Classic {
         _trail: &mut Trail,
         _report: &mut ExploreReport,
     ) -> bool {
-        let live = |&i: &usize| head.prune(head.enabled[i], self.mode).is_none();
-        head.last_live = (0..head.enabled.len())
-            .rev()
-            .find(live)
-            .unwrap_or(usize::MAX);
+        head.todo = head.enabled;
+        let live = |&t: &ThreadId| head.prune(t, self.mode).is_none();
+        head.last_live = threads_in(head.enabled).filter(live).last();
         true
     }
 
     #[inline]
     fn select(&mut self, _at: usize, head: &mut Head, report: &mut ExploreReport) -> Pick {
-        while let Some(&t) = head.enabled.get(head.next) {
-            let index = head.next;
-            head.next += 1;
+        while let Some(t) = threads_in(head.todo).next() {
+            head.todo &= !t.bit();
             if let Some(prune) = head.prune(t, self.mode) {
                 self.book(report, prune);
                 continue;
             }
-            let last = index == head.last_live;
+            let last = Some(t) == head.last_live;
             if last {
                 // Book the pruned tail now, in sibling order.
-                for &s in &head.enabled[head.next..] {
+                for s in threads_in(head.todo) {
                     let prune = head.prune(s, self.mode).expect("the tail is pruned");
                     self.book(report, prune);
                 }
-                head.next = head.enabled.len();
+                head.todo = 0;
             }
-            return Some((index, last));
+            return Some((t, last));
         }
         None
     }
@@ -703,7 +706,7 @@ impl Strategy for DporSearch {
             trail.pending = pending_ops(&exec);
             trail.abort = outcome.is_abort();
         } else if let End::Branch(head) = &end {
-            trail.fps = footprints(&exec, &head.enabled);
+            trail.fps = footprints(&exec, head.enabled);
         }
         Edge {
             exec,
@@ -720,31 +723,30 @@ impl Strategy for DporSearch {
         trail: &mut Trail,
         report: &mut ExploreReport,
     ) -> bool {
+        let enabled: Vec<ThreadId> = threads_in(head.enabled).collect();
         let sleep = match parent {
-            Some((at, choice)) => (self.dpor).child_sleep(at, choice, &trail.forced, &head.enabled),
+            Some((at, choice)) => (self.dpor).child_sleep(at, choice, &trail.forced, &enabled),
             None => Vec::new(),
         };
-        if head.enabled.iter().all(|t| sleep.contains(t)) {
+        if enabled.iter().all(|t| sleep.contains(t)) {
             // Every enabled thread is asleep: the subtree is covered by
             // explored siblings.
             report.sleep_pruned += 1;
             return false;
         }
         let fps = std::mem::take(&mut trail.fps);
-        self.dpor.push_frame(head.enabled.clone(), fps, sleep);
+        self.dpor.push_frame(enabled, fps, sleep);
         true
     }
 
-    fn select(&mut self, at: usize, head: &mut Head, report: &mut ExploreReport) -> Pick {
+    fn select(&mut self, at: usize, _head: &mut Head, report: &mut ExploreReport) -> Pick {
         let (skipped, choice) = self.dpor.select(at);
         report.sleep_pruned += skipped;
         let Some(choice) = choice else {
             report.dpor_pruned += self.dpor.pop_frame();
             return None;
         };
-        let index = (head.enabled.iter().position(|&t| t == choice))
-            .expect("selected children are enabled");
-        Some((index, false))
+        Some((choice, false))
     }
 
     /// Commits the edge to the race log in execution order; the races
@@ -835,7 +837,7 @@ pub(crate) fn walk<S: Strategy>(
     let mut head = Head::of(&root);
     let mut trail = Trail::default();
     if mode.dpor {
-        trail.fps = footprints(&root, &head.enabled);
+        trail.fps = footprints(&root, head.enabled);
     }
     let report = &mut ledger.report;
     let opened = strategy.open(None, &mut head, &mut trail, report);
@@ -845,7 +847,7 @@ pub(crate) fn walk<S: Strategy>(
     }
     report.stats.branch_points = 1;
     report.stats.max_depth = 1;
-    let path_degree = head.enabled.len() as f64;
+    let path_degree = f64::from(head.enabled.count_ones());
     let mut frames = vec![Frame::new(root, head, 1, path_degree)];
 
     while !frames.is_empty() {
@@ -855,11 +857,10 @@ pub(crate) fn walk<S: Strategy>(
         let at = frames.len() - 1;
         let top = &mut frames[at];
         let report = &mut ledger.report;
-        let Some((index, last)) = strategy.select(at, &mut top.head, report) else {
+        let Some((choice, last)) = strategy.select(at, &mut top.head, report) else {
             frames.pop();
             continue;
         };
-        let choice = top.head.enabled[index];
         let (depth, path_degree) = (top.depth, top.path_degree);
         let parent = top.exec.as_ref().expect("an open frame keeps its state");
         let saved = *(top.saved).get_or_insert_with(|| parent.snapshot_bytes_saved());
@@ -899,7 +900,7 @@ pub(crate) fn walk<S: Strategy>(
                 }
                 report.stats.branch_points += 1;
                 report.stats.max_depth = report.stats.max_depth.max(depth + 1);
-                let path_degree = path_degree * head.enabled.len() as f64;
+                let path_degree = path_degree * f64::from(head.enabled.count_ones());
                 frames.push(Frame::new(exec, head, depth + 1, path_degree));
             }
             End::Redundant => report.sleep_pruned += 1,

@@ -6,7 +6,7 @@
 //! need, and its per-probe setup cost dominates the insert. This module
 //! provides the classic Fx multiply-rotate hash (one rotate, one xor,
 //! one multiply per word). The seen set is its only user: thread locals
-//! are a scan list (`crate::locals`).
+//! are dense slots (`crate::lower`), found by index, never by name.
 //!
 //! Collision quality is irrelevant for correctness here: `HashSet`
 //! compares keys exactly, so a weaker hash can only cost probe-sequence

@@ -66,6 +66,24 @@ id_newtype!(
     "s"
 );
 
+impl ThreadId {
+    /// This thread's bit in a `u64` thread mask.
+    #[inline]
+    pub(crate) fn bit(self) -> u64 {
+        1 << self.0
+    }
+}
+
+/// The threads of a set kept as a `u64` mask (bit `i` for thread `i`),
+/// in thread order.
+pub(crate) fn threads_in(mut mask: u64) -> impl Iterator<Item = ThreadId> {
+    std::iter::from_fn(move || {
+        let i = mask.trailing_zeros();
+        mask &= mask.checked_sub(1)?;
+        Some(ThreadId(i))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -71,7 +71,7 @@ mod footprint;
 mod frontier;
 mod fxhash;
 mod ids;
-mod locals;
+mod lower;
 mod outcome;
 mod program;
 mod pvec;

@@ -12,20 +12,12 @@ use std::sync::Arc;
 use crate::error::BuildError;
 use crate::expr::Expr;
 use crate::ids::{CondId, MutexId, RwId, SemId, ThreadId, VarId};
+use crate::lower::{Instr, Lower, SlotTable};
 use crate::stmt::Stmt;
 
-/// A flat instruction, produced by compiling a statement tree.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Instr {
-    /// A visible operation (never `If`/`While`/`LocalSet`).
-    Op(Stmt),
-    /// Set a local register. Purely local.
-    LocalSet { name: &'static str, value: Expr },
-    /// Unconditional jump. Purely local.
-    Jump(usize),
-    /// Jump when the condition evaluates to zero. Purely local.
-    JumpIfZero(Expr, usize),
-}
+/// Threads a program may have: the executor and the search keep a set
+/// of threads in one `u64`.
+const MAX_THREADS: usize = 64;
 
 /// One thread of a program.
 #[derive(Debug, Clone)]
@@ -33,6 +25,7 @@ pub struct ThreadDef {
     name: &'static str,
     body: Vec<Stmt>,
     code: Vec<Instr>,
+    slots: SlotTable,
     auto_start: bool,
 }
 
@@ -55,6 +48,11 @@ impl ThreadDef {
 
     pub(crate) fn code(&self) -> &[Instr] {
         &self.code
+    }
+
+    /// The thread's locals, by slot.
+    pub(crate) fn slots(&self) -> &SlotTable {
+        &self.slots
     }
 }
 
@@ -285,37 +283,43 @@ impl ProgramBuilder {
     /// # Errors
     ///
     /// Returns a [`BuildError`] when the program is structurally invalid:
-    /// no threads, `Expr::Shared` inside a thread body, unbalanced or
-    /// nested transactions, blocking synchronization inside a transaction,
+    /// no threads or more than 64, `Expr::Shared` inside a thread body,
+    /// a thread naming more than 64 locals, unbalanced or nested
+    /// transactions, blocking synchronization inside a transaction,
     /// references to objects not declared on this builder, or `Spawn` of
     /// an auto-start thread.
-    pub fn build(self) -> Result<Program, BuildError> {
+    pub fn build(mut self) -> Result<Program, BuildError> {
         if self.threads.is_empty() {
             return Err(BuildError::NoThreads);
         }
-        let auto_flags: Vec<bool> = self.threads.iter().map(|(_, _, _, a)| *a).collect();
-        for (id, _, body, _) in &self.threads {
-            self.validate_body(*id, body, &auto_flags)?;
-            check_tx(body, false).map_err(|e| match e {
-                TxErr::Unbalanced => BuildError::UnbalancedTransaction { thread: *id },
-                TxErr::Sync => BuildError::SyncInsideTransaction { thread: *id },
-            })?;
+        if self.threads.len() > MAX_THREADS {
+            let threads = self.threads.len();
+            return Err(BuildError::TooManyThreads { threads });
         }
-
-        let threads = self
-            .threads
-            .into_iter()
-            .map(|(_, name, body, auto)| {
-                let mut code = Vec::new();
-                compile_block(&body, &mut code);
-                ThreadDef {
-                    name,
-                    body,
-                    code,
-                    auto_start: auto,
-                }
-            })
-            .collect();
+        let auto_flags: Vec<bool> = self.threads.iter().map(|(_, _, _, a)| *a).collect();
+        let defs = std::mem::take(&mut self.threads);
+        let mut threads = Vec::with_capacity(defs.len());
+        for (id, name, body, auto_start) in defs {
+            let mut compiler = Compiler {
+                builder: &self,
+                auto_flags: &auto_flags,
+                thread: id,
+                lower: Lower::new(id),
+                code: Vec::new(),
+                tx_err: None,
+            };
+            compiler.block(&body, false)?;
+            if let Some(e) = compiler.tx_err {
+                return Err(e);
+            }
+            threads.push(ThreadDef {
+                name,
+                body,
+                code: compiler.code,
+                slots: compiler.lower.into_slots(),
+                auto_start,
+            });
+        }
 
         Ok(Program(Arc::new(ProgramDef {
             name: self.name,
@@ -330,64 +334,7 @@ impl ProgramBuilder {
         })))
     }
 
-    fn validate_body(
-        &self,
-        thread: ThreadId,
-        body: &[Stmt],
-        auto_flags: &[bool],
-    ) -> Result<(), BuildError> {
-        let mut err = None;
-        for stmt in body {
-            stmt.visit(&mut |s| {
-                if err.is_some() {
-                    return;
-                }
-                for e in stmt_exprs(s) {
-                    if e.mentions_shared() {
-                        err = Some(BuildError::SharedExprInThreadBody { thread });
-                        return;
-                    }
-                }
-                if let Some(obj) = self.unknown_object(s) {
-                    err = Some(BuildError::UnknownObject {
-                        thread,
-                        object: obj,
-                    });
-                    return;
-                }
-                if let Stmt::Spawn(target) = s {
-                    match auto_flags.get(target.index()) {
-                        Some(true) => {
-                            err = Some(BuildError::SpawnOfAutoStartThread {
-                                thread,
-                                target: *target,
-                            });
-                        }
-                        Some(false) => {}
-                        None => {
-                            err = Some(BuildError::UnknownObject {
-                                thread,
-                                object: target.to_string(),
-                            });
-                        }
-                    }
-                }
-                if let Stmt::Join(target) = s {
-                    if target.index() >= auto_flags.len() {
-                        err = Some(BuildError::UnknownObject {
-                            thread,
-                            object: target.to_string(),
-                        });
-                    }
-                }
-            });
-            if let Some(e) = err {
-                return Err(e);
-            }
-        }
-        Ok(())
-    }
-
+    /// The first object `s` names that this builder did not declare.
     fn unknown_object(&self, s: &Stmt) -> Option<String> {
         let check_var = |v: &VarId| (v.index() >= self.var_names.len()).then(|| v.to_string());
         let check_mutex = |m: &MutexId| (m.index() >= self.n_mutexes).then(|| m.to_string());
@@ -410,134 +357,177 @@ impl ProgramBuilder {
     }
 }
 
-/// Collects the expressions embedded in one statement (non-recursive; the
-/// caller walks nested blocks via [`Stmt::visit`]).
-fn stmt_exprs(s: &Stmt) -> Vec<&Expr> {
+/// The expressions embedded in one statement (non-recursive: nested
+/// blocks are statements of their own).
+fn stmt_exprs(s: &Stmt) -> [Option<&Expr>; 2] {
     match s {
-        Stmt::Write { value, .. } => vec![value],
-        Stmt::Rmw { operand, .. } => vec![operand],
-        Stmt::Cas { expected, new, .. } => vec![expected, new],
-        Stmt::LocalSet { value, .. } => vec![value],
+        Stmt::Write { value, .. } | Stmt::LocalSet { value, .. } => [Some(value), None],
+        Stmt::Rmw { operand, .. } => [Some(operand), None],
+        Stmt::Cas { expected, new, .. } => [Some(expected), Some(new)],
         Stmt::If { cond, .. } | Stmt::While { cond, .. } | Stmt::Assert { cond, .. } => {
-            vec![cond]
+            [Some(cond), None]
         }
-        _ => Vec::new(),
+        _ => [None, None],
     }
 }
 
-enum TxErr {
-    Unbalanced,
-    Sync,
+/// Validates one thread body, checks its transaction bracketing and
+/// compiles it, in one pre-order walk.
+struct Compiler<'a> {
+    builder: &'a ProgramBuilder,
+    auto_flags: &'a [bool],
+    thread: ThreadId,
+    lower: Lower,
+    code: Vec<Instr>,
+    /// The walk's first bracketing error. It is reported only when the
+    /// body has no other error: object and expression checks go first.
+    tx_err: Option<BuildError>,
 }
 
-/// Validates transaction bracketing: within every block, `TxBegin` and
-/// `TxCommit` must pair up without nesting, and inside a transaction no
-/// blocking synchronization may appear (nested control flow is allowed as
-/// long as it is transaction-free and synchronization-free).
-fn check_tx(block: &[Stmt], in_tx: bool) -> Result<(), TxErr> {
-    let mut depth = usize::from(in_tx);
-    for s in block {
+impl Compiler<'_> {
+    /// Compiles `stmts` into flat instructions with explicit jumps.
+    /// `in_tx` says whether the block is entered inside a transaction.
+    fn block(&mut self, stmts: &[Stmt], in_tx: bool) -> Result<(), BuildError> {
+        let mut depth = usize::from(in_tx);
+        for s in stmts {
+            self.validate(s)?;
+            if let Some(e) = tx_step(s, &mut depth, self.thread) {
+                self.tx_err.get_or_insert(e);
+            }
+            match s {
+                Stmt::If {
+                    cond,
+                    then_branch,
+                    else_branch,
+                } => {
+                    let jz = self.code.len();
+                    let cond = self.lower.expr(cond)?;
+                    self.code.push(Instr::JumpIfZero(cond, usize::MAX));
+                    self.block(then_branch, depth > 0)?;
+                    if else_branch.is_empty() {
+                        self.patch(jz);
+                    } else {
+                        let jmp = self.code.len();
+                        self.code.push(Instr::Jump(usize::MAX));
+                        self.patch(jz);
+                        self.block(else_branch, depth > 0)?;
+                        self.patch(jmp);
+                    }
+                }
+                Stmt::While { cond, body } => {
+                    let top = self.code.len();
+                    let cond = self.lower.expr(cond)?;
+                    self.code.push(Instr::JumpIfZero(cond, usize::MAX));
+                    self.block(body, depth > 0)?;
+                    self.code.push(Instr::Jump(top));
+                    self.patch(top);
+                }
+                Stmt::LocalSet { name, value } => {
+                    let slot = self.lower.slot(name)?;
+                    let value = self.lower.expr(value)?;
+                    self.code.push(Instr::LocalSet { slot, value });
+                }
+                op => {
+                    let op = self
+                        .lower
+                        .op(op)?
+                        .expect("local statements are matched above");
+                    self.code.push(Instr::Op(op));
+                }
+            }
+        }
+        // A nested block may not leave a transaction open across its end,
+        // and must not have closed its caller's transaction.
+        if depth != usize::from(in_tx) {
+            let thread = self.thread;
+            self.tx_err
+                .get_or_insert(BuildError::UnbalancedTransaction { thread });
+        }
+        Ok(())
+    }
+
+    /// Points the jump at `at` past the code emitted so far.
+    fn patch(&mut self, at: usize) {
+        let end = self.code.len();
+        match &mut self.code[at] {
+            Instr::Jump(t) | Instr::JumpIfZero(_, t) => *t = end,
+            _ => unreachable!("patch target is always a jump"),
+        }
+    }
+
+    /// The checks of one statement that do not depend on where it sits.
+    fn validate(&self, s: &Stmt) -> Result<(), BuildError> {
+        let thread = self.thread;
+        if stmt_exprs(s)
+            .into_iter()
+            .flatten()
+            .any(Expr::mentions_shared)
+        {
+            return Err(BuildError::SharedExprInThreadBody { thread });
+        }
+        if let Some(object) = self.builder.unknown_object(s) {
+            return Err(BuildError::UnknownObject { thread, object });
+        }
+        let unknown = |target: &ThreadId| BuildError::UnknownObject {
+            thread,
+            object: target.to_string(),
+        };
         match s {
-            Stmt::TxBegin => {
-                if depth > 0 {
-                    return Err(TxErr::Unbalanced);
-                }
-                depth = 1;
-            }
-            Stmt::TxCommit => {
-                if depth == 0 {
-                    return Err(TxErr::Unbalanced);
-                }
-                depth = 0;
-            }
-            Stmt::TxRetry if depth == 0 => {
-                return Err(TxErr::Unbalanced);
-            }
-            Stmt::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                check_tx(then_branch, depth > 0)?;
-                check_tx(else_branch, depth > 0)?;
-            }
-            Stmt::While { body, .. } => check_tx(body, depth > 0)?,
-            Stmt::Lock(_)
-            | Stmt::Unlock(_)
-            | Stmt::TryLock { .. }
-            | Stmt::RwRead(_)
-            | Stmt::RwWrite(_)
-            | Stmt::RwUnlock(_)
-            | Stmt::Wait { .. }
-            | Stmt::Signal(_)
-            | Stmt::Broadcast(_)
-            | Stmt::SemAcquire(_)
-            | Stmt::SemRelease(_)
-            | Stmt::Spawn(_)
-            | Stmt::Join(_)
-                if depth > 0 =>
-            {
-                return Err(TxErr::Sync);
-            }
-            _ => {}
-        }
-    }
-    // A nested block may not leave a transaction open across its end, and
-    // must not have closed its caller's transaction.
-    if depth != usize::from(in_tx) {
-        return Err(TxErr::Unbalanced);
-    }
-    Ok(())
-}
-
-/// Compiles a statement tree into flat instructions with explicit jumps.
-pub(crate) fn compile_block(stmts: &[Stmt], out: &mut Vec<Instr>) {
-    for s in stmts {
-        match s {
-            Stmt::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                let jz = out.len();
-                out.push(Instr::JumpIfZero(cond.clone(), usize::MAX));
-                compile_block(then_branch, out);
-                if else_branch.is_empty() {
-                    let end = out.len();
-                    patch(out, jz, end);
-                } else {
-                    let jmp = out.len();
-                    out.push(Instr::Jump(usize::MAX));
-                    let else_start = out.len();
-                    patch(out, jz, else_start);
-                    compile_block(else_branch, out);
-                    let end = out.len();
-                    patch(out, jmp, end);
-                }
-            }
-            Stmt::While { cond, body } => {
-                let top = out.len();
-                let jz = out.len();
-                out.push(Instr::JumpIfZero(cond.clone(), usize::MAX));
-                compile_block(body, out);
-                out.push(Instr::Jump(top));
-                let end = out.len();
-                patch(out, jz, end);
-            }
-            Stmt::LocalSet { name, value } => out.push(Instr::LocalSet {
-                name,
-                value: value.clone(),
-            }),
-            other => out.push(Instr::Op(other.clone())),
+            Stmt::Spawn(target) => match self.auto_flags.get(target.index()) {
+                Some(true) => Err(BuildError::SpawnOfAutoStartThread {
+                    thread,
+                    target: *target,
+                }),
+                Some(false) => Ok(()),
+                None => Err(unknown(target)),
+            },
+            Stmt::Join(target) if target.index() >= self.auto_flags.len() => Err(unknown(target)),
+            _ => Ok(()),
         }
     }
 }
 
-fn patch(out: &mut [Instr], at: usize, target: usize) {
-    match &mut out[at] {
-        Instr::Jump(t) | Instr::JumpIfZero(_, t) => *t = target,
-        _ => unreachable!("patch target is always a jump"),
+/// Transaction bracketing, one statement of `thread` at a time: within
+/// every block, `TxBegin` and `TxCommit` must pair up without nesting,
+/// and inside a transaction no blocking synchronization may appear
+/// (nested control flow is allowed as long as it is transaction-free and
+/// synchronization-free). `depth` is 1 inside a transaction.
+fn tx_step(s: &Stmt, depth: &mut usize, thread: ThreadId) -> Option<BuildError> {
+    let unbalanced = Some(BuildError::UnbalancedTransaction { thread });
+    match s {
+        Stmt::TxBegin => {
+            if *depth > 0 {
+                return unbalanced;
+            }
+            *depth = 1;
+        }
+        Stmt::TxCommit => {
+            if *depth == 0 {
+                return unbalanced;
+            }
+            *depth = 0;
+        }
+        Stmt::TxRetry if *depth == 0 => return unbalanced,
+        Stmt::Lock(_)
+        | Stmt::Unlock(_)
+        | Stmt::TryLock { .. }
+        | Stmt::RwRead(_)
+        | Stmt::RwWrite(_)
+        | Stmt::RwUnlock(_)
+        | Stmt::Wait { .. }
+        | Stmt::Signal(_)
+        | Stmt::Broadcast(_)
+        | Stmt::SemAcquire(_)
+        | Stmt::SemRelease(_)
+        | Stmt::Spawn(_)
+        | Stmt::Join(_)
+            if *depth > 0 =>
+        {
+            return Some(BuildError::SyncInsideTransaction { thread });
+        }
+        _ => {}
     }
+    None
 }
 
 #[cfg(test)]
@@ -695,6 +685,15 @@ mod tests {
         assert!(b.build().is_ok());
     }
 
+    /// The code `stmts` compiles to, as the one thread of a program with
+    /// one variable.
+    fn compile(stmts: Vec<Stmt>) -> Vec<Instr> {
+        let mut b = ProgramBuilder::new("layout");
+        b.var("v", 0);
+        b.thread("t", stmts);
+        b.build().unwrap().threads()[0].code().to_vec()
+    }
+
     #[test]
     fn compile_if_else_layout() {
         let v = VarId::from_index(0);
@@ -703,8 +702,7 @@ mod tests {
             vec![Stmt::write(v, 1)],
             vec![Stmt::write(v, 2)],
         )];
-        let mut code = Vec::new();
-        compile_block(&stmts, &mut code);
+        let code = compile(stmts);
         // JumpIfZero -> else; write 1; Jump -> end; write 2
         assert_eq!(code.len(), 4);
         assert!(matches!(code[0], Instr::JumpIfZero(_, 3)));
@@ -715,8 +713,7 @@ mod tests {
     fn compile_while_layout() {
         let v = VarId::from_index(0);
         let stmts = vec![Stmt::while_loop(Expr::local("c"), vec![Stmt::write(v, 1)])];
-        let mut code = Vec::new();
-        compile_block(&stmts, &mut code);
+        let code = compile(stmts);
         // 0: JumpIfZero -> 3; 1: write; 2: Jump -> 0
         assert_eq!(code.len(), 3);
         assert!(matches!(code[0], Instr::JumpIfZero(_, 3)));
@@ -742,6 +739,54 @@ mod tests {
         );
         let p = b.build().unwrap();
         assert_eq!(p.static_visible_ops(), 1);
+    }
+
+    #[test]
+    fn build_rejects_more_than_64_threads() {
+        let mut b = ProgramBuilder::new("wide");
+        let v = b.var("v", 0);
+        for _ in 0..64 {
+            b.thread("t", vec![Stmt::write(v, 1)]);
+        }
+        let mut wider = ProgramBuilder::new("wider");
+        let v = wider.var("v", 0);
+        for _ in 0..65 {
+            wider.thread("t", vec![Stmt::write(v, 1)]);
+        }
+        assert_eq!(b.build().unwrap().n_threads(), 64);
+        assert_eq!(
+            wider.build().unwrap_err(),
+            BuildError::TooManyThreads { threads: 65 }
+        );
+    }
+
+    #[test]
+    fn build_rejects_a_thread_naming_more_than_64_locals() {
+        let mut b = ProgramBuilder::new("p");
+        let names =
+            (0..65).map(|i| -> &'static str { Box::leak(format!("l{i}").into_boxed_str()) });
+        b.thread("t", names.map(|name| Stmt::local(name, 1)).collect());
+        assert_eq!(
+            b.build().unwrap_err(),
+            BuildError::TooManyLocals {
+                thread: ThreadId::from_index(0)
+            }
+        );
+    }
+
+    #[test]
+    fn object_errors_outrank_an_earlier_bracketing_error() {
+        // One walk finds the bracketing error first; it is reported only
+        // when the body has no other error.
+        let mut b = ProgramBuilder::new("p");
+        b.thread(
+            "t",
+            vec![Stmt::TxCommit, Stmt::read(VarId::from_index(3), "x")],
+        );
+        assert!(matches!(
+            b.build().unwrap_err(),
+            BuildError::UnknownObject { .. }
+        ));
     }
 
     #[test]

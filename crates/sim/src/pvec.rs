@@ -36,7 +36,7 @@ const TAIL: usize = 16;
 #[derive(Debug)]
 struct Frozen {
     prev: Option<Rc<Frozen>>,
-    entries: [ThreadId; TAIL],
+    entries: [u8; TAIL],
 }
 
 impl Drop for Frozen {
@@ -53,22 +53,14 @@ impl Drop for Frozen {
 
 /// The schedule taken: an append-only list of threads whose newest
 /// `len % TAIL` entries sit inline and whose older ones sit in a shared
-/// chain of [`Frozen`] runs, newest first.
-#[derive(Debug, Clone)]
+/// chain of [`Frozen`] runs, newest first. An entry is the thread's
+/// index as one byte (a program has at most 64 threads), which keeps
+/// the tail every snapshot copies small.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct ScheduleLog {
     frozen: Option<Rc<Frozen>>,
-    tail: [ThreadId; TAIL],
+    tail: [u8; TAIL],
     len: usize,
-}
-
-impl Default for ScheduleLog {
-    fn default() -> ScheduleLog {
-        ScheduleLog {
-            frozen: None,
-            tail: [ThreadId(0); TAIL],
-            len: 0,
-        }
-    }
 }
 
 impl ScheduleLog {
@@ -79,7 +71,8 @@ impl ScheduleLog {
     /// Appends an entry. Filling the tail freezes it into a new shared
     /// run, the only allocation; frozen runs are never written again.
     pub(crate) fn push(&mut self, thread: ThreadId) {
-        self.tail[self.len % TAIL] = thread;
+        debug_assert!(thread.index() <= usize::from(u8::MAX));
+        self.tail[self.len % TAIL] = thread.index() as u8;
         self.len += 1;
         if self.len.is_multiple_of(TAIL) {
             let prev = self.frozen.take();
@@ -90,7 +83,7 @@ impl ScheduleLog {
 
     /// The whole log as a flat vector, oldest entry first.
     pub(crate) fn to_vec(&self) -> Vec<ThreadId> {
-        let mut out = vec![ThreadId(0); self.len];
+        let mut out = vec![0; self.len];
         let inline = self.len % TAIL;
         let mut end = self.len - inline;
         out[end..].copy_from_slice(&self.tail[..inline]);
@@ -101,7 +94,7 @@ impl ScheduleLog {
             run = frozen.prev.as_deref();
         }
         debug_assert_eq!(end, 0, "the frozen runs hold every older entry");
-        out
+        out.into_iter().map(|i| ThreadId(u32::from(i))).collect()
     }
 
     /// Bytes a clone copies in the executor's snapshot size model. That
@@ -142,23 +135,23 @@ mod tests {
     #[test]
     fn schedule_log_clones_never_observe_each_others_pushes() {
         // Branch at every tail position, including just before and just
-        // after a run freezes.
+        // after a run freezes. Entries are one byte: ids stay below 256.
         for n in [TAIL - 1, TAIL, TAIL + 1, 70] {
             let mut a = log_of(n);
             let mut b = a.clone();
-            a.push(t(1000));
+            a.push(t(200));
             for i in 0..TAIL + 2 {
-                b.push(t(2000 + i));
+                b.push(t(220 + i));
             }
             let (va, vb) = (a.to_vec(), b.to_vec());
             assert_eq!(va.len(), n + 1);
             assert_eq!(vb.len(), n + TAIL + 2);
             assert_eq!(va[..n], vb[..n], "n = {n}");
             assert_eq!(va[..n], (0..n).map(t).collect::<Vec<_>>()[..]);
-            assert_eq!(va[n], t(1000));
+            assert_eq!(va[n], t(200));
             assert_eq!(
                 vb[n..],
-                (0..TAIL + 2).map(|i| t(2000 + i)).collect::<Vec<_>>()[..]
+                (0..TAIL + 2).map(|i| t(220 + i)).collect::<Vec<_>>()[..]
             );
         }
     }
@@ -169,10 +162,10 @@ mod tests {
         let frozen = Rc::clone(a.frozen.as_ref().expect("a full tail freezes"));
         let mut b = a.clone();
         for i in 0..3 * TAIL {
-            b.push(t(500 + i));
+            b.push(t(100 + i));
         }
         // `b` chained new runs on top of the shared one without touching it.
-        assert_eq!(frozen.entries, std::array::from_fn(t));
+        assert_eq!(frozen.entries, std::array::from_fn(|i| i as u8));
         assert!(Rc::ptr_eq(a.frozen.as_ref().unwrap(), &frozen));
         assert!(frozen.prev.is_none());
         assert_eq!(a.to_vec(), (0..TAIL).map(t).collect::<Vec<_>>());

@@ -113,8 +113,10 @@ pub(crate) struct StateHash {
     /// (vars start at 0).
     offsets: [u32; 5],
     key: u64,
-    /// The first `n_dirty` entries await a rehash.
-    dirty: [Comp; DIRTY],
+    /// Slots whose first `n_dirty` entries await a rehash. Slot indices
+    /// rather than [`Comp`]s keep the executor, which every snapshot
+    /// copies, small.
+    dirty: [u32; DIRTY],
     n_dirty: u8,
     /// While non-zero, every component is dirty: slots `0..sweep` still
     /// await a rehash, and the dirty list is unused.
@@ -148,7 +150,7 @@ impl StateHash {
                 threads_at as u32,
             ],
             key: 0,
-            dirty: [Comp::Var(0); DIRTY],
+            dirty: [0; DIRTY],
             n_dirty: 0,
             sweep: len as u32,
         }
@@ -172,16 +174,21 @@ impl StateHash {
         }
     }
 
-    /// Component `c`'s slot, unshared from any clone.
-    fn slot(&mut self, c: Comp) -> &mut u64 {
-        let at = match c {
+    /// The slot that stores component `c`.
+    fn at(&self, c: Comp) -> usize {
+        match c {
             Comp::Var(i) => i,
             Comp::Mutex(i) => self.offsets[0] as usize + i,
             Comp::Cond(i) => self.offsets[1] as usize + i,
             Comp::Rw(i) => self.offsets[2] as usize + i,
             Comp::Sem(i) => self.offsets[3] as usize + i,
             Comp::Thread(i) => self.offsets[4] as usize + i,
-        };
+        }
+    }
+
+    /// Component `c`'s slot, unshared from any clone.
+    fn slot(&mut self, c: Comp) -> &mut u64 {
+        let at = self.at(c);
         &mut Rc::make_mut(&mut self.slots)[at]
     }
 
@@ -189,11 +196,12 @@ impl StateHash {
     /// cycle; touching more than [`DIRTY`] components marks them all.
     pub(crate) fn touch(&mut self, c: Comp) {
         let n = usize::from(self.n_dirty);
-        if self.sweep > 0 || self.dirty[..n].contains(&c) {
+        let at = self.at(c) as u32;
+        if self.sweep > 0 || self.dirty[..n].contains(&at) {
             return;
         }
         if n < DIRTY {
-            self.dirty[n] = c;
+            self.dirty[n] = at;
             self.n_dirty += 1;
         } else {
             self.n_dirty = 0;
@@ -208,7 +216,7 @@ impl StateHash {
             return Some(self.comp_at(self.sweep as usize));
         }
         self.n_dirty = self.n_dirty.checked_sub(1)?;
-        Some(self.dirty[usize::from(self.n_dirty)])
+        Some(self.comp_at(self.dirty[usize::from(self.n_dirty)] as usize))
     }
 
     /// Installs a fresh hash for `c`, repairing the fold: the stale

@@ -9,7 +9,7 @@
 //! staying deterministic under the model checker.
 
 use crate::ids::VarId;
-use crate::locals::Locals;
+use crate::lower::Locals;
 
 /// In-flight transaction bookkeeping (one per thread at most; nesting is
 /// rejected at build time).
