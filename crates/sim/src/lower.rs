@@ -242,22 +242,16 @@ impl Lower {
 
     /// Lowers an expression of the thread's body.
     pub(crate) fn expr(&mut self, e: &Expr) -> Result<Code, BuildError> {
-        match e {
-            Expr::Un(op, x) => {
-                if let Some(x) = self.leaf(x)? {
-                    return Ok(Code::Un(*op, x));
-                }
-            }
-            Expr::Bin(op, a, b) => {
-                if let (Some(a), Some(b)) = (self.leaf(a)?, self.leaf(b)?) {
-                    return Ok(Code::Bin(*op, a, b));
-                }
-            }
-            leaf => {
-                if let Some(leaf) = self.leaf(leaf)? {
-                    return Ok(Code::Leaf(leaf));
-                }
-            }
+        let inline = match e {
+            Expr::Un(op, x) => self.leaf(x)?.map(|x| Code::Un(*op, x)),
+            Expr::Bin(op, a, b) => match (self.leaf(a)?, self.leaf(b)?) {
+                (Some(a), Some(b)) => Some(Code::Bin(*op, a, b)),
+                _ => None,
+            },
+            leaf => self.leaf(leaf)?.map(Code::Leaf),
+        };
+        if let Some(code) = inline {
+            return Ok(code);
         }
         let mut nodes = Vec::new();
         self.postfix(e, &mut nodes)?;
