@@ -13,11 +13,12 @@
 //!
 //! The machinery here is engine-agnostic: it owns the step log (with
 //! vector clocks derived from the `footprint` dependence relation) and
-//! the per-branch-point frames (enabled threads, their footprints,
-//! backtrack/done/sleep sets), while the exploration walk's DPOR
-//! strategy ([`crate::frontier::DporSearch`]) drives it through
+//! the per-branch-point frames (enabled, backtrack, done and sleep sets
+//! as `u64` masks, bit `i` for thread `i`), while the exploration walk's
+//! DPOR strategy ([`crate::frontier::DporSearch`]) drives it through
 //! [`Dpor::push_frame`], [`Dpor::select`], [`Dpor::commit_step`],
-//! [`Dpor::pending_race`] and [`Dpor::pop_frame`].
+//! [`Dpor::pending_race`] and [`Dpor::pop_frame`]. Scheduler order is
+//! thread order, and a program has at most 64 threads.
 //!
 //! Sleep sets are part of the algorithm, as in Abdulla et al.'s
 //! source-DPOR, not an option: a sleeping thread is a child some
@@ -25,7 +26,7 @@
 //! backtrack candidates done without exploring them and puts each
 //! child it picks to sleep for the siblings after it, and child sleep
 //! sets are the parent's survivors that commute with everything
-//! executed along the edge ([`Dpor::child_sleep`]).
+//! executed along the edge ([`child_sleep`]).
 //!
 //! A terminal still races the ops it cut off ([`Dpor::pending_race`]).
 //! At an abort terminal the aborting step counts as dependent with
@@ -34,7 +35,7 @@
 //! behind it would never be found.
 
 use crate::footprint::{Footprint, ObjKind};
-use crate::ids::ThreadId;
+use crate::ids::{threads_in, ThreadId};
 use crate::trace::VectorClock;
 
 /// One executed step on the current exploration path.
@@ -55,25 +56,29 @@ pub(crate) struct LogEntry {
 }
 
 /// DPOR bookkeeping for one branch point (a state with more than one
-/// enabled thread) on the DFS stack.
-#[derive(Debug, Clone)]
+/// enabled thread) on the DFS stack. Every set is a thread mask.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct DporFrame {
-    /// Enabled threads at this state, in scheduler order.
-    enabled: Vec<ThreadId>,
-    /// Next-op footprint of each enabled thread, parallel to `enabled`.
-    fps: Vec<Footprint>,
+    /// Enabled threads at this state.
+    enabled: u64,
     /// Threads that must eventually be explored from this state. Seeded
-    /// with the first awake enabled thread; races grow it.
-    backtrack: Vec<ThreadId>,
+    /// with the lowest awake enabled thread; races grow it. Always a
+    /// subset of `enabled`.
+    backtrack: u64,
     /// Threads already selected (or sleep-skipped) here. Always a
     /// subset of `backtrack`.
-    done: Vec<ThreadId>,
+    done: u64,
     /// Sleeping threads: exploring them first from this state is
     /// redundant with a subtree an ancestor sibling owns. Always a
     /// subset of `enabled`.
-    sleep: Vec<ThreadId>,
+    sleep: u64,
     /// Log length when the frame was created.
     base: usize,
+}
+
+/// The lowest thread of a non-empty mask, as a mask.
+fn lowest(mask: u64) -> u64 {
+    mask & mask.wrapping_neg()
 }
 
 /// The DPOR engine: step log plus the frame stack, kept in lockstep
@@ -98,63 +103,52 @@ impl Dpor {
     /// Opens a frame for a branch state. `sleep` must be a subset of
     /// `enabled`, and at least one enabled thread must be awake (an
     /// all-asleep branch is redundant; the driver never opens it).
-    /// Returns the frame's stack index.
-    pub fn push_frame(
-        &mut self,
-        enabled: Vec<ThreadId>,
-        fps: Vec<Footprint>,
-        sleep: Vec<ThreadId>,
-    ) -> usize {
-        debug_assert_eq!(enabled.len(), fps.len());
-        let seed = enabled.iter().copied().find(|t| !sleep.contains(t));
-        debug_assert!(seed.is_some(), "all-asleep branch must not open a frame");
+    pub fn push_frame(&mut self, enabled: u64, sleep: u64) {
+        let awake = enabled & !sleep;
+        debug_assert!(awake != 0, "all-asleep branch must not open a frame");
         self.frames.push(DporFrame {
             enabled,
-            fps,
-            backtrack: seed.into_iter().collect(),
-            done: Vec::new(),
+            backtrack: lowest(awake),
+            done: 0,
             sleep,
             base: self.log.len(),
         });
-        self.frames.len() - 1
     }
 
-    /// Picks the next child to explore from `frame`, which must be the
-    /// top of the stack: the first enabled-order thread in the
-    /// backtrack set and not yet done. Sleeping candidates are marked
-    /// done without being explored; the count of those skips is
-    /// returned so the driver can account them as sleep-set prunes.
-    /// The pick itself goes to sleep: siblings selected after it need
-    /// not re-explore orders that merely delay it. Truncates the log
-    /// back to the frame's base first, discarding the previous
-    /// sibling's steps.
-    pub fn select(&mut self, frame: usize) -> (u64, Option<ThreadId>) {
-        debug_assert_eq!(frame + 1, self.frames.len());
-        self.log.truncate(self.frames[frame].base);
+    /// The top frame's sleep set.
+    pub fn sleeping(&self) -> u64 {
+        self.frames.last().expect("an open DPOR frame").sleep
+    }
+
+    /// Picks the next child to explore from the top frame: the lowest
+    /// thread in its backtrack set and not yet done. Sleeping
+    /// candidates are marked done without being explored; the count of
+    /// those skips is returned so the driver can account them as
+    /// sleep-set prunes. The pick itself goes to sleep: siblings
+    /// selected after it need not re-explore orders that merely delay
+    /// it. Truncates the log back to the frame's base first, discarding
+    /// the previous sibling's steps.
+    pub fn select(&mut self) -> (u64, Option<ThreadId>) {
+        let f = self.frames.last_mut().expect("an open DPOR frame");
+        self.log.truncate(f.base);
         let mut skipped = 0u64;
-        loop {
-            let f = &mut self.frames[frame];
-            let next = f
-                .enabled
-                .iter()
-                .copied()
-                .find(|t| f.backtrack.contains(t) && !f.done.contains(t));
-            let Some(t) = next else {
-                return (skipped, None);
-            };
-            f.done.push(t);
-            if f.sleep.contains(&t) {
+        while let Some(t) = threads_in(f.backtrack & !f.done).next() {
+            f.done |= t.bit();
+            if f.sleep & t.bit() != 0 {
                 skipped += 1;
                 continue;
             }
-            f.sleep.push(t);
+            f.sleep |= t.bit();
             return (skipped, Some(t));
         }
+        (skipped, None)
     }
 
     /// Appends an executed step to the log, computing its vector clock
-    /// and processing every race it closes.
-    pub fn commit_step(&mut self, thread: ThreadId, fp: Footprint, pre_frame: Option<usize>) {
+    /// and processing every race it closes. A `chosen` step was picked
+    /// at the top frame's state; any other step was forced.
+    pub fn commit_step(&mut self, thread: ThreadId, fp: Footprint, chosen: bool) {
+        let pre_frame = chosen.then(|| self.frames.len() - 1);
         let mut clk = self.scan_races(thread, &fp, None);
         clk.tick(thread);
         self.log.push(LogEntry {
@@ -254,51 +248,36 @@ impl Dpor {
         clk
     }
 
-    /// Sleep set for the child reached from `frame` by stepping
-    /// `choice` and then the `forced` steps: the parent's sleepers that
-    /// commute with everything executed along the edge and are still
-    /// enabled at the child state. A conflicting edge step wakes the
-    /// sleeper — delaying it past that step is no longer redundant.
-    pub fn child_sleep(
-        &self,
-        frame: usize,
-        choice: ThreadId,
-        forced: &[(ThreadId, Footprint)],
-        child_enabled: &[ThreadId],
-    ) -> Vec<ThreadId> {
-        let f = &self.frames[frame];
-        let choice_fp = self.fp_of(frame, choice);
-        f.sleep
-            .iter()
-            .copied()
-            .filter(|&s| s != choice)
-            .filter(|&s| {
-                let sfp = self.fp_of(frame, s);
-                sfp.independent(choice_fp) && forced.iter().all(|(_, ffp)| sfp.independent(ffp))
-            })
-            .filter(|s| child_enabled.contains(s))
-            .collect()
-    }
-
     /// Closes the top frame, truncating the log to its base. Returns
     /// the number of enabled children never selected — the schedules
     /// DPOR proved redundant without running them.
     pub fn pop_frame(&mut self) -> u64 {
         let f = self.frames.pop().expect("pop on empty DPOR frame stack");
         self.log.truncate(f.base);
-        (f.enabled.len() - f.done.len()) as u64
+        u64::from((f.enabled & !f.done).count_ones())
     }
+}
 
-    /// Next-op footprint `thread` had at `frame`'s state.
-    pub fn fp_of(&self, frame: usize, thread: ThreadId) -> &Footprint {
-        let f = &self.frames[frame];
-        let i = f
-            .enabled
-            .iter()
-            .position(|&t| t == thread)
-            .expect("thread is enabled at the frame");
-        &f.fps[i]
-    }
+/// Sleep set for the child reached from a frame by stepping a choice
+/// with footprint `choice_fp` and then the `forced` steps: the frame's
+/// other `sleepers`, each with the footprint it had at the frame's
+/// state, that commute with everything executed along the edge and are
+/// still enabled at the child (`child_enabled`). A conflicting edge
+/// step wakes the sleeper — delaying it past that step is no longer
+/// redundant.
+pub(crate) fn child_sleep(
+    sleepers: &[(ThreadId, Footprint)],
+    choice_fp: &Footprint,
+    forced: &[(ThreadId, Footprint)],
+    child_enabled: u64,
+) -> u64 {
+    let stays = |fp: &Footprint| {
+        fp.independent(choice_fp) && forced.iter().all(|(_, ffp)| fp.independent(ffp))
+    };
+    sleepers
+        .iter()
+        .filter(|(s, fp)| child_enabled & s.bit() != 0 && stays(fp))
+        .fold(0, |sleep, (s, _)| sleep | s.bit())
 }
 
 /// `true` when the dependence between logged step `d` and the new step
@@ -341,47 +320,41 @@ fn process_race(
     // Steps after d that do not know about d: still runnable from d's
     // pre-state when d is delayed. (Anything dependent with d joined
     // d's clock when committed, so the filter is a component compare.)
-    let v: Vec<&LogEntry> = log[j + 1..]
-        .iter()
-        .filter(|x| x.clock.get(d.thread) < dticks)
-        .collect();
+    let v = || {
+        log[j + 1..]
+            .iter()
+            .filter(move |x| x.clock.get(d.thread) < dticks)
+    };
     // Initials: threads whose first step in v has no happens-before
     // predecessor within v — each can run first from d's pre-state.
-    let mut initials: Vec<ThreadId> = Vec::new();
-    for (i, x) in v.iter().enumerate() {
-        if initials.contains(&x.thread) {
+    let mut initials = 0u64;
+    for (i, x) in v().enumerate() {
+        if initials & x.thread.bit() != 0 {
             continue;
         }
-        let free = v[..i]
-            .iter()
+        let free = v()
+            .take(i)
             .all(|y| y.clock.get(y.thread) > x.clock.get(y.thread));
         if free {
-            initials.push(x.thread);
+            initials |= x.thread.bit();
         }
     }
-    if !initials.contains(&p) {
-        let free = v.iter().all(|y| y.clock.get(y.thread) > clk.get(y.thread));
-        if free {
-            initials.push(p);
-        }
+    if initials & p.bit() == 0 && v().all(|y| y.clock.get(y.thread) > clk.get(y.thread)) {
+        initials |= p.bit();
     }
     let frame = &mut frames[fi];
-    if initials.iter().any(|t| frame.backtrack.contains(t)) {
+    if initials & frame.backtrack != 0 {
         return; // the reversal is already scheduled here
     }
-    if let Some(q) = frame.enabled.iter().copied().find(|t| initials.contains(t)) {
-        frame.backtrack.push(q);
+    let enabled_initials = frame.enabled & initials;
+    frame.backtrack |= if enabled_initials != 0 {
+        lowest(enabled_initials)
     } else {
         // No initial is enabled at the pre-state (the conservative
         // happens-before can hide the connecting chain): fall back to
         // the classic DPOR rule and schedule every enabled thread.
-        for t in 0..frame.enabled.len() {
-            let t = frame.enabled[t];
-            if !frame.backtrack.contains(&t) {
-                frame.backtrack.push(t);
-            }
-        }
-    }
+        frame.enabled
+    };
 }
 
 #[cfg(test)]
@@ -394,6 +367,11 @@ mod tests {
         ThreadId::from_index(i)
     }
 
+    /// The mask of `threads`.
+    fn mask(threads: &[usize]) -> u64 {
+        threads.iter().fold(0, |m, &i| m | t(i).bit())
+    }
+
     fn wx() -> Footprint {
         Footprint::of_stmt(&Stmt::write(VarId::from_index(0), 1), &[])
     }
@@ -404,37 +382,37 @@ mod tests {
 
     /// Commits a step and returns the backtrack additions its races
     /// caused, as `(frame, thread)` pairs read off the frames' backtrack
-    /// sets (which only grow, at the end).
+    /// sets (which only grow).
     fn commit(
         d: &mut Dpor,
         thread: ThreadId,
         fp: Footprint,
-        pre_frame: Option<usize>,
+        chosen: bool,
     ) -> Vec<(usize, ThreadId)> {
-        let before: Vec<usize> = d.frames.iter().map(|f| f.backtrack.len()).collect();
-        d.commit_step(thread, fp, pre_frame);
+        let before: Vec<u64> = d.frames.iter().map(|f| f.backtrack).collect();
+        d.commit_step(thread, fp, chosen);
         let grown = d.frames.iter().zip(before).enumerate();
         grown
-            .flat_map(|(fi, (f, n))| f.backtrack[n..].iter().map(move |&t| (fi, t)))
+            .flat_map(|(fi, (f, old))| threads_in(f.backtrack & !old).map(move |t| (fi, t)))
             .collect()
     }
 
     #[test]
     fn dependent_steps_grow_the_backtrack_set() {
         let mut d = Dpor::new(2);
-        let f = d.push_frame(vec![t(0), t(1)], vec![wx(), wx()], vec![]);
-        let (skipped, sel) = d.select(f);
+        d.push_frame(mask(&[0, 1]), 0);
+        let (skipped, sel) = d.select();
         assert_eq!((skipped, sel), (0, Some(t(0))));
-        assert!(commit(&mut d, t(0), wx(), Some(f)).is_empty());
+        assert!(commit(&mut d, t(0), wx(), true).is_empty());
         // The second writer races with the first: its own thread is the
         // sole initial, so it lands in the frame's backtrack set.
-        let adds = commit(&mut d, t(1), wx(), None);
-        assert_eq!(adds, vec![(f, t(1))]);
-        let (_, sel) = d.select(f);
+        let adds = commit(&mut d, t(1), wx(), false);
+        assert_eq!(adds, vec![(0, t(1))]);
+        let (_, sel) = d.select();
         assert_eq!(sel, Some(t(1)));
-        assert!(commit(&mut d, t(1), wx(), Some(f)).is_empty());
-        assert!(commit(&mut d, t(0), wx(), None).is_empty()); // t(0) already done
-        let (_, sel) = d.select(f);
+        assert!(commit(&mut d, t(1), wx(), true).is_empty());
+        assert!(commit(&mut d, t(0), wx(), false).is_empty()); // t(0) already done
+        let (_, sel) = d.select();
         assert_eq!(sel, None);
         assert_eq!(d.pop_frame(), 0); // both orders explored
     }
@@ -442,12 +420,12 @@ mod tests {
     #[test]
     fn independent_steps_are_pruned() {
         let mut d = Dpor::new(2);
-        let f = d.push_frame(vec![t(0), t(1)], vec![wx(), wy()], vec![]);
-        let (_, sel) = d.select(f);
+        d.push_frame(mask(&[0, 1]), 0);
+        let (_, sel) = d.select();
         assert_eq!(sel, Some(t(0)));
-        assert!(commit(&mut d, t(0), wx(), Some(f)).is_empty());
-        assert!(commit(&mut d, t(1), wy(), None).is_empty()); // no race
-        let (_, sel) = d.select(f);
+        assert!(commit(&mut d, t(0), wx(), true).is_empty());
+        assert!(commit(&mut d, t(1), wy(), false).is_empty()); // no race
+        let (_, sel) = d.select();
         assert_eq!(sel, None); // t(1)-first never scheduled
         assert_eq!(d.pop_frame(), 1); // one child proven redundant
     }
@@ -455,38 +433,38 @@ mod tests {
     #[test]
     fn races_reverse_one_adjacent_pair_at_a_time() {
         let mut d = Dpor::new(2);
-        let f0 = d.push_frame(vec![t(0), t(1)], vec![wx(), wx()], vec![]);
-        d.select(f0);
-        commit(&mut d, t(0), wx(), Some(f0));
-        let f1 = d.push_frame(vec![t(0), t(1)], vec![wx(), wx()], vec![]);
-        d.select(f1);
-        commit(&mut d, t(0), wx(), Some(f1));
+        d.push_frame(mask(&[0, 1]), 0);
+        d.select();
+        commit(&mut d, t(0), wx(), true);
+        d.push_frame(mask(&[0, 1]), 0);
+        d.select();
+        commit(&mut d, t(0), wx(), true);
         // Only the adjacent race (second write vs t1's) is reversed
         // now; the earlier write's reversal is rediscovered inside that
         // branch, one pair at a time, exactly as in SDPOR.
-        let adds = commit(&mut d, t(1), wx(), None);
-        assert_eq!(adds, vec![(f1, t(1))]);
+        let adds = commit(&mut d, t(1), wx(), false);
+        assert_eq!(adds, vec![(1, t(1))]);
         // Reversed branch: after t0's first write, run t1 — its commit
         // races with the first write and schedules the full reversal
         // back at the root frame.
-        let (_, sel) = d.select(f1);
+        let (_, sel) = d.select();
         assert_eq!(sel, Some(t(1)));
-        let adds = commit(&mut d, t(1), wx(), Some(f1));
-        assert_eq!(adds, vec![(f0, t(1))]);
+        let adds = commit(&mut d, t(1), wx(), true);
+        assert_eq!(adds, vec![(0, t(1))]);
     }
 
     #[test]
     fn intermediate_independent_steps_join_the_initials() {
         let mut d = Dpor::new(3);
-        let f = d.push_frame(vec![t(0), t(1), t(2)], vec![wx(), wy(), wx()], vec![]);
-        d.select(f);
-        commit(&mut d, t(0), wx(), Some(f));
-        commit(&mut d, t(1), wy(), None);
+        d.push_frame(mask(&[0, 1, 2]), 0);
+        d.select();
+        commit(&mut d, t(0), wx(), true);
+        commit(&mut d, t(1), wy(), false);
         // t(2) races with t(0); both t(1)'s step (independent of the
-        // race) and t(2) are initials of v — the enabled-order pick is
+        // race) and t(2) are initials of v — the lowest enabled pick is
         // t(1).
-        let adds = commit(&mut d, t(2), wx(), None);
-        assert_eq!(adds, vec![(f, t(1))]);
+        let adds = commit(&mut d, t(2), wx(), false);
+        assert_eq!(adds, vec![(0, t(1))]);
     }
 
     #[test]
@@ -498,18 +476,18 @@ mod tests {
         let mut d = Dpor::new(2);
         // Both threads want the lock; t(0) wins and runs its critical
         // section as forced steps (t(1) is blocked throughout).
-        let f = d.push_frame(vec![t(0), t(1)], vec![lock(), lock()], vec![]);
-        let (_, sel) = d.select(f);
+        d.push_frame(mask(&[0, 1]), 0);
+        let (_, sel) = d.select();
         assert_eq!(sel, Some(t(0)));
-        assert!(commit(&mut d, t(0), lock(), Some(f)).is_empty());
-        assert!(commit(&mut d, t(0), wx(), None).is_empty());
-        assert!(commit(&mut d, t(0), unlock(), None).is_empty());
+        assert!(commit(&mut d, t(0), lock(), true).is_empty());
+        assert!(commit(&mut d, t(0), wx(), false).is_empty());
+        assert!(commit(&mut d, t(0), unlock(), false).is_empty());
         // t(1)'s acquisition happens-after the unlock (the hand-off),
         // but the reversible race is with t(0)'s *lock*: the other
         // acquisition order reaches states this one cannot.
-        let adds = commit(&mut d, t(1), lock(), None);
-        assert_eq!(adds, vec![(f, t(1))]);
-        let (_, sel) = d.select(f);
+        let adds = commit(&mut d, t(1), lock(), false);
+        assert_eq!(adds, vec![(0, t(1))]);
+        let (_, sel) = d.select();
         assert_eq!(sel, Some(t(1)));
     }
 
@@ -524,34 +502,23 @@ mod tests {
         // is the unlock); t(0) is waiting... not enabled, so the frame
         // only lists t(1). The release then hands off to t(0)'s acquire:
         // dependent, forced, no backtrack addition anywhere.
-        let f = d.push_frame(vec![t(1)], vec![unlock()], vec![]);
-        let (_, sel) = d.select(f);
+        d.push_frame(mask(&[1]), 0);
+        let (_, sel) = d.select();
         assert_eq!(sel, Some(t(1)));
-        assert!(commit(&mut d, t(1), unlock(), Some(f)).is_empty());
-        assert!(commit(&mut d, t(0), lock(), None).is_empty());
+        assert!(commit(&mut d, t(1), unlock(), true).is_empty());
+        assert!(commit(&mut d, t(0), lock(), false).is_empty());
     }
 
     #[test]
     fn creation_edges_are_never_races() {
+        let spawn = || Footprint::of_stmt(&Stmt::Spawn(t(1)), &[]);
         let mut d = Dpor::new(2);
-        let f = d.push_frame(
-            vec![t(0), t(1)],
-            vec![
-                Footprint::of_stmt(&Stmt::Spawn(t(1)), &[]),
-                Footprint::of_stmt(&Stmt::Spawn(t(1)), &[]),
-            ],
-            vec![],
-        );
-        d.select(f);
-        commit(
-            &mut d,
-            t(0),
-            Footprint::of_stmt(&Stmt::Spawn(t(1)), &[]),
-            Some(f),
-        );
+        d.push_frame(mask(&[0, 1]), 0);
+        d.select();
+        commit(&mut d, t(0), spawn(), true);
         // t(1)'s first step happens-after its spawn; dependence through
         // the Thread object must not be reported as a reversible race.
-        let adds = commit(&mut d, t(1), wx(), None);
+        let adds = commit(&mut d, t(1), wx(), false);
         assert!(adds.is_empty());
     }
 
@@ -559,47 +526,43 @@ mod tests {
     fn sleeping_backtrack_candidates_are_skipped() {
         let mut d = Dpor::new(2);
         // t(0) is asleep: the seed skips it and picks t(1).
-        let f = d.push_frame(vec![t(0), t(1)], vec![wx(), wx()], vec![t(0)]);
-        let (skipped, sel) = d.select(f);
+        d.push_frame(mask(&[0, 1]), mask(&[0]));
+        let (skipped, sel) = d.select();
         assert_eq!((skipped, sel), (0, Some(t(1))));
-        commit(&mut d, t(1), wx(), Some(f));
-        let adds = commit(&mut d, t(0), wx(), None);
-        assert_eq!(adds, vec![(f, t(0))]);
+        commit(&mut d, t(1), wx(), true);
+        let adds = commit(&mut d, t(0), wx(), false);
+        assert_eq!(adds, vec![(0, t(0))]);
         // The race wants t(0) first, but t(0) is asleep — an ancestor
         // sibling already owns that ordering, so it is skipped.
-        let (skipped, sel) = d.select(f);
+        let (skipped, sel) = d.select();
         assert_eq!((skipped, sel), (1, None));
         assert_eq!(d.pop_frame(), 0);
     }
 
     #[test]
     fn child_sleep_wakes_on_conflict_and_filters_disabled() {
-        let mut d = Dpor::new(4);
-        let f = d.push_frame(
-            vec![t(0), t(1), t(2), t(3)],
-            vec![wx(), wy(), wy(), wy()],
-            vec![t(1), t(2), t(3)],
-        );
+        let sleepers = [(t(1), wy()), (t(2), wy()), (t(3), wy())];
         // Choice t(0) (write x) commutes with all sleepers (write y);
         // a forced step writing y wakes them all.
         let forced = [(t(0), wy())];
-        let kept = d.child_sleep(f, t(0), &forced, &[t(1), t(2), t(3)]);
-        assert!(kept.is_empty());
+        assert_eq!(child_sleep(&sleepers, &wx(), &forced, mask(&[1, 2, 3])), 0);
         // With an independent edge, sleepers survive — except the one
         // no longer enabled at the child.
         let forced = [(t(0), wx())];
-        let kept = d.child_sleep(f, t(0), &forced, &[t(1), t(3)]);
-        assert_eq!(kept, vec![t(1), t(3)]);
+        let kept = child_sleep(&sleepers, &wx(), &forced, mask(&[1, 3]));
+        assert_eq!(kept, mask(&[1, 3]));
     }
 
     #[test]
     fn explored_children_go_to_sleep_for_later_siblings() {
         let mut d = Dpor::new(2);
-        let f = d.push_frame(vec![t(0), t(1)], vec![wx(), wy()], vec![]);
-        let (_, sel) = d.select(f);
+        d.push_frame(mask(&[0, 1]), 0);
+        let (_, sel) = d.select();
         assert_eq!(sel, Some(t(0)));
-        let kept = d.child_sleep(f, t(1), &[], &[t(0)]);
-        assert_eq!(kept, vec![t(0)]); // t(0) ⊥ t(1): stays asleep
+        assert_eq!(d.sleeping(), mask(&[0]));
+        // A later sibling t(1) (write y) leaves t(0) (write x) asleep.
+        let kept = child_sleep(&[(t(0), wx())], &wy(), &[], mask(&[0]));
+        assert_eq!(kept, mask(&[0])); // t(0) ⊥ t(1): stays asleep
     }
 
     #[test]
@@ -613,17 +576,17 @@ mod tests {
         for aborting in [assert_fails, unlock] {
             let fp = || Footprint::of_stmt(&aborting, &[]);
             let mut d = Dpor::new(2);
-            let f = d.push_frame(vec![t(0), t(1)], vec![fp(), wy()], vec![]);
-            let (_, sel) = d.select(f);
+            d.push_frame(mask(&[0, 1]), 0);
+            let (_, sel) = d.select();
             assert_eq!(sel, Some(t(0)));
-            assert!(commit(&mut d, t(0), fp(), Some(f)).is_empty());
+            assert!(commit(&mut d, t(0), fp(), true).is_empty());
             // At a deadlock the cut-off write would race nothing here.
             d.pending_race(t(1), &wy(), false);
-            assert_eq!(d.frames[f].backtrack, vec![t(0)], "{aborting:?}");
+            assert_eq!(d.frames[0].backtrack, mask(&[0]), "{aborting:?}");
             // The abort cut it off: reversing the pair runs it first.
             d.pending_race(t(1), &wy(), true);
-            assert_eq!(d.frames[f].backtrack, vec![t(0), t(1)], "{aborting:?}");
-            let (_, sel) = d.select(f);
+            assert_eq!(d.frames[0].backtrack, mask(&[0, 1]), "{aborting:?}");
+            let (_, sel) = d.select();
             assert_eq!(sel, Some(t(1)));
         }
     }
@@ -633,43 +596,54 @@ mod tests {
         use crate::Expr;
         let assert_fails = Stmt::assert(Expr::lit(0).eq(Expr::lit(1)), "boom");
         let mut d = Dpor::new(2);
-        let f = d.push_frame(vec![t(0), t(1)], vec![wx(), wx()], vec![]);
-        d.select(f);
-        assert!(commit(&mut d, t(0), wx(), Some(f)).is_empty());
+        d.push_frame(mask(&[0, 1]), 0);
+        d.select();
+        assert!(commit(&mut d, t(0), wx(), true).is_empty());
         // A forced abort: its own race reverses nothing, and t(0)'s
         // write must still race t(1)'s cut-off write.
-        commit(&mut d, t(0), Footprint::of_stmt(&assert_fails, &[]), None);
+        commit(&mut d, t(0), Footprint::of_stmt(&assert_fails, &[]), false);
         d.pending_race(t(1), &wx(), true);
-        assert_eq!(d.frames[f].backtrack, vec![t(0), t(1)]);
+        assert_eq!(d.frames[0].backtrack, mask(&[0, 1]));
     }
 
     #[test]
     fn fallback_adds_all_enabled_when_no_initial_is() {
-        let mut d = Dpor::new(3);
         // Artificial: the frame only lists t(0), yet other threads run
         // later (as if enabled elsewhere). The race's initials are not
         // in the frame's enabled set, so the conservative fallback
         // fires — here it adds nothing new because t(0) is already the
         // seed.
-        let f = d.push_frame(vec![t(0)], vec![wx()], vec![]);
-        d.select(f);
-        commit(&mut d, t(0), wx(), Some(f));
-        commit(&mut d, t(1), wy(), None);
-        let adds = commit(&mut d, t(2), wx(), None);
+        let mut d = Dpor::new(3);
+        d.push_frame(mask(&[0]), 0);
+        d.select();
+        commit(&mut d, t(0), wx(), true);
+        commit(&mut d, t(1), wy(), false);
+        let adds = commit(&mut d, t(2), wx(), false);
         assert!(adds.is_empty());
+        // The frame enables t(0) and t(1), and t(0) writes x from it;
+        // t(2) writes y and t(3) writes x as forced steps. t(3)'s race
+        // with t(0) has initials {t(2), t(3)}, neither enabled at the
+        // frame, so the fallback schedules every enabled thread: t(1).
+        let mut d = Dpor::new(4);
+        d.push_frame(mask(&[0, 1]), 0);
+        d.select();
+        commit(&mut d, t(0), wx(), true);
+        assert!(commit(&mut d, t(2), wy(), false).is_empty());
+        let adds = commit(&mut d, t(3), wx(), false);
+        assert_eq!(adds, vec![(0, t(1))]);
     }
 
     #[test]
     fn log_truncates_on_reselect_and_pop() {
         let mut d = Dpor::new(2);
-        let f = d.push_frame(vec![t(0), t(1)], vec![wx(), wx()], vec![]);
-        d.select(f);
-        commit(&mut d, t(0), wx(), Some(f));
-        commit(&mut d, t(1), wx(), None);
+        d.push_frame(mask(&[0, 1]), 0);
+        d.select();
+        commit(&mut d, t(0), wx(), true);
+        commit(&mut d, t(1), wx(), false);
         assert_eq!(d.log.len(), 2);
-        d.select(f); // next sibling: the old edge's steps are discarded
+        d.select(); // next sibling: the old edge's steps are discarded
         assert_eq!(d.log.len(), 0);
-        commit(&mut d, t(1), wx(), Some(f));
+        commit(&mut d, t(1), wx(), true);
         d.pop_frame();
         assert_eq!(d.log.len(), 0);
         assert_eq!(d.frames.len(), 0);

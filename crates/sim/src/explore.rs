@@ -16,7 +16,6 @@ use std::time::Duration;
 
 use lfm_obs::{NoopSink, PhaseProfiler, Sink};
 
-use crate::dpor::Dpor;
 use crate::exec::{Executor, RecordMode};
 use crate::fault::FaultPlan;
 use crate::frontier::{walk, Classic, DporSearch, Mode};
@@ -212,7 +211,7 @@ pub struct ExploreStats {
     pub preemption_limited: u64,
     /// Heap bytes the copy-on-write snapshot representation avoided
     /// copying, summed over all snapshots: for each one, the size a
-    /// pre-COW deep clone would have copied minus what the `Arc`-sharing
+    /// pre-COW deep clone would have copied minus what the `Rc`-sharing
     /// clone actually copies. A pure function of the states snapshotted,
     /// so it is identical across runs of the same search.
     pub snapshot_bytes_saved: u64,
@@ -502,8 +501,8 @@ impl<'p> Explorer<'p> {
     pub fn run_with_callback(&self, on_terminal: impl FnMut(&Executor, &Outcome)) -> ExploreReport {
         let mode = Mode::resolve(&self.limits, self.fault.is_some());
         if mode.dpor {
-            let dpor = Dpor::new(self.program.n_threads());
-            walk(self, mode, DporSearch { mode, dpor }, on_terminal)
+            let dpor = DporSearch::new(mode, self.program.n_threads());
+            walk(self, mode, dpor, on_terminal)
         } else {
             walk(self, mode, Classic { mode }, on_terminal)
         }

@@ -4,18 +4,20 @@
 //! [`crate::BudgetedExplorer`] ladder and the service — is one
 //! depth-first [`walk`] on the calling thread, generic over a
 //! [`Strategy`] ([`Classic`]: sibling cursor, sleep set, preemption
-//! bound; or [`DporSearch`]: source-set DPOR backtrack frames). The walk
-//! snapshots a frame's state for each child it picks, runs the child
-//! with [`Strategy::edge`], and books everything into one [`Ledger`] in
-//! preorder. Every edge runs forward through one loop, [`forward`],
-//! which takes the strategy's bookkeeping as a [`Book`]. [`Mode`] says
-//! how requested limits resolve into effective reductions.
+//! bound; or [`DporSearch`]: source-set DPOR backtrack frames, which it
+//! keeps itself). The walk snapshots a frame's state for each child it
+//! picks, runs the child with [`Strategy::edge`], and books everything
+//! into one [`Ledger`] in preorder. Every edge runs forward through one
+//! loop, [`forward`], which takes the strategy's bookkeeping as a
+//! [`Book`]; a DPOR edge also commits its steps to the race log before
+//! it returns. Thread sets are `u64` masks throughout. [`Mode`] says how
+//! requested limits resolve into effective reductions.
 
 use lfm_obs::{
     eta_ms, Event, KnuthEstimator, Phase, PhaseProfiler, ProgressTracker, Stopwatch, Value,
 };
 
-use crate::dpor::Dpor;
+use crate::dpor::{child_sleep, Dpor};
 use crate::exec::{Executor, StepResult};
 use crate::explore::{ExploreLimits, ExploreReport, Explorer, Truncation};
 use crate::footprint::Footprint;
@@ -79,7 +81,8 @@ impl Mode {
 /// A branch state's scheduling context: the enabled threads, plus what
 /// the classic prune verdicts read. Thread sets are `u64` masks (bit
 /// `i` for thread `i`), and scheduler order is thread order. A DPOR
-/// head carries only `enabled`; the [`Dpor`] engine keeps the rest.
+/// head carries `enabled` and the child's sleep set; the [`Dpor`]
+/// engine keeps the rest.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Head {
     enabled: u64,
@@ -140,22 +143,6 @@ fn retain(mask: u64, mut keep: impl FnMut(ThreadId) -> bool) -> u64 {
         .fold(0, |kept, t| kept | t.bit())
 }
 
-/// What a DPOR edge logged for the race analysis; empty in classic
-/// mode. Footprints are real next-op footprints, captured before the
-/// step that consumes the op: the race scan's exactness depends on it.
-#[derive(Debug, Default)]
-pub(crate) struct Trail {
-    /// Forced and fused steps after the chosen one, in execution order.
-    forced: Vec<(ThreadId, Footprint)>,
-    /// Branch end: the child's next-op footprints ([`Dpor::push_frame`]).
-    fps: Vec<Footprint>,
-    /// Terminal end: the ops it cut off before they ran ([`pending_ops`]).
-    pending: Vec<(ThreadId, Footprint)>,
-    /// Terminal end: the edge's last step aborted the run
-    /// ([`Outcome::is_abort`]).
-    abort: bool,
-}
-
 /// Where an edge ends.
 #[derive(Debug)]
 enum End {
@@ -167,14 +154,13 @@ enum End {
     Redundant,
 }
 
-/// One child edge, ready to commit.
+/// One child edge, as it ran.
 #[derive(Debug)]
 pub(crate) struct Edge {
     /// The child's executor, at the state the edge ends in.
     exec: Executor,
     /// Invisible steps fused into the edge.
     fused: u64,
-    trail: Trail,
     end: End,
 }
 
@@ -228,10 +214,12 @@ impl Book for u64 {
 }
 
 /// DPOR bookkeeping, on the edge's log of forced steps: every forced
-/// *and fused* step's `(thread, footprint)`, which the walk commits to
-/// the race log and filters frame-side sleep sets against. A fused step
-/// enters the log with its (empty) invisible footprint, so it
-/// contributes a program-order clock edge and no races.
+/// *and fused* step's `(thread, footprint)`, captured before the step
+/// that consumes the op (the race scan's exactness depends on it), which
+/// [`DporSearch::edge`] commits to the race log and filters the child's
+/// sleep set against. A fused step enters the log with its (empty)
+/// invisible footprint, so it contributes a program-order clock edge and
+/// no races.
 impl Book for Vec<(ThreadId, Footprint)> {
     fn forced(&mut self, exec: &Executor, t: ThreadId) {
         let fp = exec.next_footprint(t).expect("an enabled thread has an op");
@@ -299,25 +287,6 @@ fn forward(
         }
         stepped = (child.step(cur)).expect("a forced or invisible step succeeds");
     }
-}
-
-/// Next-op footprints of the `enabled` threads at `exec`'s state, in
-/// thread order.
-fn footprints(exec: &Executor, enabled: u64) -> Vec<Footprint> {
-    let fp = |t| exec.next_footprint(t).expect("an enabled thread has an op");
-    threads_in(enabled).map(fp).collect()
-}
-
-/// Pending next-op footprints of every thread a terminal state cut off
-/// before it could run, in thread order. A deadlocked or aborted
-/// execution leaves ops that never commit a step yet still race with
-/// the executed path; the fixed thread order keeps the race scan, and
-/// so the report, deterministic.
-fn pending_ops(exec: &Executor) -> Vec<(ThreadId, Footprint)> {
-    (0..exec.program().n_threads())
-        .map(ThreadId::from_index)
-        .filter_map(|t| exec.next_footprint(t).map(|fp| (t, fp)))
-        .collect()
 }
 
 /// The truncation-reason priority every run reports with: a wall
@@ -558,11 +527,11 @@ impl<'a> Ledger<'a> {
 type Pick = Option<(ThreadId, bool)>;
 
 /// A search strategy: which children of a branch state run, and what
-/// running and committing an edge to one of them means.
+/// running an edge to one of them means.
 pub(crate) trait Strategy {
     /// Takes `choice` on `exec`, a snapshot of the state `head`
     /// describes, and runs it [`forward`], timed as [`Phase::Step`] on
-    /// `profile`.
+    /// `profile`. A branch end's head carries the child's sleep set.
     fn edge(
         &mut self,
         profile: &PhaseProfiler,
@@ -571,22 +540,12 @@ pub(crate) trait Strategy {
         choice: ThreadId,
     ) -> Edge;
 
-    /// Opens the frame of a branch child reached from frame `parent`
-    /// (`None` for the root); `false` when the child is redundant.
-    fn open(
-        &mut self,
-        parent: Option<(usize, ThreadId)>,
-        head: &mut Head,
-        trail: &mut Trail,
-        report: &mut ExploreReport,
-    ) -> bool;
+    /// Opens the frame of a branch state; `false` when it is redundant.
+    fn open(&mut self, head: &mut Head, report: &mut ExploreReport) -> bool;
 
-    /// Picks the next child of the top frame `at` and books the ones it
+    /// Picks the next child of the top frame and books the ones it
     /// skips; `None` when the frame is exhausted, which closes it.
-    fn select(&mut self, at: usize, head: &mut Head, report: &mut ExploreReport) -> Pick;
-
-    /// Commits the edge from frame `at` via `choice`.
-    fn commit(&mut self, _at: usize, _choice: ThreadId, _trail: &Trail) {}
+    fn select(&mut self, head: &mut Head, report: &mut ExploreReport) -> Pick;
 }
 
 /// The classic search: a cursor over every enabled child, minus the
@@ -634,22 +593,10 @@ impl Strategy for Classic {
             (child.sleep, child.preemptions) = (sleep, preemptions);
             child.last = exec.last_scheduled();
         }
-        let trail = Trail::default();
-        Edge {
-            exec,
-            fused,
-            trail,
-            end,
-        }
+        Edge { exec, fused, end }
     }
 
-    fn open(
-        &mut self,
-        _parent: Option<(usize, ThreadId)>,
-        head: &mut Head,
-        _trail: &mut Trail,
-        _report: &mut ExploreReport,
-    ) -> bool {
+    fn open(&mut self, head: &mut Head, _report: &mut ExploreReport) -> bool {
         head.todo = head.enabled;
         let live = |&t: &ThreadId| head.prune(t, self.mode).is_none();
         head.last_live = threads_in(head.enabled).filter(live).last();
@@ -657,7 +604,7 @@ impl Strategy for Classic {
     }
 
     #[inline]
-    fn select(&mut self, _at: usize, head: &mut Head, report: &mut ExploreReport) -> Pick {
+    fn select(&mut self, head: &mut Head, report: &mut ExploreReport) -> Pick {
         while let Some(t) = threads_in(head.todo).next() {
             head.todo &= !t.bit();
             if let Some(prune) = head.prune(t, self.mode) {
@@ -682,14 +629,42 @@ impl Strategy for Classic {
 /// Source-set DPOR with sleep sets ([`crate::dpor`]): a frame's
 /// children come from its backtrack set, which race detection grows
 /// while the walk is below it, so a frame never hands its executor to a
-/// child.
+/// child. The strategy keeps its own books: each edge commits its steps
+/// to the race log, and its branch end carries the child's sleep set.
 #[derive(Debug)]
 pub(crate) struct DporSearch {
-    pub mode: Mode,
-    pub dpor: Dpor,
+    mode: Mode,
+    dpor: Dpor,
+    /// The edge's forced and fused steps, reused across edges.
+    forced: Vec<(ThreadId, Footprint)>,
+    /// The top frame's sleepers other than the choice, with their
+    /// footprints at the frame's state, reused across edges.
+    sleepers: Vec<(ThreadId, Footprint)>,
+}
+
+impl DporSearch {
+    pub fn new(mode: Mode, n_threads: usize) -> DporSearch {
+        DporSearch {
+            mode,
+            dpor: Dpor::new(n_threads),
+            forced: Vec::new(),
+            sleepers: Vec::new(),
+        }
+    }
 }
 
 impl Strategy for DporSearch {
+    /// Runs the edge and commits it to the race log in execution order;
+    /// the races it closes grow backtrack sets of the frames below. The
+    /// choice's and the sleepers' footprints are read from `exec` before
+    /// it steps: it is the state the top frame opened on, and a sleeper
+    /// forced along the edge would otherwise show a later op. Ops a
+    /// terminal cut off (blocked in a deadlock, or preempted by an
+    /// abort) still race with the executed path, in thread order:
+    /// without them an op that always deadlocks first on the explored
+    /// order would never grow a backtrack set. At an abort each of them
+    /// also races the aborting step, so the ops behind it get their
+    /// turn too.
     fn edge(
         &mut self,
         profile: &PhaseProfiler,
@@ -697,74 +672,53 @@ impl Strategy for DporSearch {
         mut exec: Executor,
         choice: ThreadId,
     ) -> Edge {
-        let mut trail = Trail::default();
+        let fp = |t| exec.next_footprint(t).expect("an enabled thread has an op");
+        let choice_fp = fp(choice);
+        let sleepers = threads_in(self.dpor.sleeping() & !choice.bit());
+        self.sleepers.clear();
+        self.sleepers.extend(sleepers.map(|s| (s, fp(s))));
+        self.forced.clear();
         let mut fused = 0;
-        let end = profile.time(Phase::Step, || {
-            forward(&mut exec, choice, self.mode, &mut trail.forced, &mut fused)
+        let mut end = profile.time(Phase::Step, || {
+            forward(&mut exec, choice, self.mode, &mut self.forced, &mut fused)
         });
+        if let End::Branch(head) = &mut end {
+            head.sleep = child_sleep(&self.sleepers, &choice_fp, &self.forced, head.enabled);
+        }
+        self.dpor.commit_step(choice, choice_fp, true);
+        for (t, fp) in self.forced.drain(..) {
+            self.dpor.commit_step(t, fp, false);
+        }
         if let End::Terminal(outcome) = &end {
-            trail.pending = pending_ops(&exec);
-            trail.abort = outcome.is_abort();
-        } else if let End::Branch(head) = &end {
-            trail.fps = footprints(&exec, head.enabled);
+            let abort = outcome.is_abort();
+            for t in (0..exec.program().n_threads()).map(ThreadId::from_index) {
+                if let Some(fp) = exec.next_footprint(t) {
+                    self.dpor.pending_race(t, &fp, abort);
+                }
+            }
         }
-        Edge {
-            exec,
-            fused,
-            trail,
-            end,
-        }
+        Edge { exec, fused, end }
     }
 
-    fn open(
-        &mut self,
-        parent: Option<(usize, ThreadId)>,
-        head: &mut Head,
-        trail: &mut Trail,
-        report: &mut ExploreReport,
-    ) -> bool {
-        let enabled: Vec<ThreadId> = threads_in(head.enabled).collect();
-        let sleep = match parent {
-            Some((at, choice)) => (self.dpor).child_sleep(at, choice, &trail.forced, &enabled),
-            None => Vec::new(),
-        };
-        if enabled.iter().all(|t| sleep.contains(t)) {
+    fn open(&mut self, head: &mut Head, report: &mut ExploreReport) -> bool {
+        if head.enabled & !head.sleep == 0 {
             // Every enabled thread is asleep: the subtree is covered by
             // explored siblings.
             report.sleep_pruned += 1;
             return false;
         }
-        let fps = std::mem::take(&mut trail.fps);
-        self.dpor.push_frame(enabled, fps, sleep);
+        self.dpor.push_frame(head.enabled, head.sleep);
         true
     }
 
-    fn select(&mut self, at: usize, _head: &mut Head, report: &mut ExploreReport) -> Pick {
-        let (skipped, choice) = self.dpor.select(at);
+    fn select(&mut self, _head: &mut Head, report: &mut ExploreReport) -> Pick {
+        let (skipped, choice) = self.dpor.select();
         report.sleep_pruned += skipped;
         let Some(choice) = choice else {
             report.dpor_pruned += self.dpor.pop_frame();
             return None;
         };
         Some((choice, false))
-    }
-
-    /// Commits the edge to the race log in execution order; the races
-    /// it closes grow backtrack sets of the frames below. Ops a terminal
-    /// cut off (blocked in a deadlock, or preempted by an abort) still
-    /// race with the executed path: without them an op that always
-    /// deadlocks first on the explored order would never grow a
-    /// backtrack set. At an abort each of them also races the aborting
-    /// step, so the ops behind it get their turn too.
-    fn commit(&mut self, at: usize, choice: ThreadId, trail: &Trail) {
-        let fp = self.dpor.fp_of(at, choice).clone();
-        self.dpor.commit_step(choice, fp, Some(at));
-        for (t, fp) in &trail.forced {
-            self.dpor.commit_step(*t, fp.clone(), None);
-        }
-        for (t, fp) in &trail.pending {
-            self.dpor.pending_race(*t, fp, trail.abort);
-        }
     }
 }
 
@@ -835,12 +789,8 @@ pub(crate) fn walk<S: Strategy>(
         profile.time(Phase::Dedup, || seen.insert(key))
     };
     let mut head = Head::of(&root);
-    let mut trail = Trail::default();
-    if mode.dpor {
-        trail.fps = footprints(&root, head.enabled);
-    }
     let report = &mut ledger.report;
-    let opened = strategy.open(None, &mut head, &mut trail, report);
+    let opened = strategy.open(&mut head, report);
     debug_assert!(opened, "the root is never redundant");
     if mode.dedup {
         claim(&mut root);
@@ -850,14 +800,12 @@ pub(crate) fn walk<S: Strategy>(
     let path_degree = f64::from(head.enabled.count_ones());
     let mut frames = vec![Frame::new(root, head, 1, path_degree)];
 
-    while !frames.is_empty() {
+    while let Some(top) = frames.last_mut() {
         if ledger.stop() {
             break;
         }
-        let at = frames.len() - 1;
-        let top = &mut frames[at];
         let report = &mut ledger.report;
-        let Some((choice, last)) = strategy.select(at, &mut top.head, report) else {
+        let Some((choice, last)) = strategy.select(&mut top.head, report) else {
             frames.pop();
             continue;
         };
@@ -873,7 +821,7 @@ pub(crate) fn walk<S: Strategy>(
             parent.clone()
         };
         drop(snapshot);
-        let mut edge = strategy.edge(profile, &mut top.head, exec, choice);
+        let edge = strategy.edge(profile, &mut top.head, exec, choice);
         if last {
             frames.pop();
         }
@@ -881,7 +829,6 @@ pub(crate) fn walk<S: Strategy>(
         report.stats.snapshot_bytes_saved += saved;
         report.stats.fused_steps += edge.fused;
         report.stats.snapshots_elided += u64::from(last);
-        strategy.commit(at, choice, &edge.trail);
         match edge.end {
             End::Terminal(outcome) => {
                 on_terminal(&edge.exec, &outcome);
@@ -895,7 +842,7 @@ pub(crate) fn walk<S: Strategy>(
                     report.states_deduped += 1;
                     continue;
                 }
-                if !strategy.open(Some((at, choice)), &mut head, &mut edge.trail, report) {
+                if !strategy.open(&mut head, report) {
                     continue;
                 }
                 report.stats.branch_points += 1;
