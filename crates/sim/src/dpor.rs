@@ -123,7 +123,7 @@ impl Dpor {
     /// Picks the next child to explore from the top frame: the lowest
     /// thread in its backtrack set and not yet done. Sleeping
     /// candidates are marked done without being explored; the count of
-    /// those skips is returned so the driver can account them as
+    /// those skips is returned so the walk can account them as
     /// sleep-set prunes. The pick itself goes to sleep: siblings
     /// selected after it need not re-explore orders that merely delay
     /// it. Truncates the log back to the frame's base first, discarding
