@@ -12,7 +12,9 @@
 //! run.
 //!
 //! The machinery here is engine-agnostic: it owns the step log (with
-//! vector clocks derived from the `footprint` dependence relation) and
+//! vector clocks derived from the `footprint` dependence relation, kept
+//! in one flat buffer, and a race scan that works in two scratch clocks
+//! reused across scans, so a committed step allocates no clock) and
 //! the per-branch-point frames (enabled, backtrack, done and sleep sets
 //! as `u64` masks, bit `i` for thread `i`), while the exploration walk's
 //! DPOR strategy ([`crate::frontier::DporSearch`]) drives it through
@@ -36,17 +38,15 @@
 
 use crate::footprint::{Footprint, ObjKind};
 use crate::ids::{threads_in, ThreadId};
-use crate::trace::VectorClock;
 
-/// One executed step on the current exploration path.
+/// One executed step on the current exploration path. Its vector clock
+/// is the log's [`Clocks`] entry at the same index.
 #[derive(Debug, Clone)]
 pub(crate) struct LogEntry {
     /// Thread that took the step.
     pub thread: ThreadId,
     /// Footprint the step had at execution time.
     pub fp: Footprint,
-    /// Vector clock of the step, including its own tick.
-    pub clock: VectorClock,
     /// Stack index of the branch frame at whose state the step was
     /// chosen, or `None` for a forced step (single enabled thread).
     /// Races whose earlier step is forced need no backtrack addition:
@@ -81,23 +81,68 @@ fn lowest(mask: u64) -> u64 {
     mask & mask.wrapping_neg()
 }
 
+/// The log's vector clocks in one flat buffer: for a program of `n`
+/// threads, log entry `i`'s clock (its own tick included) is
+/// `flat[i * n..(i + 1) * n]`. The buffer keeps its capacity when the
+/// log is cut back, so a step appends its clock without allocating.
+#[derive(Debug)]
+struct Clocks {
+    flat: Vec<u32>,
+    n: usize,
+}
+
+impl Clocks {
+    /// Entry `i`'s clock.
+    fn of(&self, i: usize) -> &[u32] {
+        &self.flat[i * self.n..(i + 1) * self.n]
+    }
+
+    /// Entry `i`'s component for thread `t`.
+    fn get(&self, i: usize, t: ThreadId) -> u32 {
+        self.flat[i * self.n + t.index()]
+    }
+}
+
+/// Joins (component-wise max) the clock `from` into `into`.
+fn join(into: &mut [u32], from: &[u32]) {
+    for (a, &b) in into.iter_mut().zip(from) {
+        *a = (*a).max(b);
+    }
+}
+
 /// The DPOR engine: step log plus the frame stack, kept in lockstep
 /// with the driver's own branch stack (frame `i` here corresponds to
 /// the driver's branch node `i`).
 #[derive(Debug)]
 pub(crate) struct Dpor {
     log: Vec<LogEntry>,
+    clocks: Clocks,
     frames: Vec<DporFrame>,
-    n_threads: usize,
+    /// A race scan's scratch clocks, reused across scans: the scanned
+    /// step's clock and its race-visibility clock
+    /// ([`Dpor::scan_races`]).
+    clk: Vec<u32>,
+    race_clk: Vec<u32>,
 }
 
 impl Dpor {
     pub fn new(n_threads: usize) -> Dpor {
         Dpor {
             log: Vec::new(),
+            clocks: Clocks {
+                flat: Vec::new(),
+                n: n_threads,
+            },
             frames: Vec::new(),
-            n_threads,
+            clk: vec![0; n_threads],
+            race_clk: vec![0; n_threads],
         }
+    }
+
+    /// Cuts the log back to its first `len` entries.
+    fn truncate(&mut self, len: usize) {
+        self.log.truncate(len);
+        self.clocks.flat.truncate(len * self.clocks.n);
     }
 
     /// Opens a frame for a branch state. `sleep` must be a subset of
@@ -129,8 +174,9 @@ impl Dpor {
     /// it. Truncates the log back to the frame's base first, discarding
     /// the previous sibling's steps.
     pub fn select(&mut self) -> (u64, Option<ThreadId>) {
+        let base = self.frames.last().expect("an open DPOR frame").base;
+        self.truncate(base);
         let f = self.frames.last_mut().expect("an open DPOR frame");
-        self.log.truncate(f.base);
         let mut skipped = 0u64;
         while let Some(t) = threads_in(f.backtrack & !f.done).next() {
             f.done |= t.bit();
@@ -149,12 +195,12 @@ impl Dpor {
     /// at the top frame's state; any other step was forced.
     pub fn commit_step(&mut self, thread: ThreadId, fp: Footprint, chosen: bool) {
         let pre_frame = chosen.then(|| self.frames.len() - 1);
-        let mut clk = self.scan_races(thread, &fp, None);
-        clk.tick(thread);
+        self.scan_races(thread, &fp, None);
+        self.clk[thread.index()] += 1;
+        self.clocks.flat.extend_from_slice(&self.clk);
         self.log.push(LogEntry {
             thread,
             fp,
-            clock: clk,
             pre_frame,
         });
     }
@@ -181,26 +227,32 @@ impl Dpor {
     /// or a double spawn orders nothing), except for an op that spawns
     /// or joins the aborting thread. The abort race adds no
     /// happens-before: the op's races with the steps before the abort
-    /// are still found.
+    /// are still found. The scan's clocks are scratch, and nothing keeps
+    /// them.
     pub fn pending_race(&mut self, thread: ThreadId, fp: &Footprint, abort: bool) {
         let cut = self.log.len().checked_sub(1).filter(|_| abort);
         self.scan_races(thread, fp, cut);
     }
 
     /// The backward race scan shared by [`Dpor::commit_step`] and
-    /// [`Dpor::pending_race`]: computes the step's vector clock and
-    /// grows backtrack sets for every race it closes. The log entry at
-    /// index `cut`, if any, races with the step whatever the footprints
-    /// say, but its clock is joined only if they are dependent.
-    fn scan_races(&mut self, thread: ThreadId, fp: &Footprint, cut: Option<usize>) -> VectorClock {
+    /// [`Dpor::pending_race`]: computes the step's vector clock (without
+    /// its own tick) into the scratch clock `clk` and grows backtrack
+    /// sets for every race it closes. The log entry at index `cut`, if
+    /// any, races with the step whatever the footprints say, but its
+    /// clock is joined only if they are dependent.
+    fn scan_races(&mut self, thread: ThreadId, fp: &Footprint, cut: Option<usize>) {
+        let Dpor {
+            log,
+            clocks,
+            frames,
+            clk,
+            race_clk,
+        } = self;
         // Program order: start from this thread's previous step.
-        let mut clk = self
-            .log
-            .iter()
-            .rev()
-            .find(|e| e.thread == thread)
-            .map(|e| e.clock.clone())
-            .unwrap_or_else(|| VectorClock::new(self.n_threads));
+        match log.iter().rposition(|e| e.thread == thread) {
+            Some(i) => clk.copy_from_slice(clocks.of(i)),
+            None => clk.fill(0),
+        }
         // Race visibility clock: like `clk`, but blocking hand-off edges
         // (release → this step's blocked acquire) do not join it. A
         // hand-off orders the steps without being reversible, and the
@@ -208,15 +260,15 @@ impl Dpor {
         // mutex's previous lock reads as happens-before through the
         // unlock's clock, so masking it here would silently skip the
         // other acquisition order (and the final states only it reaches).
-        let mut race_clk = clk.clone();
+        race_clk.copy_from_slice(clk);
         // Backward scan: the latest dependent step of each thread is
         // met before earlier ones, so after its clock is joined the
         // earlier ones read as happens-before and are not re-reported.
-        for j in (0..self.log.len()).rev() {
-            if self.log[j].thread == thread {
+        for j in (0..log.len()).rev() {
+            let d = &log[j];
+            if d.thread == thread {
                 continue;
             }
-            let d = &self.log[j];
             let real = !d.fp.independent(fp);
             // The abort race: reversible whatever the footprints say,
             // even a hand-off (a misused unlock runs while the lock is
@@ -229,9 +281,9 @@ impl Dpor {
                 continue;
             }
             let hand_off = real && !creation && d.fp.hands_off_to(fp);
-            let concurrent = d.clock.get(d.thread) > race_clk.get(d.thread);
+            let concurrent = clocks.get(j, d.thread) > race_clk[d.thread.index()];
             if concurrent && (abort || (real && !creation && !hand_off)) {
-                process_race(&self.log, &mut self.frames, j, thread, &clk);
+                process_race(log, clocks, frames, j, thread, clk);
             }
             if !real && !creation {
                 // An abort race joins no clock: the pair depends only
@@ -240,12 +292,11 @@ impl Dpor {
                 // or its real races with them go unreported.
                 continue;
             }
-            clk.join(&d.clock);
+            join(clk, clocks.of(j));
             if !hand_off {
-                race_clk.join(&d.clock);
+                join(race_clk, clocks.of(j));
             }
         }
-        clk
     }
 
     /// Closes the top frame, truncating the log to its base. Returns
@@ -253,7 +304,7 @@ impl Dpor {
     /// DPOR proved redundant without running them.
     pub fn pop_frame(&mut self) -> u64 {
         let f = self.frames.pop().expect("pop on empty DPOR frame stack");
-        self.log.truncate(f.base);
+        self.truncate(f.base);
         u64::from((f.enabled & !f.done).count_ones())
     }
 }
@@ -307,39 +358,38 @@ fn touches_thread(f: &Footprint, t: ThreadId) -> bool {
 /// explored.
 fn process_race(
     log: &[LogEntry],
+    clocks: &Clocks,
     frames: &mut [DporFrame],
     j: usize,
     p: ThreadId,
-    clk: &VectorClock,
+    clk: &[u32],
 ) {
     let d = &log[j];
     let Some(fi) = d.pre_frame else {
         return; // forced step: reversal at its pre-state is vacuous
     };
-    let dticks = d.clock.get(d.thread);
-    // Steps after d that do not know about d: still runnable from d's
-    // pre-state when d is delayed. (Anything dependent with d joined
-    // d's clock when committed, so the filter is a component compare.)
-    let v = || {
-        log[j + 1..]
-            .iter()
-            .filter(move |x| x.clock.get(d.thread) < dticks)
-    };
+    let dticks = clocks.get(j, d.thread);
+    // Steps after d that do not know about d, by log index: still
+    // runnable from d's pre-state when d is delayed. (Anything dependent
+    // with d joined d's clock when committed, so the filter is a
+    // component compare.)
+    let v = || (j + 1..log.len()).filter(move |&x| clocks.get(x, d.thread) < dticks);
+    // `y`'s own tick is past what `of` knows of `y`'s thread: `y` does
+    // not happen before it.
+    let unordered = |y: usize, of: &[u32]| clocks.get(y, log[y].thread) > of[log[y].thread.index()];
     // Initials: threads whose first step in v has no happens-before
     // predecessor within v — each can run first from d's pre-state.
     let mut initials = 0u64;
     for (i, x) in v().enumerate() {
-        if initials & x.thread.bit() != 0 {
+        let thread = log[x].thread;
+        if initials & thread.bit() != 0 {
             continue;
         }
-        let free = v()
-            .take(i)
-            .all(|y| y.clock.get(y.thread) > x.clock.get(y.thread));
-        if free {
-            initials |= x.thread.bit();
+        if v().take(i).all(|y| unordered(y, clocks.of(x))) {
+            initials |= thread.bit();
         }
     }
-    if initials & p.bit() == 0 && v().all(|y| y.clock.get(y.thread) > clk.get(y.thread)) {
+    if initials & p.bit() == 0 && v().all(|y| unordered(y, clk)) {
         initials |= p.bit();
     }
     let frame = &mut frames[fi];

@@ -434,7 +434,9 @@ impl Executor {
 
     /// The footprint of the visible operation `thread` would perform
     /// next, for the explorer's independence analysis. `None` when the
-    /// thread has no next operation (not started / finished).
+    /// thread has no next operation (not started / finished). The
+    /// footprint of an invisible op ([`Executor::next_is_invisible`]) is
+    /// empty and carries no effect.
     pub(crate) fn next_footprint(&self, thread: ThreadId) -> Option<Footprint> {
         let ts = &self.threads[thread.index()];
         match ts.status {
@@ -446,19 +448,41 @@ impl Executor {
                 Op::TxCommit => {
                     (ts.tx.as_ref()).map_or_else(Footprint::default, Footprint::of_commit)
                 }
-                // Dynamic refinement: an assert condition reads only the
-                // owner's locals (the builder rejects `Expr::Shared` in
-                // thread bodies), so its verdict cannot change until this
-                // thread runs again. A currently-passing assert therefore
-                // cannot abort and is invisible; a failing one stays
-                // visible so the explorer still branches before the abort
-                // cuts off sibling outcomes.
-                Op::Assert { cond, .. } if cond.eval(&ts.locals) != 0 => {
+                // A passing assert cannot abort: invisible.
+                Op::Assert { .. } if self.next_is_invisible(thread) => {
                     Footprint::of_op(op).without_effect()
                 }
                 op => Footprint::of_op(op),
             }),
             ThreadStatus::NotStarted | ThreadStatus::Finished => None,
+        }
+    }
+
+    /// `true` when `thread`'s next op is *invisible*: a yield, an assert
+    /// whose condition currently holds, or a transaction commit with
+    /// empty read and write sets. Such an op touches no shared variable
+    /// and no sync object and cannot abort, so it commutes with every
+    /// other thread's ops; the explorer runs it right after the step that
+    /// exposed it, without a branch point (step fusion). An assert's
+    /// condition reads only the owner's locals (the builder rejects
+    /// `Expr::Shared` in thread bodies), so its verdict cannot change
+    /// until the thread runs again; a failing assert stays visible, so
+    /// the explorer still branches before the abort cuts off sibling
+    /// outcomes. This is the one definition of invisibility in the
+    /// crate: [`Executor::next_footprint`] clears an assert's effect by
+    /// it.
+    pub(crate) fn next_is_invisible(&self, thread: ThreadId) -> bool {
+        let ts = &self.threads[thread.index()];
+        if ts.status != ThreadStatus::Ready {
+            return false;
+        }
+        match self.peek_op(thread.index()) {
+            Some(Op::Yield) => true,
+            Some(Op::Assert { cond, .. }) => cond.eval(&ts.locals) != 0,
+            Some(Op::TxCommit) => {
+                (ts.tx.as_ref()).is_none_or(|tx| tx.read_set.is_empty() && tx.write_set.is_empty())
+            }
+            _ => false,
         }
     }
 
@@ -663,9 +687,7 @@ impl Executor {
                 bytes += tx.locals_snapshot.len() * LOCAL_BYTES;
             }
         }
-        for t in self.program.threads() {
-            bytes += t.code().len() * INSTR_BYTES;
-        }
+        bytes += self.program.n_instrs() * INSTR_BYTES;
         bytes += self.taken.len() * size_of::<ThreadId>();
         for e in self.events.iter() {
             bytes += size_of::<Event>() + e.clock.len() * size_of::<u32>();
@@ -2285,6 +2307,112 @@ mod tests {
         let out2 = e2.replay(&sched, 100);
         assert_eq!(Some(&out2), e1.outcome());
         assert_eq!(e1.vars(), e2.vars());
+    }
+
+    /// [`Executor::next_is_invisible`] for `thread`, checked against the
+    /// footprint: invisible exactly when the next op's footprint is
+    /// empty.
+    fn invisible(e: &Executor, thread: ThreadId) -> bool {
+        let by_footprint = e.next_footprint(thread).is_some_and(|fp| fp.is_empty());
+        assert_eq!(e.next_is_invisible(thread), by_footprint, "{thread}");
+        by_footprint
+    }
+
+    #[test]
+    fn a_yield_is_invisible() {
+        let mut b = ProgramBuilder::new("yield");
+        let x = b.var("x", 0);
+        b.thread("a", vec![Stmt::Yield, Stmt::write(x, 1)]);
+        let p = b.build().unwrap();
+        let mut e = Executor::new(&p);
+        assert!(invisible(&e, t(0)));
+        e.step(t(0)).unwrap();
+        assert!(!invisible(&e, t(0)), "a write is visible");
+    }
+
+    #[test]
+    fn an_assert_is_invisible_while_it_holds() {
+        let mut b = ProgramBuilder::new("assert");
+        let x = b.var("x", 0);
+        let holds = Expr::local("v").eq(Expr::lit(0));
+        b.thread(
+            "a",
+            vec![Stmt::read(x, "v"), Stmt::assert(holds, "x was 0")],
+        );
+        b.thread("b", vec![Stmt::write(x, 1)]);
+        let p = b.build().unwrap();
+        // `a` reads 0: its assert passes and cannot abort.
+        let mut e = Executor::new(&p);
+        e.step(t(0)).unwrap();
+        assert!(invisible(&e, t(0)));
+        // `b` writes first: the assert fails, so it stays visible.
+        let mut e = Executor::new(&p);
+        e.step(t(1)).unwrap();
+        e.step(t(0)).unwrap();
+        assert!(!invisible(&e, t(0)));
+    }
+
+    #[test]
+    fn a_commit_is_invisible_only_with_empty_sets() {
+        let mut b = ProgramBuilder::new("commit");
+        let x = b.var("x", 0);
+        b.thread("empty", vec![Stmt::TxBegin, Stmt::TxCommit]);
+        b.thread(
+            "reads",
+            vec![Stmt::TxBegin, Stmt::read(x, "v"), Stmt::TxCommit],
+        );
+        b.thread(
+            "writes",
+            vec![Stmt::TxBegin, Stmt::write(x, 1), Stmt::TxCommit],
+        );
+        let p = b.build().unwrap();
+        let mut e = Executor::new(&p);
+        assert!(!invisible(&e, t(0)), "a begin is visible");
+        for i in [0, 1, 1, 2, 2] {
+            e.step(t(i)).unwrap();
+        }
+        assert!(invisible(&e, t(0)), "a commit of nothing");
+        assert!(!invisible(&e, t(1)), "a commit validating x");
+        assert!(!invisible(&e, t(2)), "a commit publishing x");
+    }
+
+    #[test]
+    fn waiting_and_reacquiring_threads_are_visible() {
+        let mut b = ProgramBuilder::new("wait");
+        let m = b.mutex();
+        let c = b.cond();
+        let wait = Stmt::Wait { cond: c, mutex: m };
+        b.thread("waiter", vec![Stmt::lock(m), wait, Stmt::unlock(m)]);
+        b.thread(
+            "signaller",
+            vec![Stmt::lock(m), Stmt::Signal(c), Stmt::unlock(m)],
+        );
+        let p = b.build().unwrap();
+        let mut e = Executor::new(&p);
+        e.step(t(0)).unwrap();
+        e.step(t(0)).unwrap();
+        let status = |e: &Executor| e.threads[0].status;
+        assert!(matches!(status(&e), ThreadStatus::WaitingCond { .. }));
+        assert!(!invisible(&e, t(0)), "parked on the condition");
+        e.step(t(1)).unwrap();
+        e.step(t(1)).unwrap();
+        assert!(matches!(status(&e), ThreadStatus::Reacquire { .. }));
+        assert!(!invisible(&e, t(0)), "reacquiring the mutex");
+    }
+
+    #[test]
+    fn finished_and_unstarted_threads_are_not_invisible() {
+        let mut b = ProgramBuilder::new("finished");
+        let x = b.var("x", 0);
+        let child = b.thread_deferred("child", vec![Stmt::Yield]);
+        b.thread("a", vec![Stmt::Spawn(child)]);
+        b.thread("b", vec![Stmt::write(x, 2)]);
+        let p = b.build().unwrap();
+        let mut e = Executor::new(&p);
+        assert!(!invisible(&e, child), "not started");
+        e.step(t(2)).unwrap();
+        assert_eq!(e.threads[2].status, ThreadStatus::Finished);
+        assert!(!invisible(&e, t(2)), "finished");
     }
 }
 

@@ -239,14 +239,11 @@ impl Footprint {
         }
     }
 
-    /// `true` when the op is *invisible*: it touches no shared variable
-    /// and no sync object, and cannot produce an outcome-relevant
-    /// effect. An invisible op is a global both-mover — it commutes
-    /// with every other thread's ops — so the explorer may execute it
-    /// immediately after the step that exposed it without creating a
-    /// branch point (step fusion), and the race scan may log it with
-    /// this (empty) footprint without adding edges.
-    pub fn is_invisible(&self) -> bool {
+    /// `true` when the footprint touches no object and carries no effect:
+    /// the footprint of an invisible op
+    /// ([`crate::Executor::next_is_invisible`] decides which ops are).
+    /// The race scan logs a fused step with it, and it adds no edge.
+    pub fn is_empty(&self) -> bool {
         self.accesses().is_empty() && !self.effect
     }
 
@@ -346,23 +343,23 @@ mod tests {
     #[test]
     fn only_yields_and_defused_asserts_are_invisible() {
         use crate::Expr;
-        assert!(fp(&Stmt::Yield).is_invisible());
+        assert!(fp(&Stmt::Yield).is_empty());
         // Every object-touching op is visible.
         for s in catalog() {
             if !matches!(s, Stmt::Yield) {
-                assert!(!fp(&s).is_invisible(), "{s:?} must be visible");
+                assert!(!fp(&s).is_empty(), "{s:?} must be visible");
             }
         }
         // Outcome-relevant object-free ops stay visible until a dynamic
         // check clears the effect flag.
         let assert_stmt = Stmt::assert(Expr::lit(1).eq(Expr::lit(1)), "holds");
-        assert!(!fp(&assert_stmt).is_invisible());
-        assert!(fp(&assert_stmt).without_effect().is_invisible());
-        assert!(!fp(&Stmt::TxBegin).is_invisible());
-        assert!(!fp(&Stmt::TxRetry).is_invisible());
+        assert!(!fp(&assert_stmt).is_empty());
+        assert!(fp(&assert_stmt).without_effect().is_empty());
+        assert!(!fp(&Stmt::TxBegin).is_empty());
+        assert!(!fp(&Stmt::TxRetry).is_empty());
         // Clearing the effect flag never hides real accesses.
         let w = fp(&Stmt::write(VarId::from_index(0), 1));
-        assert!(!w.without_effect().is_invisible());
+        assert!(!w.without_effect().is_empty());
     }
 
     #[test]
@@ -383,7 +380,7 @@ mod tests {
                 })
                 .collect();
             assert_eq!(commit.accesses(), &writes[..]);
-            assert!(!commit.is_invisible());
+            assert!(!commit.is_empty());
             // A touched variable conflicts with any access, an untouched
             // one with none, from either side.
             for i in 0..4 {

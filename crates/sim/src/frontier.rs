@@ -5,13 +5,18 @@
 //! depth-first [`walk`] on the calling thread, generic over a
 //! [`Strategy`] ([`Classic`]: sibling cursor, sleep set, preemption
 //! bound; or [`DporSearch`]: source-set DPOR backtrack frames, which it
-//! keeps itself). The walk snapshots a frame's state for each child it
-//! picks, runs the child with [`Strategy::edge`], and books everything
-//! into one [`Ledger`] in preorder. Every edge runs forward through one
-//! loop, [`forward`], which takes the strategy's bookkeeping as a
-//! [`Book`]; a DPOR edge also commits its steps to the race log before
-//! it returns. Thread sets are `u64` masks throughout. [`Mode`] says how
-//! requested limits resolve into effective reductions.
+//! keeps itself). The walk keeps the path's executors on one stack
+//! beside its frames and runs every edge where its executor lies: a
+//! child is cloned onto the top of that stack and stepped there with
+//! [`Strategy::edge`], a frame's final survivor steps the frame's own
+//! executor, and a child that opens no frame is dropped where it lies.
+//! No executor moves. Everything is booked into one [`Ledger`] in
+//! preorder. Every edge runs forward through one loop, [`forward`],
+//! which takes the strategy's bookkeeping as a [`Book`] and asks the
+//! executor whether the running thread's next op is invisible; a DPOR
+//! edge also commits its steps to the race log before it returns.
+//! Thread sets are `u64` masks throughout. [`Mode`] says how requested
+//! limits resolve into effective reductions.
 
 use lfm_obs::{
     eta_ms, Event, KnuthEstimator, Phase, PhaseProfiler, ProgressTracker, Stopwatch, Value,
@@ -154,11 +159,10 @@ enum End {
     Redundant,
 }
 
-/// One child edge, as it ran.
+/// One child edge, as it ran. The child's executor stays where the edge
+/// ran it, on the walk's stack.
 #[derive(Debug)]
 pub(crate) struct Edge {
-    /// The child's executor, at the state the edge ends in.
-    exec: Executor,
     /// Invisible steps fused into the edge.
     fused: u64,
     end: End,
@@ -182,9 +186,9 @@ trait Book {
     /// take from `exec`'s state.
     fn forced(&mut self, exec: &Executor, t: ThreadId);
 
-    /// Books the invisible step `t` is about to take, whose footprint is
-    /// `fp`, fused into the edge.
-    fn fused(&mut self, _t: ThreadId, _fp: Footprint) {}
+    /// Books the invisible step `t` is about to take from `exec`'s
+    /// state, fused into the edge.
+    fn fused(&mut self, _exec: &Executor, _t: ThreadId) {}
 }
 
 /// Classic bookkeeping, on the child's sleep set (a mask): sleepers that
@@ -219,15 +223,15 @@ impl Book for u64 {
 /// [`DporSearch::edge`] commits to the race log and filters the child's
 /// sleep set against. A fused step enters the log with its (empty)
 /// invisible footprint, so it contributes a program-order clock edge and
-/// no races.
+/// no races: this is the one place a fused step's footprint is read.
 impl Book for Vec<(ThreadId, Footprint)> {
     fn forced(&mut self, exec: &Executor, t: ThreadId) {
         let fp = exec.next_footprint(t).expect("an enabled thread has an op");
         self.push((t, fp));
     }
 
-    fn fused(&mut self, t: ThreadId, fp: Footprint) {
-        self.push((t, fp));
+    fn fused(&mut self, exec: &Executor, t: ThreadId) {
+        self.forced(exec, t);
     }
 }
 
@@ -237,12 +241,12 @@ impl Book for Vec<(ThreadId, Footprint)> {
 ///
 /// With `fuse` on, "no real scheduling choice" extends past sole-enabled
 /// states: while the *last-stepped* thread's next op is invisible
-/// ([`Footprint::is_invisible`] — touches nothing, cannot abort), the
+/// ([`Executor::next_is_invisible`] — touches nothing, cannot abort), the
 /// edge keeps stepping that thread instead of branching. An invisible op
 /// is a global both-mover, so every interleaving that delays it reaches
 /// the same states through an equivalent trace; executing it eagerly
 /// prunes whole subtrees without losing a single outcome. Fused steps
-/// are counted into `fused`.
+/// are counted into `fused`. Deciding fusion builds no footprint.
 ///
 /// The run reads the executor's enabled mask and builds no thread set;
 /// a branch end hands the mask to the branch head, and a terminal end
@@ -263,6 +267,10 @@ fn forward(
         if child.steps() >= mode.max_steps {
             return End::Terminal(Outcome::StepLimit);
         }
+        debug_assert!(
+            invisibility_agrees(child),
+            "an op is invisible exactly when its footprint is empty"
+        );
         let enabled = child.enabled_mask();
         if !book.awake(enabled) {
             return End::Redundant;
@@ -270,14 +278,12 @@ fn forward(
         if enabled.is_power_of_two() {
             cur = ThreadId::from_index(enabled.trailing_zeros() as usize);
             book.forced(child, cur);
-        } else if let Some(fp) =
-            (mode.fuse.then(|| child.next_footprint(cur)).flatten()).filter(Footprint::is_invisible)
-        {
+        } else if mode.fuse && child.next_is_invisible(cur) {
             // Invisible next op on the running thread: fuse it into
             // this edge. The op touches nothing and cannot block or
             // abort, so the thread is enabled and the step succeeds.
             *fused += 1;
-            book.fused(cur, fp);
+            book.fused(child, cur);
         } else {
             let head = Head {
                 enabled,
@@ -287,6 +293,19 @@ fn forward(
         }
         stepped = (child.step(cur)).expect("a forced or invisible step succeeds");
     }
+}
+
+/// Whether, for every thread of `exec`, [`Executor::next_is_invisible`]
+/// says what the next op's footprint says: invisible exactly when it is
+/// empty ([`Footprint::is_empty`]). Checked in debug builds at every
+/// state a forward run reaches.
+fn invisibility_agrees(exec: &Executor) -> bool {
+    (0..exec.program().n_threads())
+        .map(ThreadId::from_index)
+        .all(|t| {
+            let by_footprint = exec.next_footprint(t).is_some_and(|fp| fp.is_empty());
+            exec.next_is_invisible(t) == by_footprint
+        })
 }
 
 /// The truncation-reason priority every run reports with: a wall
@@ -402,7 +421,7 @@ impl<'a> Ledger<'a> {
     /// branching degrees multiply to `path_degree`, building its schedule
     /// only for a new witness. `true` when the run stops at it.
     #[inline]
-    fn leaf(&mut self, outcome: &Outcome, leaf: Executor, path_degree: f64, depth: u64) -> bool {
+    fn leaf(&mut self, outcome: &Outcome, leaf: &Executor, path_degree: f64, depth: u64) -> bool {
         self.estimator.record_leaf(path_degree);
         let report = &mut self.report;
         report.schedules_run += 1;
@@ -523,20 +542,22 @@ impl<'a> Ledger<'a> {
 
 /// A child pick: the thread, and whether it is the frame's *final
 /// survivor* — every later sibling is pruned, so the frame is done once
-/// this child leaves and the parent's executor can move into it.
+/// this child leaves and the child can step the frame's own executor.
 type Pick = Option<(ThreadId, bool)>;
 
 /// A search strategy: which children of a branch state run, and what
 /// running an edge to one of them means.
 pub(crate) trait Strategy {
-    /// Takes `choice` on `exec`, a snapshot of the state `head`
-    /// describes, and runs it [`forward`], timed as [`Phase::Step`] on
-    /// `profile`. A branch end's head carries the child's sleep set.
+    /// Takes `choice` on `exec`, in place: on entry it is at the state
+    /// `head` describes (a snapshot, or the frame's own executor for a
+    /// final survivor), and the edge runs it [`forward`], timed as
+    /// [`Phase::Step`] on `profile`. A branch end's head carries the
+    /// child's sleep set.
     fn edge(
         &mut self,
         profile: &PhaseProfiler,
         head: &mut Head,
-        exec: Executor,
+        exec: &mut Executor,
         choice: ThreadId,
     ) -> Edge;
 
@@ -570,7 +591,7 @@ impl Strategy for Classic {
         &mut self,
         profile: &PhaseProfiler,
         head: &mut Head,
-        mut exec: Executor,
+        exec: &mut Executor,
         choice: ThreadId,
     ) -> Edge {
         let mode = self.mode;
@@ -587,13 +608,13 @@ impl Strategy for Classic {
         }
         let mut fused = 0;
         let mut end = profile.time(Phase::Step, || {
-            forward(&mut exec, choice, mode, &mut sleep, &mut fused)
+            forward(exec, choice, mode, &mut sleep, &mut fused)
         });
         if let End::Branch(child) = &mut end {
             (child.sleep, child.preemptions) = (sleep, preemptions);
             child.last = exec.last_scheduled();
         }
-        Edge { exec, fused, end }
+        Edge { fused, end }
     }
 
     fn open(&mut self, head: &mut Head, _report: &mut ExploreReport) -> bool {
@@ -628,9 +649,10 @@ impl Strategy for Classic {
 
 /// Source-set DPOR with sleep sets ([`crate::dpor`]): a frame's
 /// children come from its backtrack set, which race detection grows
-/// while the walk is below it, so a frame never hands its executor to a
-/// child. The strategy keeps its own books: each edge commits its steps
-/// to the race log, and its branch end carries the child's sleep set.
+/// while the walk is below it, so no child is a final survivor: each
+/// steps a snapshot. The strategy keeps its own books: each edge
+/// commits its steps to the race log, and its branch end carries the
+/// child's sleep set.
 #[derive(Debug)]
 pub(crate) struct DporSearch {
     mode: Mode,
@@ -669,7 +691,7 @@ impl Strategy for DporSearch {
         &mut self,
         profile: &PhaseProfiler,
         _head: &mut Head,
-        mut exec: Executor,
+        exec: &mut Executor,
         choice: ThreadId,
     ) -> Edge {
         let fp = |t| exec.next_footprint(t).expect("an enabled thread has an op");
@@ -680,7 +702,7 @@ impl Strategy for DporSearch {
         self.forced.clear();
         let mut fused = 0;
         let mut end = profile.time(Phase::Step, || {
-            forward(&mut exec, choice, self.mode, &mut self.forced, &mut fused)
+            forward(exec, choice, self.mode, &mut self.forced, &mut fused)
         });
         if let End::Branch(head) = &mut end {
             head.sleep = child_sleep(&self.sleepers, &choice_fp, &self.forced, head.enabled);
@@ -697,7 +719,7 @@ impl Strategy for DporSearch {
                 }
             }
         }
-        Edge { exec, fused, end }
+        Edge { fused, end }
     }
 
     fn open(&mut self, head: &mut Head, report: &mut ExploreReport) -> bool {
@@ -722,13 +744,12 @@ impl Strategy for DporSearch {
     }
 }
 
-/// One frame of the walk: a branch state on the current path.
+/// One frame of the walk: a branch state on the current path. Its
+/// executor lies on the walk's executor stack, at the frame's index.
 struct Frame {
-    /// The branch state; `None` once the final survivor took it.
-    exec: Option<Executor>,
-    /// [`Executor::snapshot_bytes_saved`] of `exec`, computed at the
-    /// first child: the same for every child, as the state never
-    /// changes on the stack.
+    /// [`Executor::snapshot_bytes_saved`] of the frame's state, computed
+    /// at the first child: the same for every child, as the state never
+    /// changes while a child other than the final survivor runs.
     saved: Option<u64>,
     head: Head,
     /// Branch depth (root = 1): a classic frame leaves the stack with its
@@ -741,11 +762,9 @@ struct Frame {
 }
 
 impl Frame {
-    fn new(exec: Executor, head: Head, depth: u64, path_degree: f64) -> Frame {
-        let (exec, saved) = (Some(exec), None);
+    fn new(head: Head, depth: u64, path_degree: f64) -> Frame {
         Frame {
-            exec,
-            saved,
+            saved: None,
             head,
             depth,
             path_degree,
@@ -755,11 +774,15 @@ impl Frame {
 
 /// The depth-first walk over the scheduling choices of `explorer`'s
 /// program, with `strategy` and the reductions `mode` resolves to,
-/// committing edges in preorder: every order-sensitive decision (budgets, dedup verdicts,
-/// classification, witnesses, counters) happens here. It runs only the
-/// child it picks, when it picks it, moving a frame's state into its
-/// final survivor, and hands every terminal to `on_terminal` before
-/// classifying it. Stall faults only bias samplers; the systematic
+/// committing edges in preorder: every order-sensitive decision
+/// (budgets, dedup verdicts, classification, witnesses, counters)
+/// happens here. It runs only the child it picks, when it picks it,
+/// and every edge where its executor lies: `execs[i]` is frame `i`'s
+/// state, a child is cloned onto the top of `execs` and stepped there,
+/// a final survivor steps its frame's executor in place, and a child
+/// that opens no frame (a terminal, a deduped state, a redundant edge)
+/// is dropped in place. Every terminal goes to `on_terminal` before it
+/// is classified. Stall faults only bias samplers; the systematic
 /// search strips them ([`crate::FaultPlan::without_stalls`]).
 pub(crate) fn walk<S: Strategy>(
     explorer: &Explorer<'_>,
@@ -777,7 +800,7 @@ pub(crate) fn walk<S: Strategy>(
         // No scheduling choice at all: the tree is a single leaf with
         // an empty degree product.
         on_terminal(&root, &outcome);
-        ledger.leaf(&outcome, root, 1.0, 0);
+        ledger.leaf(&outcome, &root, 1.0, 0);
         return ledger.finish();
     }
     // State dedup: claims a branch state, `false` when an earlier
@@ -798,7 +821,8 @@ pub(crate) fn walk<S: Strategy>(
     report.stats.branch_points = 1;
     report.stats.max_depth = 1;
     let path_degree = f64::from(head.enabled.count_ones());
-    let mut frames = vec![Frame::new(root, head, 1, path_degree)];
+    let mut frames = vec![Frame::new(head, 1, path_degree)];
+    let mut execs = vec![root];
 
     while let Some(top) = frames.last_mut() {
         if ledger.stop() {
@@ -807,21 +831,20 @@ pub(crate) fn walk<S: Strategy>(
         let report = &mut ledger.report;
         let Some((choice, last)) = strategy.select(&mut top.head, report) else {
             frames.pop();
+            execs.truncate(frames.len());
             continue;
         };
         let (depth, path_degree) = (top.depth, top.path_degree);
-        let parent = top.exec.as_ref().expect("an open frame keeps its state");
+        let parent = execs.last().expect("an open frame's state");
         let saved = *(top.saved).get_or_insert_with(|| parent.snapshot_bytes_saved());
-        let snapshot = profile.enter(Phase::Snapshot);
-        let exec = if last {
-            // Copy-on-write children share structure instead of
-            // borrowing from the parent, so the parent can move.
-            top.exec.take().expect("an open frame keeps its state")
-        } else {
-            parent.clone()
-        };
-        drop(snapshot);
-        let edge = strategy.edge(profile, &mut top.head, exec, choice);
+        if !last {
+            // A copy-on-write child shares its parent's structure.
+            let snapshot = profile.enter(Phase::Snapshot);
+            execs.push(parent.clone());
+            drop(snapshot);
+        }
+        let child = execs.last_mut().expect("the child's state");
+        let edge = strategy.edge(profile, &mut top.head, child, choice);
         if last {
             frames.pop();
         }
@@ -829,29 +852,37 @@ pub(crate) fn walk<S: Strategy>(
         report.stats.snapshot_bytes_saved += saved;
         report.stats.fused_steps += edge.fused;
         report.stats.snapshots_elided += u64::from(last);
-        match edge.end {
+        // The child lies at `execs[frames.len()]`: it becomes the state
+        // of the frame it opens, or is dropped there.
+        let opened = match edge.end {
             End::Terminal(outcome) => {
-                on_terminal(&edge.exec, &outcome);
-                if ledger.leaf(&outcome, edge.exec, path_degree, frames.len() as u64) {
+                on_terminal(child, &outcome);
+                if ledger.leaf(&outcome, child, path_degree, frames.len() as u64) {
                     break;
                 }
+                false
             }
             End::Branch(mut head) => {
-                let mut exec = edge.exec;
-                if mode.dedup && !claim(&mut exec) {
-                    report.states_deduped += 1;
-                    continue;
+                let fresh = !mode.dedup || claim(child);
+                report.states_deduped += u64::from(!fresh);
+                let opened = fresh && strategy.open(&mut head, report);
+                if opened {
+                    report.stats.branch_points += 1;
+                    report.stats.max_depth = report.stats.max_depth.max(depth + 1);
+                    let path_degree = path_degree * f64::from(head.enabled.count_ones());
+                    frames.push(Frame::new(head, depth + 1, path_degree));
                 }
-                if !strategy.open(&mut head, report) {
-                    continue;
-                }
-                report.stats.branch_points += 1;
-                report.stats.max_depth = report.stats.max_depth.max(depth + 1);
-                let path_degree = path_degree * f64::from(head.enabled.count_ones());
-                frames.push(Frame::new(exec, head, depth + 1, path_degree));
+                opened
             }
-            End::Redundant => report.sleep_pruned += 1,
+            End::Redundant => {
+                report.sleep_pruned += 1;
+                false
+            }
+        };
+        if !opened {
+            execs.truncate(frames.len());
         }
+        debug_assert_eq!(execs.len(), frames.len(), "one state per open frame");
     }
     ledger.spent();
     ledger.finish()
@@ -909,6 +940,17 @@ mod tests {
     fn classic_mode_passes_limits_through() {
         let m = Mode::resolve(&limits(false, None), false);
         assert!(!m.dpor && m.sleep && m.dedup);
+    }
+
+    #[test]
+    fn frames_and_edges_carry_no_executor() {
+        // The walk runs each edge where its executor lies; a frame or an
+        // edge that held one would move it again.
+        use std::mem::size_of;
+        let exec = size_of::<Executor>();
+        let (frame, edge) = (size_of::<Frame>(), size_of::<Edge>());
+        assert!(frame < exec, "Frame is {frame} bytes, Executor {exec}");
+        assert!(edge < exec, "Edge is {edge} bytes, Executor {exec}");
     }
 
     #[test]
