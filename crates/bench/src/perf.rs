@@ -1,23 +1,26 @@
-//! E-perf: exploration hot-path throughput (COW snapshots + incremental
-//! hashing).
+//! E-perf: exploration hot-path throughput (undo-trail restores +
+//! incremental hashing).
 //!
-//! The serial explorer's inner loop clones the executor once per
-//! explored choice and probes the dedup set once per visited state.
-//! Snapshots share heavy state through `Rc` (copy-on-write), and the
-//! dedup key is an incrementally maintained fingerprint, repaired only
-//! at the dedup claim, instead of a full rehash. The deep-copy baseline
-//! they were measured against has been removed; the `deepest` rows of
-//! the committed `BENCH_explore.json` keep its last comparison (1.98x
-//! on `livelock_retry`, 1.53x on `lock_cycle_3`).
+//! The serial explorer keeps one executor per search: it marks each
+//! branch state and restores the mark from an undo trail before each
+//! explored choice, and it probes the dedup set once per visited
+//! state. The dedup key is an incrementally maintained fingerprint,
+//! repaired only at the dedup claim, instead of a full rehash. The
+//! deep-copy baseline the earlier copy-on-write snapshots were measured
+//! against has been removed; the `deepest` rows of the committed
+//! `BENCH_explore.json` keep its last comparison (1.98x on
+//! `livelock_retry`, 1.53x on `lock_cycle_3`), and their `cow_*` field
+//! names with it.
 //!
 //! Two measurements:
 //!
 //! 1. a **sweep** of every kernel's buggy variant (dedup on, schedule
-//!    budget capped): states/second, wall time, snapshot bytes saved,
-//!    and a peak-frontier-bytes estimate per kernel;
+//!    budget capped): states/second, wall time, the snapshot size
+//!    model's bytes saved, and a peak-frontier-bytes estimate per
+//!    kernel;
 //! 2. a best-of-N **throughput** run on the two deepest kernels from
-//!    the sweep (deepest DFS stack — where snapshot cost dominates),
-//!    the stable number the throughput gate compares.
+//!    the sweep (deepest DFS stack — the longest paths the trail
+//!    restores along), the stable number the throughput gate compares.
 //!
 //! Throughput is a host property, so the numbers are recorded next to
 //! `host_parallelism`.
@@ -63,12 +66,13 @@ pub struct PerfRow {
     pub states_per_sec: f64,
     /// Deepest DFS stack observed.
     pub max_depth: u64,
-    /// Heap bytes the COW representation avoided copying.
+    /// The snapshot size model summed over restore points
+    /// (`ExploreStats::snapshot_bytes_saved`).
     pub snapshot_bytes_saved: u64,
-    /// Estimated peak bytes held by the DFS frontier:
-    /// `(max_depth + 1) * shallow snapshot size` of the root executor.
-    /// An estimate — snapshots deeper in the tree carry slightly larger
-    /// chunk-pointer tables — but a deterministic one.
+    /// Size model of a copy-on-write DFS frontier at the search's
+    /// depth: `(max_depth + 1) * shallow snapshot size` of the root
+    /// executor. An estimate — snapshots deeper in the tree carry
+    /// slightly larger chunk-pointer tables — but a deterministic one.
     pub peak_frontier_bytes: u64,
 }
 
@@ -79,7 +83,9 @@ pub struct PerfSpeedup {
     pub kernel: &'static str,
     /// Deepest DFS stack observed (why this kernel was picked).
     pub max_depth: u64,
-    /// Fastest wall time, microseconds.
+    /// Fastest wall time, microseconds (named for the copy-on-write
+    /// explorer that first recorded it; `BENCH_explore.json` keeps the
+    /// name).
     pub cow_wall_us: u64,
     /// States per second of the fastest run.
     pub cow_states_per_sec: f64,
@@ -138,8 +144,8 @@ pub fn perf_measure(max_schedules: u64) -> PerfReport {
     }
 
     // The two deepest kernels (ties broken by id so the pick is
-    // deterministic): deepest DFS stack means the most snapshot state
-    // alive at once, where snapshot cost weighs most.
+    // deterministic): deepest DFS stack means the longest paths, where
+    // restoring a branch state weighs most.
     let mut by_depth: Vec<(u64, &'static str)> =
         rows.iter().map(|r| (r.max_depth, r.kernel)).collect();
     by_depth.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(b.1)));
@@ -155,15 +161,15 @@ pub fn perf_measure(max_schedules: u64) -> PerfReport {
             // 2x and more; the minimum is the standard way to estimate
             // what the code costs rather than what the scheduler did
             // that millisecond.
-            let cow = (0..SPEEDUP_REPS)
+            let best = (0..SPEEDUP_REPS)
                 .map(|_| Explorer::new(&program).limits(limits.clone()).run())
                 .min_by_key(|r| r.stats.wall)
                 .expect("SPEEDUP_REPS > 0");
             PerfSpeedup {
                 kernel: id,
                 max_depth,
-                cow_wall_us: cow.stats.wall.as_micros() as u64,
-                cow_states_per_sec: cow.states_per_sec(),
+                cow_wall_us: best.stats.wall.as_micros() as u64,
+                cow_states_per_sec: best.states_per_sec(),
             }
         })
         .collect();
@@ -212,7 +218,7 @@ pub fn perf_table(max_schedules: u64) -> Table {
     t.note(
         "states/sec = visible steps / wall; `peak frontier` is \
          (max_depth + 1) x the root executor's shallow snapshot size, a \
-         deterministic estimate of DFS memory",
+         deterministic size model of a copy-on-write DFS frontier",
     );
     t.note(
         "throughput is a host property (see BENCH_explore.json for the \
@@ -420,13 +426,14 @@ mod tests {
     #[test]
     fn deep_kernels_save_snapshot_bytes() {
         let report = perf_measure(150);
-        // Every kernel that snapshots at all must report savings: a
-        // deep clone always copies strictly more than a COW clone.
+        // Every kernel that restores at all must report savings: in
+        // the size model a deep copy always copies strictly more than a
+        // copy-on-write snapshot.
         for s in &report.speedups {
             let row = report.row(s.kernel).expect("deep kernel was swept");
             assert!(
                 row.snapshot_bytes_saved > 0,
-                "{}: COW saved nothing",
+                "{}: the size model saved nothing",
                 s.kernel
             );
         }

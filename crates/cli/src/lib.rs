@@ -1373,7 +1373,7 @@ fn explore_metrics(
         ),
         (
             "lfm_explore_snapshots_elided",
-            "Branch-point children whose snapshot clone was elided (final survivor).",
+            "Branch-point children that popped their frame early (final survivor).",
             report.stats.snapshots_elided,
         ),
     ];

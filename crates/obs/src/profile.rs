@@ -2,7 +2,7 @@
 //!
 //! [`PhaseProfiler`] answers "where did the wall time go" without
 //! perturbing exploration results: the explorer tags each hot-path
-//! region with a [`Phase`] (snapshot cloning, interpreter stepping,
+//! region with a [`Phase`] (snapshot restores, interpreter stepping,
 //! state hashing, dedup probes, the detector pass), and the profiler
 //! attributes elapsed nanoseconds to that phase.
 //!
@@ -18,19 +18,26 @@
 //! which holds here because the sampling counter is per-phase and the
 //! explorer's work per region does not correlate with powers of two.
 //!
+//! A sampled region's measured duration also holds the timer reads
+//! that bracket it, which on a short region (a restore or a short edge
+//! takes tens of nanoseconds) is most of it. A sampling profiler
+//! therefore subtracts, saturating, what an empty region measures: the
+//! median of a thousand empty regions, timed once per process.
+//!
 //! Crucially, the profiler is *write-only* from the explorer's point of
 //! view: no branch of the exploration ever reads profiler state, so
 //! reports stay bit-identical whether profiling is disabled, enabled,
 //! or sampling at a different rate. The determinism suite pins this.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// A hot-path region the explorer attributes time to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Phase {
-    /// Snapshot work: copy-on-write clone/unshare.
+    /// Snapshot work: restoring a branch state before each child.
     Snapshot,
     /// Interpreter stepping (`Exec::step` and the run-forward loop).
     Step,
@@ -94,6 +101,31 @@ struct PhaseSlot {
     nanos: AtomicU64,
 }
 
+impl PhaseSlot {
+    /// Books one sampled region that measured `nanos`, of which
+    /// `overhead` were the timer reads around it.
+    fn charge(&self, nanos: u64, overhead: u64) {
+        self.sampled.fetch_add(1, Ordering::Relaxed);
+        (self.nanos).fetch_add(nanos.saturating_sub(overhead), Ordering::Relaxed);
+    }
+}
+
+/// Nanoseconds an empty sampled region measures: the median of a
+/// thousand, timed on first use and kept for the process.
+fn timer_overhead_nanos() -> u64 {
+    static OVERHEAD: OnceLock<u64> = OnceLock::new();
+    *OVERHEAD.get_or_init(|| {
+        let mut empty: Vec<u64> = (0..1001)
+            .map(|_| {
+                let start = Instant::now();
+                start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
+            })
+            .collect();
+        empty.sort_unstable();
+        empty[empty.len() / 2]
+    })
+}
+
 /// Sampling profiler attributing wall time to explorer [`Phase`]s.
 ///
 /// Construct with [`PhaseProfiler::disabled`] (every call is a single
@@ -104,6 +136,9 @@ pub struct PhaseProfiler {
     enabled: bool,
     /// Sample when `entries % 2^shift == 0`.
     mask: u64,
+    /// Nanoseconds subtracted from each sample: what an empty region
+    /// measures.
+    overhead: u64,
     slots: [PhaseSlot; PHASES],
 }
 
@@ -113,6 +148,7 @@ impl PhaseProfiler {
         PhaseProfiler {
             enabled: false,
             mask: 0,
+            overhead: 0,
             slots: Default::default(),
         }
     }
@@ -121,12 +157,15 @@ impl PhaseProfiler {
     ///
     /// `sample_shift = 0` times every entry (useful in tests);
     /// [`PhaseProfiler::DEFAULT_SHIFT`] (6, i.e. every 64th) keeps
-    /// overhead low on hot kernels. Shifts above 63 are clamped.
+    /// overhead low on hot kernels. Shifts above 63 are clamped. The
+    /// first sampling profiler of a process times the empty region
+    /// every sample is corrected by (see the module docs).
     pub fn sampling(sample_shift: u32) -> PhaseProfiler {
         let shift = sample_shift.min(63);
         PhaseProfiler {
             enabled: true,
             mask: (1u64 << shift) - 1,
+            overhead: timer_overhead_nanos(),
             slots: Default::default(),
         }
     }
@@ -161,6 +200,7 @@ impl PhaseProfiler {
         }
         Some(PhaseGuard {
             slot,
+            overhead: self.overhead,
             start: Instant::now(),
         })
     }
@@ -194,14 +234,14 @@ impl PhaseProfiler {
 #[derive(Debug)]
 pub struct PhaseGuard<'a> {
     slot: &'a PhaseSlot,
+    overhead: u64,
     start: Instant,
 }
 
 impl Drop for PhaseGuard<'_> {
     fn drop(&mut self) {
         let d = self.start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.slot.sampled.fetch_add(1, Ordering::Relaxed);
-        self.slot.nanos.fetch_add(d, Ordering::Relaxed);
+        self.slot.charge(d, self.overhead);
     }
 }
 
@@ -214,7 +254,8 @@ pub struct PhaseStat {
     pub entries: u64,
     /// Entries that read the clock.
     pub sampled: u64,
-    /// Nanoseconds accumulated by sampled entries.
+    /// Nanoseconds accumulated by sampled entries, net of the timer
+    /// reads around each.
     pub nanos: u64,
 }
 
@@ -354,6 +395,21 @@ mod tests {
         let s = p.snapshot().get(Phase::Dedup);
         assert_eq!(s.entries, 16);
         assert_eq!(s.sampled, 4);
+    }
+
+    #[test]
+    fn samples_are_charged_net_of_the_timer_overhead() {
+        let slot = PhaseSlot::default();
+        slot.charge(100, 63);
+        slot.charge(40, 63); // shorter than the overhead: saturates at 0
+        slot.charge(63, 0);
+        assert_eq!(slot.sampled.load(Ordering::Relaxed), 3);
+        assert_eq!(slot.nanos.load(Ordering::Relaxed), 37 + 63);
+        // Every sampling profiler of a process subtracts the same
+        // calibrated overhead; a disabled one never samples.
+        let (a, b) = (PhaseProfiler::sampling(0), PhaseProfiler::sampling(3));
+        assert_eq!(a.overhead, b.overhead);
+        assert_eq!(PhaseProfiler::disabled().overhead, 0);
     }
 
     #[test]

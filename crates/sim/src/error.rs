@@ -105,7 +105,7 @@ impl StdError for BuildError {}
 /// (non-recursive) POSIX mutex it blocks forever, producing the
 /// single-thread self-deadlocks that make up 22% of the studied deadlock
 /// bugs.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ExecError {
     /// Unlocked a mutex not held by the thread.
     UnlockNotHeld {

@@ -1,7 +1,7 @@
 //! The executor: a deterministic interpreter advancing one visible
-//! operation at a time under external scheduling control.
+//! operation at a time under external scheduling control, with an undo
+//! trail that brings it back to a marked state.
 
-use std::ops::Index;
 use std::rc::Rc;
 
 use crate::error::ExecError;
@@ -11,10 +11,9 @@ use crate::ids::{threads_in, CondId, MutexId, RwId, SemId, ThreadId, VarId};
 use crate::lower::{Code, Instr, Locals, Op};
 use crate::outcome::{BlockedOn, Outcome};
 use crate::program::Program;
-use crate::pvec::{chunk_table_bytes, ScheduleLog};
 use crate::schedule::Schedule;
 use crate::state::{CondState, MutexState, RwState, SemState};
-use crate::statehash::{Comp, Fnv, StateHash};
+use crate::statehash::{Comp, Fnv, Fold, StateHash};
 use crate::stmt::RmwOp;
 use crate::trace::{Event, EventKind, Trace, VectorClock};
 use crate::txn::TxState;
@@ -23,12 +22,16 @@ use crate::txn::TxState;
 /// operations; exhausting it means a pure-local infinite loop.
 const LOCAL_FUEL: u32 = 100_000;
 
+/// Bytes the snapshot size model charges for the executor struct
+/// itself, and per thread for a copy-on-write handle table. This and
+/// the other sizes below are each type's x86-64 `size_of` when the size
+/// model was fixed, pinned so that a layout change (slot-indexed locals,
+/// lowered instructions, a flat undo-trailed state) leaves
+/// `snapshot_bytes_saved` comparable across versions.
+const EXECUTOR_BYTES: usize = 288;
+const THREAD_HANDLE_BYTES: usize = 8;
 /// Bytes [`Executor::snapshot_deep_bytes`] charges per thread state,
-/// before its variable-length parts. This and the other sizes below
-/// are each type's x86-64 `size_of` when the size model was fixed,
-/// pinned so that a layout change (slot-indexed locals, lowered
-/// instructions, a dropped field) leaves `snapshot_bytes_saved`
-/// comparable across versions.
+/// before its variable-length parts.
 const THREAD_STATE_BYTES: usize = 200;
 const MUTEX_STATE_BYTES: usize = 64;
 const COND_STATE_BYTES: usize = 56;
@@ -39,6 +42,16 @@ const INSTR_BYTES: usize = 88;
 /// Per written local, in a thread or in a transaction's snapshot of
 /// its locals: a `(&'static str, i64)` entry.
 const LOCAL_BYTES: usize = 24;
+/// Entries per chunk of the chunked log layout the size model charges
+/// both logs as.
+const LOG_CHUNK: usize = 64;
+
+/// The bytes a copy of a `len`-entry chunked log copies: one chunk
+/// pointer per [`LOG_CHUNK`] entries. The size model charges the
+/// schedule and the event log this way, whatever their layout.
+fn chunk_table_bytes(len: usize) -> usize {
+    len.div_ceil(LOG_CHUNK) * std::mem::size_of::<usize>()
+}
 
 /// Default bound on transaction aborts before the execution is classified
 /// [`Outcome::TxRetryLimit`].
@@ -86,7 +99,7 @@ impl ReplayDeviation {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Hash)]
 enum ThreadStatus {
     /// Declared with `thread_deferred` and not yet spawned.
     NotStarted,
@@ -102,13 +115,15 @@ enum ThreadStatus {
     Finished,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 struct ThreadState {
     status: ThreadStatus,
     pc: usize,
     locals: Locals,
     held: Vec<MutexId>,
-    tx: Option<TxState>,
+    /// Boxed, so that the undo record of a thread outside a transaction
+    /// stays small.
+    tx: Option<Box<TxState>>,
     tx_retries: u32,
     clock: VectorClock,
 }
@@ -122,101 +137,84 @@ fn hash_opt_thread(f: Fnv, t: Option<ThreadId>) -> Fnv {
     }
 }
 
-/// The sync-object tables and the I/O journal, grouped behind a single
-/// `Rc`: they mutate rarely compared to shared variables and thread
-/// states, and grouping them cuts four reference bumps (and the
-/// matching decrements on drop) from every snapshot clone. The price is
-/// that unsharing any one table copies all five — they are small, and a
-/// branch child rarely touches more than one before its next snapshot.
+/// One undo record: a component's value before its first write since
+/// the newest mark, or a fingerprint slot's hash before its first
+/// repair since then.
 #[derive(Debug, Clone)]
-struct ColdTables {
-    mutexes: Vec<MutexState>,
-    conds: Vec<CondState>,
-    rws: Vec<RwState>,
-    sems: Vec<SemState>,
-    io_journal: Vec<(ThreadId, &'static str)>,
+enum Undo {
+    Var(usize, i64),
+    Thread(usize, ThreadState),
+    Mutex(usize, MutexState),
+    Cond(usize, CondState),
+    Rw(usize, RwState),
+    Sem(usize, SemState),
+    Slot(usize, u64),
 }
 
-/// Threads whose state handles an executor keeps inline. A program with
-/// more keeps them on the heap, and each snapshot of it allocates one
-/// table.
-const INLINE_THREADS: usize = 4;
-
-/// The per-thread state handles, indexed by thread.
+/// The undo trail: the records pushed since the oldest live mark, and
+/// one stamp per component and per fingerprint slot (components first,
+/// both in [`StateHash`] slot order). A stamp equal to `epoch` means the
+/// component is already recorded since the newest mark or restore.
+/// Every mark and every restore starts a fresh epoch; stamps and the
+/// epoch start at 0, so an executor that never marks records nothing.
 #[derive(Debug, Clone)]
-enum Threads {
-    Inline(u8, [Option<Rc<ThreadState>>; INLINE_THREADS]),
-    Spilled(Vec<Rc<ThreadState>>),
+struct Trail {
+    epoch: u64,
+    stamps: Box<[u64]>,
+    records: Vec<Undo>,
 }
 
-impl Threads {
-    fn new(states: Vec<Rc<ThreadState>>) -> Threads {
-        if states.len() > INLINE_THREADS {
-            return Threads::Spilled(states);
-        }
-        let mut table: [Option<Rc<ThreadState>>; INLINE_THREADS] = Default::default();
-        let len = states.len() as u8;
-        for (slot, state) in table.iter_mut().zip(states) {
-            *slot = Some(state);
-        }
-        Threads::Inline(len, table)
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Threads::Inline(len, _) => usize::from(*len),
-            Threads::Spilled(states) => states.len(),
-        }
-    }
-
-    /// Thread `i`'s handle, to unshare it.
-    fn handle(&mut self, i: usize) -> &mut Rc<ThreadState> {
-        match self {
-            Threads::Inline(_, table) => table[i].as_mut().expect("a thread of the program"),
-            Threads::Spilled(states) => &mut states[i],
-        }
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &ThreadState> + '_ {
-        (0..self.len()).map(|i| &self[i])
-    }
-}
-
-impl Index<usize> for Threads {
-    type Output = ThreadState;
-
+impl Trail {
+    /// `true` at the first write of stamp slot `at` since the newest
+    /// mark or restore, which must push its record.
     #[inline]
-    fn index(&self, i: usize) -> &ThreadState {
-        match self {
-            Threads::Inline(_, table) => table[i].as_deref().expect("a thread of the program"),
-            Threads::Spilled(states) => &states[i],
+    fn first_write(&mut self, at: usize) -> bool {
+        let stamp = &mut self.stamps[at];
+        if *stamp == self.epoch {
+            return false;
         }
+        *stamp = self.epoch;
+        true
     }
+}
+
+/// A state [`Executor::undo_to`] can restore: the trail's length, and
+/// the scalars a step overwrites instead of recording.
+#[derive(Debug, Clone)]
+pub(crate) struct Mark {
+    records: usize,
+    steps: usize,
+    events: usize,
+    io_journal: usize,
+    enabled: u64,
+    outcome: Option<Outcome>,
+    fold: Fold,
+    /// [`Executor::digest`] of the marked state: the restore audit.
+    #[cfg(debug_assertions)]
+    digest: u64,
 }
 
 /// A deterministic interpreter for one execution of a [`Program`].
 ///
-/// The executor is `Clone`; the model checker snapshots it at branch
-/// points. Drive it with [`Executor::step`] (choosing among
+/// Drive it with [`Executor::step`] (choosing among
 /// [`Executor::enabled`] threads) or one of the `run_*` conveniences.
 ///
-/// # Copy-on-write snapshots
+/// # Undo trail
 ///
-/// A clone is O(pointers), not O(state). Unrecorded, it allocates
-/// nothing for a program of up to four threads, whose table of
-/// per-thread [`Rc`]s is inline; a wider program's clone allocates that
-/// table. The program handle, the shared variables, the sync-object
-/// tables, each thread's state and the state fingerprint's slots sit
-/// behind `Rc`s that the clone merely bumps. The schedule taken keeps
-/// its newest entries inline, which the clone copies, and shares the
-/// older ones, frozen. The recorded event
-/// log is a plain vector: only replays record, and no search clones a
-/// recorded executor. A mutation after a snapshot pays only for the
-/// component it touches, via `Rc::make_mut` — divergent futures of a
-/// branch point share everything they have not yet written. Unsharing
-/// the variables is one allocation (they are one `Rc<[i64]>`), and so
-/// is unsharing a thread that holds no lock and runs no transaction:
-/// its locals sit inline in its state up to four slots.
+/// The model checker keeps one executor per search. It marks the state
+/// at each branch point (`Executor::mark`) and restores the mark
+/// before each child (`Executor::undo_to`); the child's edge then
+/// runs in place. The state is flat and unshared: the shared variables,
+/// the thread states and the sync-object tables are plain tables, and
+/// the schedule taken, the I/O journal and the event log are plain
+/// vectors. The first write to a component since the newest mark
+/// pushes the component's old value onto the trail, one thread, one
+/// variable or one sync object at a time; a per-component stamp makes
+/// every later write of the same edge free. The logs only grow, so a
+/// mark keeps their lengths, with the enabled mask, the outcome and the
+/// fingerprint's fold and dirty list. An executor that never marks
+/// records nothing, so samplers and replays pay one compare per write.
+/// `Clone` is a deep copy.
 ///
 /// # Lowered code, enabled mask
 ///
@@ -228,16 +226,11 @@ impl Index<usize> for Threads {
 ///
 /// # Thread-confined
 ///
-/// The sharing is `Rc`, not `Arc`: a clone, a drop and an unshare
-/// check then cost a plain increment, decrement or compare instead of
-/// an atomic read-modify-write, which a step and a snapshot pay several
-/// times. The price is that an executor is `!Send`, and so are its
-/// clones: all of them stay on the thread that built the executor.
-/// Every search runs its walk on the calling thread, so nothing loses;
-/// a threaded search would hand its workers schedules to replay, not
-/// executors. The [`Program`] itself stays `Send + Sync`, and the
-/// executor holds it through one `Rc`, so cloning or stepping an
-/// executor never touches the program's atomic count.
+/// The executor holds its [`Program`] through one `Rc`, so stepping
+/// never touches the program's atomic count, and the executor is
+/// `!Send`. Every search runs its walk on the calling thread; a
+/// threaded search would hand its workers schedules to replay, not
+/// executors. The [`Program`] itself stays `Send + Sync`.
 ///
 /// # State key repaired on read
 ///
@@ -246,29 +239,35 @@ impl Index<usize> for Threads {
 /// rehashing only the dirty components; [`Executor::state_key`] hashes
 /// the whole state afresh and leaves the cache alone. A search that
 /// never deduplicates (full enumeration, sleep sets, DPOR) therefore
-/// never hashes, and all its snapshots share one slot table.
+/// never hashes.
 ///
 /// Vector clocks exist only when recording ([`RecordMode::Full`]): only
 /// recorded events read them, and [`Executor::state_key`] excludes
-/// them. With recording off every clock is empty, so unsharing a thread
-/// or a sync-object table copies no clock data, the happens-before
-/// edges of a step join empty clocks, and a step never ticks one.
+/// them. With recording off every clock is empty, so recording a thread
+/// or a sync object on the trail copies no clock data, the
+/// happens-before edges of a step join empty clocks, and a step never
+/// ticks one.
 #[derive(Debug, Clone)]
 pub struct Executor {
     program: Rc<Program>,
-    vars: Rc<[i64]>,
-    cold: Rc<ColdTables>,
-    threads: Threads,
+    vars: Box<[i64]>,
+    threads: Box<[ThreadState]>,
+    mutexes: Box<[MutexState]>,
+    conds: Box<[CondState]>,
+    rws: Box<[RwState]>,
+    sems: Box<[SemState]>,
+    io_journal: Vec<(ThreadId, &'static str)>,
     /// Bit `i` set when thread `i` can step; 0 once the run is done.
     enabled: u64,
-    steps: usize,
     outcome: Option<Outcome>,
-    last_scheduled: Option<ThreadId>,
-    taken: ScheduleLog,
+    /// The schedule taken, one thread index per step (a program has at
+    /// most 64 threads).
+    taken: Vec<u8>,
     record: RecordMode,
     events: Vec<Event>,
     fault: Option<FaultPlan>,
     hash: StateHash,
+    trail: Trail,
 }
 
 impl Executor {
@@ -286,59 +285,57 @@ impl Executor {
         let threads = program
             .threads()
             .iter()
-            .map(|t| {
-                Rc::new(ThreadState {
-                    status: if t.auto_start() {
-                        ThreadStatus::Ready
-                    } else {
-                        ThreadStatus::NotStarted
-                    },
-                    pc: 0,
-                    locals: Locals::new(t.slots().len()),
-                    held: Vec::new(),
-                    tx: None,
-                    tx_retries: 0,
-                    clock: VectorClock::new(clock_len),
-                })
+            .map(|t| ThreadState {
+                status: if t.auto_start() {
+                    ThreadStatus::Ready
+                } else {
+                    ThreadStatus::NotStarted
+                },
+                pc: 0,
+                locals: Locals::new(t.slots().len()),
+                held: Vec::new(),
+                tx: None,
+                tx_retries: 0,
+                clock: VectorClock::new(clock_len),
             })
             .collect();
+        let hash = StateHash::with_sizes(
+            program.n_vars(),
+            program.n_mutexes(),
+            program.n_conds(),
+            program.n_rws(),
+            program.sem_init().len(),
+            n,
+        );
         let mut exec = Executor {
-            vars: Rc::from(program.var_init()),
-            cold: Rc::new(ColdTables {
-                mutexes: (0..program.n_mutexes())
-                    .map(|_| MutexState::new(clock_len))
-                    .collect(),
-                conds: (0..program.n_conds())
-                    .map(|_| CondState::new(clock_len))
-                    .collect(),
-                rws: (0..program.n_rws())
-                    .map(|_| RwState::new(clock_len))
-                    .collect(),
-                sems: program
-                    .sem_init()
-                    .iter()
-                    .map(|&c| SemState::new(clock_len, c))
-                    .collect(),
-                io_journal: Vec::new(),
-            }),
+            vars: program.var_init().into(),
+            mutexes: (0..program.n_mutexes())
+                .map(|_| MutexState::new(clock_len))
+                .collect(),
+            conds: (0..program.n_conds())
+                .map(|_| CondState::new(clock_len))
+                .collect(),
+            rws: (0..program.n_rws())
+                .map(|_| RwState::new(clock_len))
+                .collect(),
+            sems: (program.sem_init().iter())
+                .map(|&c| SemState::new(clock_len, c))
+                .collect(),
+            io_journal: Vec::new(),
             program: Rc::new(program.clone()),
-            threads: Threads::new(threads),
+            threads,
             enabled: 0,
-            steps: 0,
             outcome: None,
-            last_scheduled: None,
-            taken: ScheduleLog::default(),
+            taken: Vec::new(),
             record,
             events: Vec::new(),
             fault: None,
-            hash: StateHash::with_sizes(
-                program.n_vars(),
-                program.n_mutexes(),
-                program.n_conds(),
-                program.n_rws(),
-                program.sem_init().len(),
-                n,
-            ),
+            trail: Trail {
+                epoch: 0,
+                stamps: vec![0; 2 * hash.len()].into_boxed_slice(),
+                records: Vec::new(),
+            },
+            hash,
         };
         // Record starts and fast-forward local prefixes so every pc points
         // at a visible op.
@@ -359,8 +356,9 @@ impl Executor {
     }
 
     /// Installs a deterministic fault plan. Decisions are a pure function
-    /// of `(plan, step, thread)`, so clones of this executor (the model
-    /// checker's snapshots) agree with it on every future fault.
+    /// of `(plan, step, thread)`, so every path of a search that
+    /// restores a marked state agrees on every future fault. Install it
+    /// before a search marks the state: no restore undoes it.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.fault = Some(plan);
     }
@@ -374,12 +372,12 @@ impl Executor {
     fn fault_fires(&self, kind: FaultKind, thread: ThreadId) -> bool {
         self.fault
             .as_ref()
-            .is_some_and(|plan| plan.fires(kind, self.steps, thread.index()))
+            .is_some_and(|plan| plan.fires(kind, self.steps(), thread.index()))
     }
 
     /// Number of visible steps executed so far.
     pub fn steps(&self) -> usize {
-        self.steps
+        self.taken.len()
     }
 
     /// The terminal outcome, once reached.
@@ -399,20 +397,22 @@ impl Executor {
 
     /// The I/O journal: `(thread, tag)` in execution order.
     pub fn io_journal(&self) -> &[(ThreadId, &'static str)] {
-        &self.cold.io_journal
+        &self.io_journal
     }
 
     /// The schedule of choices taken so far, materialized from the
-    /// persistent log. O(steps) — use [`Executor::last_scheduled`] when
-    /// only the most recent choice matters.
+    /// log. O(steps) — use [`Executor::last_scheduled`] when only the
+    /// most recent choice matters.
     pub fn schedule_taken(&self) -> Schedule {
-        Schedule::from(self.taken.to_vec())
+        (self.taken.iter())
+            .map(|&t| ThreadId::from_index(t.into()))
+            .collect()
     }
 
     /// The thread scheduled by the most recent [`Executor::step`], if
     /// any. O(1), unlike materializing [`Executor::schedule_taken`].
     pub fn last_scheduled(&self) -> Option<ThreadId> {
-        self.last_scheduled
+        (self.taken.last()).map(|&t| ThreadId::from_index(t.into()))
     }
 
     /// The events recorded so far ([`RecordMode::Full`] only; empty
@@ -446,7 +446,7 @@ impl Executor {
             ThreadStatus::Ready => self.peek_op(thread.index()).map(|op| match op {
                 // Only a commit's footprint reads the transaction's sets.
                 Op::TxCommit => {
-                    (ts.tx.as_ref()).map_or_else(Footprint::default, Footprint::of_commit)
+                    (ts.tx.as_deref()).map_or_else(Footprint::default, Footprint::of_commit)
                 }
                 // A passing assert cannot abort: invisible.
                 Op::Assert { .. } if self.next_is_invisible(thread) => {
@@ -502,16 +502,16 @@ impl Executor {
         for i in 0..self.vars.len() {
             key ^= self.component_hash(Comp::Var(i));
         }
-        for i in 0..self.cold.mutexes.len() {
+        for i in 0..self.mutexes.len() {
             key ^= self.component_hash(Comp::Mutex(i));
         }
-        for i in 0..self.cold.conds.len() {
+        for i in 0..self.conds.len() {
             key ^= self.component_hash(Comp::Cond(i));
         }
-        for i in 0..self.cold.rws.len() {
+        for i in 0..self.rws.len() {
             key ^= self.component_hash(Comp::Rw(i));
         }
-        for i in 0..self.cold.sems.len() {
+        for i in 0..self.sems.len() {
             key ^= self.component_hash(Comp::Sem(i));
         }
         for i in 0..self.threads.len() {
@@ -522,13 +522,17 @@ impl Executor {
 
     /// [`Executor::state_key`], from the fingerprint's cached fold:
     /// rehashes every component marked dirty since the last call into
-    /// the fold's slots (unsharing them from any snapshot) and returns
-    /// the repaired key. The dedup claim reads the key this way, so a
-    /// search that never deduplicates never hashes.
+    /// the fold's slots (recording each slot's first repair since the
+    /// newest mark on the trail) and returns the repaired key. The dedup
+    /// claim reads the key this way, so a search that never
+    /// deduplicates never hashes.
     pub(crate) fn flush_state_key(&mut self) -> u64 {
         while let Some(c) = self.hash.pop_dirty() {
             let fresh = self.component_hash(c);
-            self.hash.replace(c, fresh);
+            let (at, stale) = self.hash.replace(c, fresh);
+            if self.trail.first_write(self.hash.len() + at) {
+                self.trail.records.push(Undo::Slot(at, stale));
+            }
         }
         self.hash.key()
     }
@@ -545,10 +549,10 @@ impl Executor {
             Comp::Var(i) => Fnv::new().byte(1).usize(i).i64(self.vars[i]).finish(),
             Comp::Mutex(i) => {
                 let f = Fnv::new().byte(2).usize(i);
-                hash_opt_thread(f, self.cold.mutexes[i].owner).finish()
+                hash_opt_thread(f, self.mutexes[i].owner).finish()
             }
             Comp::Cond(i) => {
-                let cs = &self.cold.conds[i];
+                let cs = &self.conds[i];
                 let mut f = Fnv::new().byte(3).usize(i).usize(cs.waiters.len());
                 for &w in &cs.waiters {
                     f = f.usize(w.index());
@@ -558,7 +562,7 @@ impl Executor {
             Comp::Rw(i) => {
                 // The readers are a set (no semantics reads their order),
                 // so they fold without order, like a thread's locals.
-                let rw = &self.cold.rws[i];
+                let rw = &self.rws[i];
                 let readers_fold = rw
                     .readers
                     .iter()
@@ -568,11 +572,7 @@ impl Executor {
                     .u64(readers_fold)
                     .finish()
             }
-            Comp::Sem(i) => Fnv::new()
-                .byte(5)
-                .usize(i)
-                .i64(self.cold.sems[i].count)
-                .finish(),
+            Comp::Sem(i) => Fnv::new().byte(5).usize(i).i64(self.sems[i].count).finish(),
             Comp::Thread(i) => {
                 let ts = &self.threads[i];
                 let mut f = Fnv::new().byte(6).usize(i);
@@ -620,64 +620,182 @@ impl Executor {
         }
     }
 
-    // ---- copy-on-write accessors ---------------------------------------
+    // ---- trailed accessors ---------------------------------------------
 
-    /// Mutable view of one thread's state; lazily unshares it from any
-    /// snapshot and marks its hash component dirty.
+    /// Marks component `c` dirty and reports whether this is its first
+    /// write since the newest mark, which must record its old value.
+    #[inline]
+    fn touch(&mut self, c: Comp) -> bool {
+        let at = self.hash.touch(c);
+        self.trail.first_write(at)
+    }
+
+    /// Mutable view of one thread's state; records it on the trail at
+    /// its first write since the newest mark and marks its hash
+    /// component dirty.
     fn thread_mut(&mut self, t: ThreadId) -> &mut ThreadState {
-        self.hash.touch(Comp::Thread(t.index()));
-        Rc::make_mut(self.threads.handle(t.index()))
+        let i = t.index();
+        if self.touch(Comp::Thread(i)) {
+            let old = self.threads[i].clone();
+            self.trail.records.push(Undo::Thread(i, old));
+        }
+        &mut self.threads[i]
     }
 
     fn mutex_mut(&mut self, m: MutexId) -> &mut MutexState {
-        self.hash.touch(Comp::Mutex(m.index()));
-        &mut Rc::make_mut(&mut self.cold).mutexes[m.index()]
+        let i = m.index();
+        if self.touch(Comp::Mutex(i)) {
+            let old = self.mutexes[i].clone();
+            self.trail.records.push(Undo::Mutex(i, old));
+        }
+        &mut self.mutexes[i]
     }
 
     fn cond_mut(&mut self, c: CondId) -> &mut CondState {
-        self.hash.touch(Comp::Cond(c.index()));
-        &mut Rc::make_mut(&mut self.cold).conds[c.index()]
+        let i = c.index();
+        if self.touch(Comp::Cond(i)) {
+            let old = self.conds[i].clone();
+            self.trail.records.push(Undo::Cond(i, old));
+        }
+        &mut self.conds[i]
     }
 
     fn rw_mut(&mut self, rw: RwId) -> &mut RwState {
-        self.hash.touch(Comp::Rw(rw.index()));
-        &mut Rc::make_mut(&mut self.cold).rws[rw.index()]
+        let i = rw.index();
+        if self.touch(Comp::Rw(i)) {
+            let old = self.rws[i].clone();
+            self.trail.records.push(Undo::Rw(i, old));
+        }
+        &mut self.rws[i]
     }
 
     fn sem_mut(&mut self, s: SemId) -> &mut SemState {
-        self.hash.touch(Comp::Sem(s.index()));
-        &mut Rc::make_mut(&mut self.cold).sems[s.index()]
+        let i = s.index();
+        if self.touch(Comp::Sem(i)) {
+            let old = self.sems[i].clone();
+            self.trail.records.push(Undo::Sem(i, old));
+        }
+        &mut self.sems[i]
     }
 
     fn set_var(&mut self, var: VarId, value: i64) {
-        self.hash.touch(Comp::Var(var.index()));
-        Rc::make_mut(&mut self.vars)[var.index()] = value;
+        let i = var.index();
+        if self.touch(Comp::Var(i)) {
+            self.trail.records.push(Undo::Var(i, self.vars[i]));
+        }
+        self.vars[i] = value;
+    }
+
+    // ---- marks and restores --------------------------------------------
+
+    /// Marks the current state for [`Executor::undo_to`]. Marks nest:
+    /// a restore to one discards every mark taken after it.
+    pub(crate) fn mark(&mut self) -> Mark {
+        self.trail.epoch += 1;
+        Mark {
+            records: self.trail.records.len(),
+            steps: self.taken.len(),
+            events: self.events.len(),
+            io_journal: self.io_journal.len(),
+            enabled: self.enabled,
+            outcome: self.outcome.clone(),
+            fold: self.hash.fold(),
+            #[cfg(debug_assertions)]
+            digest: self.digest(),
+        }
+    }
+
+    /// Restores the state `mark` was taken at: pops the trail's records
+    /// above it, newest first, truncates the logs and reinstates the
+    /// scalars. `mark` must be live: no restore to an older mark has
+    /// happened since it was taken. Starts a fresh epoch, so the next
+    /// write of every component records again. Debug builds audit the
+    /// result against the mark's [`Executor::digest`].
+    pub(crate) fn undo_to(&mut self, mark: &Mark) {
+        for record in self.trail.records.drain(mark.records..).rev() {
+            match record {
+                Undo::Var(i, v) => self.vars[i] = v,
+                Undo::Thread(i, ts) => self.threads[i] = ts,
+                Undo::Mutex(i, m) => self.mutexes[i] = m,
+                Undo::Cond(i, c) => self.conds[i] = c,
+                Undo::Rw(i, rw) => self.rws[i] = rw,
+                Undo::Sem(i, sem) => self.sems[i] = sem,
+                Undo::Slot(at, hash) => self.hash.restore_slot(at, hash),
+            }
+        }
+        self.trail.epoch += 1;
+        self.taken.truncate(mark.steps);
+        self.events.truncate(mark.events);
+        self.io_journal.truncate(mark.io_journal);
+        self.enabled = mark.enabled;
+        self.outcome.clone_from(&mark.outcome);
+        self.hash.set_fold(mark.fold);
+        #[cfg(debug_assertions)]
+        assert_eq!(self.digest(), mark.digest, "a restore missed a write");
+    }
+
+    /// A digest of the whole state, for the restore audit: equal
+    /// digests mean equal states, down to what [`Executor::state_key`]
+    /// leaves out (retry counters, the order of held locks, the I/O
+    /// journal, the schedule, the enabled mask, the outcome, the events
+    /// and the fingerprint's slots and fold). The destructuring names
+    /// every field, so a new one fails to compile until it is digested
+    /// (and so trailed) or listed as not restored, with the reason.
+    #[cfg(any(test, debug_assertions))]
+    fn digest(&self) -> u64 {
+        use std::hash::Hash;
+        let Executor {
+            // Not restored: fixed at construction.
+            program: _,
+            record: _,
+            // Not restored: installed before a search marks, and no
+            // step writes it.
+            fault: _,
+            // Not restored: the undo books themselves.
+            trail: _,
+            vars,
+            threads,
+            mutexes,
+            conds,
+            rws,
+            sems,
+            io_journal,
+            enabled,
+            outcome,
+            taken,
+            events,
+            hash,
+        } = self;
+        let mut h = Fnv::new();
+        (vars, threads, mutexes, conds, rws, sems, io_journal).hash(&mut h);
+        (enabled, outcome, taken, events, hash).hash(&mut h);
+        h.finish()
     }
 
     // ---- snapshot cost model -------------------------------------------
 
-    /// Estimated heap bytes a pre-COW deep snapshot of this state would
-    /// copy: variable values, sync-object tables (waiter queues and
-    /// clocks included), per-thread state (locals, held sets, clocks,
+    /// Estimated heap bytes a deep copy of this state would copy:
+    /// variable values, sync-object tables (waiter queues and clocks
+    /// included), per-thread state (locals, held sets, clocks,
     /// transaction logs), the program, and the full grow-only logs. A
-    /// deterministic size model, not an allocator measurement: thread
-    /// states and sync objects are charged at fixed sizes
-    /// (`THREAD_STATE_BYTES` and its siblings), not at their current
-    /// layouts.
+    /// deterministic size model, not an allocator measurement: the
+    /// executor, thread states and sync objects are charged at fixed
+    /// sizes (`EXECUTOR_BYTES`, `THREAD_STATE_BYTES` and their
+    /// siblings), not at their current layouts.
     pub fn snapshot_deep_bytes(&self) -> u64 {
         use std::mem::size_of;
         let n = self.threads.len();
         let clock_bytes = n * size_of::<u32>();
-        let mut bytes = size_of::<Executor>();
+        let mut bytes = EXECUTOR_BYTES;
         bytes += self.vars.len() * size_of::<i64>();
-        bytes += self.cold.mutexes.len() * (MUTEX_STATE_BYTES + clock_bytes);
-        for c in self.cold.conds.iter() {
+        bytes += self.mutexes.len() * (MUTEX_STATE_BYTES + clock_bytes);
+        for c in self.conds.iter() {
             bytes += COND_STATE_BYTES + c.waiters.len() * size_of::<ThreadId>() + clock_bytes;
         }
-        for rw in self.cold.rws.iter() {
+        for rw in self.rws.iter() {
             bytes += RW_STATE_BYTES + rw.readers.len() * size_of::<ThreadId>() + clock_bytes;
         }
-        bytes += self.cold.sems.len() * (SEM_STATE_BYTES + clock_bytes);
+        bytes += self.sems.len() * (SEM_STATE_BYTES + clock_bytes);
         for ts in self.threads.iter() {
             bytes += THREAD_STATE_BYTES + clock_bytes;
             bytes += ts.locals.len() * LOCAL_BYTES;
@@ -692,29 +810,27 @@ impl Executor {
         for e in self.events.iter() {
             bytes += size_of::<Event>() + e.clock.len() * size_of::<u32>();
         }
-        bytes += self.cold.io_journal.len() * size_of::<(ThreadId, &'static str)>();
+        bytes += self.io_journal.len() * size_of::<(ThreadId, &'static str)>();
         bytes as u64
     }
 
-    /// Bytes a copy-on-write clone of this state actually copies: the
-    /// executor struct, the per-thread `Rc` table, and both logs, each
-    /// charged as a table of chunk pointers, one per 64 entries, whatever
-    /// its layout. Same deterministic size model as
-    /// [`Executor::snapshot_deep_bytes`].
+    /// Bytes a copy-on-write snapshot of this state would copy: the
+    /// executor struct, a per-thread handle table, and both logs, each
+    /// charged as a table of chunk pointers, one per 64 entries. Same
+    /// deterministic size model as [`Executor::snapshot_deep_bytes`].
     pub fn snapshot_shallow_bytes(&self) -> u64 {
-        use std::mem::size_of;
-        let bytes = size_of::<Executor>()
-            + self.threads.len() * size_of::<Rc<ThreadState>>()
-            + self.taken.clone_cost_bytes()
+        let bytes = EXECUTOR_BYTES
+            + self.threads.len() * THREAD_HANDLE_BYTES
+            + chunk_table_bytes(self.taken.len())
             + chunk_table_bytes(self.events.len());
         bytes as u64
     }
 
-    /// Bytes a snapshot of this state avoids copying thanks to the
-    /// copy-on-write representation
+    /// Bytes a copy-on-write snapshot of this state would avoid copying
     /// ([`snapshot_deep_bytes`](Executor::snapshot_deep_bytes) minus
-    /// [`snapshot_shallow_bytes`](Executor::snapshot_shallow_bytes)).
-    /// A pure function of the logical state, so repeated explorations
+    /// [`snapshot_shallow_bytes`](Executor::snapshot_shallow_bytes)):
+    /// the size model the explorer books per restore point. A pure
+    /// function of the logical state, so repeated explorations
     /// accumulate identical totals.
     pub fn snapshot_bytes_saved(&self) -> u64 {
         self.snapshot_deep_bytes()
@@ -741,7 +857,7 @@ impl Executor {
         out.extend(threads_in(self.enabled));
         if out.len() > 1 {
             if let Some(plan) = &self.fault {
-                let stalled = |t: &ThreadId| plan.fires(FaultKind::Stall, self.steps, t.index());
+                let stalled = |t: &ThreadId| plan.fires(FaultKind::Stall, self.steps(), t.index());
                 if !out.iter().all(stalled) {
                     out.retain(|t| !stalled(t));
                 }
@@ -777,14 +893,12 @@ impl Executor {
             ThreadStatus::NotStarted
             | ThreadStatus::Finished
             | ThreadStatus::WaitingCond { .. } => false,
-            ThreadStatus::Reacquire { mutex, .. } => {
-                self.cold.mutexes[mutex.index()].owner.is_none()
-            }
+            ThreadStatus::Reacquire { mutex, .. } => self.mutexes[mutex.index()].owner.is_none(),
             ThreadStatus::Ready => self.peek_op(i).is_some_and(|op| match op {
-                Op::Lock(m) => self.cold.mutexes[m.index()].owner.is_none(),
-                Op::RwRead(rw) => self.cold.rws[rw.index()].can_read(ThreadId::from_index(i)),
-                Op::RwWrite(rw) => self.cold.rws[rw.index()].can_write(ThreadId::from_index(i)),
-                Op::SemAcquire(s) => self.cold.sems[s.index()].count > 0,
+                Op::Lock(m) => self.mutexes[m.index()].owner.is_none(),
+                Op::RwRead(rw) => self.rws[rw.index()].can_read(ThreadId::from_index(i)),
+                Op::RwWrite(rw) => self.rws[rw.index()].can_write(ThreadId::from_index(i)),
+                Op::SemAcquire(s) => self.sems[s.index()].count > 0,
                 Op::Join(t) => self.threads[t.index()].status == ThreadStatus::Finished,
                 _ => true,
             }),
@@ -818,9 +932,7 @@ impl Executor {
         if !self.is_enabled(thread) {
             return Err(ExecError::ThreadNotEnabled { thread });
         }
-        self.steps += 1;
-        self.taken.push(thread);
-        self.last_scheduled = Some(thread);
+        self.taken.push(thread.index() as u8);
         if self.record == RecordMode::Full {
             self.thread_mut(thread).clock.tick(thread);
         }
@@ -859,7 +971,7 @@ impl Executor {
     ) -> Outcome {
         let mut enabled = Vec::new();
         while self.outcome.is_none() {
-            if self.steps >= max_steps {
+            if self.steps() >= max_steps {
                 self.outcome = Some(Outcome::StepLimit);
                 self.enabled = 0;
                 break;
@@ -930,8 +1042,8 @@ impl Executor {
     fn fast_forward(&mut self, thread: ThreadId) {
         let program = Rc::clone(&self.program);
         let code = program.threads()[thread.index()].code();
-        // A pc already on a visible op has nothing to run: the thread
-        // stays shared with any snapshot.
+        // A pc already on a visible op has nothing to run, and the
+        // thread records nothing on the trail.
         if let Some(Instr::Op(_)) = code.get(self.threads[thread.index()].pc) {
             return;
         }
@@ -1045,8 +1157,8 @@ impl Executor {
             Some(Op::Wait { cond, .. }) => *cond,
             _ => unreachable!("Reacquire pc rests on the Wait op"),
         };
-        let mclock = self.cold.mutexes[mutex.index()].clock.clone();
-        let cclock = self.cold.conds[cond.index()].clock.clone();
+        let mclock = self.mutexes[mutex.index()].clock.clone();
+        let cclock = self.conds[cond.index()].clock.clone();
         {
             let ts = self.thread_mut(thread);
             ts.clock.join(&mclock);
@@ -1162,8 +1274,8 @@ impl Executor {
                 self.advance(thread);
             }
             Op::Lock(m) => {
-                debug_assert!(self.cold.mutexes[m.index()].owner.is_none());
-                let mclock = self.cold.mutexes[m.index()].clock.clone();
+                debug_assert!(self.mutexes[m.index()].owner.is_none());
+                let mclock = self.mutexes[m.index()].clock.clone();
                 let ts = self.thread_mut(thread);
                 ts.clock.join(&mclock);
                 ts.held.push(*m);
@@ -1172,7 +1284,7 @@ impl Executor {
                 self.advance(thread);
             }
             Op::Unlock(m) => {
-                if self.cold.mutexes[m.index()].owner != Some(thread) {
+                if self.mutexes[m.index()].owner != Some(thread) {
                     self.misuse(thread, ExecError::UnlockNotHeld { mutex: *m });
                     return;
                 }
@@ -1187,10 +1299,10 @@ impl Executor {
                 // A forced failure models a contender winning and releasing
                 // the lock between the check and the acquisition — legal
                 // for any try-lock.
-                let success = self.cold.mutexes[mutex.index()].owner.is_none()
+                let success = self.mutexes[mutex.index()].owner.is_none()
                     && !self.fault_fires(FaultKind::TryLockFail, thread);
                 if success {
-                    let mclock = self.cold.mutexes[mutex.index()].clock.clone();
+                    let mclock = self.mutexes[mutex.index()].clock.clone();
                     let ts = self.thread_mut(thread);
                     ts.clock.join(&mclock);
                     ts.held.push(*mutex);
@@ -1209,23 +1321,23 @@ impl Executor {
                 self.advance(thread);
             }
             Op::RwRead(rw) => {
-                debug_assert!(self.cold.rws[rw.index()].can_read(thread));
-                let rclock = self.cold.rws[rw.index()].clock.clone();
+                debug_assert!(self.rws[rw.index()].can_read(thread));
+                let rclock = self.rws[rw.index()].clock.clone();
                 self.thread_mut(thread).clock.join(&rclock);
                 self.rw_mut(*rw).readers.push(thread);
                 self.record_event(thread, EventKind::RwRead(*rw));
                 self.advance(thread);
             }
             Op::RwWrite(rw) => {
-                debug_assert!(self.cold.rws[rw.index()].can_write(thread));
-                let rclock = self.cold.rws[rw.index()].clock.clone();
+                debug_assert!(self.rws[rw.index()].can_write(thread));
+                let rclock = self.rws[rw.index()].clock.clone();
                 self.thread_mut(thread).clock.join(&rclock);
                 self.rw_mut(*rw).writer = Some(thread);
                 self.record_event(thread, EventKind::RwWrite(*rw));
                 self.advance(thread);
             }
             Op::RwUnlock(rw) => {
-                let state = &self.cold.rws[rw.index()];
+                let state = &self.rws[rw.index()];
                 if state.writer == Some(thread) {
                     self.rw_mut(*rw).writer = None;
                 } else if let Some(pos) = state.readers.iter().position(|&r| r == thread) {
@@ -1240,7 +1352,7 @@ impl Executor {
                 self.advance(thread);
             }
             Op::Wait { cond, mutex } => {
-                if self.cold.mutexes[mutex.index()].owner != Some(thread) {
+                if self.mutexes[mutex.index()].owner != Some(thread) {
                     self.misuse(thread, ExecError::WaitWithoutMutex { mutex: *mutex });
                     return;
                 }
@@ -1325,9 +1437,9 @@ impl Executor {
                 self.advance(thread);
             }
             Op::SemAcquire(s) => {
-                debug_assert!(self.cold.sems[s.index()].count > 0);
+                debug_assert!(self.sems[s.index()].count > 0);
                 self.sem_mut(*s).count -= 1;
-                let sclock = self.cold.sems[s.index()].clock.clone();
+                let sclock = self.sems[s.index()].clock.clone();
                 self.thread_mut(thread).clock.join(&sclock);
                 self.record_event(thread, EventKind::SemAcquire(*s));
                 self.advance(thread);
@@ -1375,7 +1487,7 @@ impl Executor {
                 self.advance(thread);
             }
             Op::Io { tag } => {
-                Rc::make_mut(&mut self.cold).io_journal.push((thread, tag));
+                self.io_journal.push((thread, tag));
                 if self.threads[thread.index()].tx.is_some() {
                     let tx = self.thread_mut(thread).tx.as_mut().expect("checked above");
                     tx.io_performed = true;
@@ -1385,8 +1497,7 @@ impl Executor {
             }
             Op::TxBegin => {
                 let ts = self.thread_mut(thread);
-                let tx = TxState::new(ts.pc, &ts.locals);
-                ts.tx = Some(tx);
+                ts.tx = Some(Box::new(TxState::new(ts.pc, &ts.locals)));
                 self.record_event(thread, EventKind::TxBegin);
                 self.advance(thread);
             }
@@ -2098,9 +2209,9 @@ mod tests {
 
     /// The fold the dedup claim repairs equals the from-scratch key after
     /// every step of any generated program, with repairs at a seeded
-    /// third of the steps, on both sides of copy-on-write forks taken
-    /// dirty or clean: a fork shares its parent's slot table until one of
-    /// them repairs. 256 cases, case `i` drawn from `SplitMix64::new(i)`.
+    /// third of the steps, on both sides of forks (deep clones) taken
+    /// dirty or clean. 256 cases, case `i` drawn from
+    /// `SplitMix64::new(i)`.
     #[test]
     fn incremental_state_key_matches_recomputation() {
         use crate::fault::SplitMix64;
@@ -2216,6 +2327,14 @@ mod tests {
         assert_eq!(saved(RecordMode::Full), 4204);
     }
 
+    #[test]
+    fn schedule_log_charges_the_chunked_size_model() {
+        // One chunk pointer per 64 entries, whatever the log's layout.
+        for (n, bytes) in [(0, 0), (1, 8), (64, 8), (65, 16), (256, 32)] {
+            assert_eq!(chunk_table_bytes(n), bytes, "n = {n}");
+        }
+    }
+
     /// Every sync-object kind, thread creation and a transaction.
     fn every_kind_program() -> Program {
         let mut b = ProgramBuilder::new("every-kind");
@@ -2262,6 +2381,165 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// The `Stmt` kinds [`every_kind_program`] leaves out: a
+    /// compare-and-swap, an exchange, a wait woken by a broadcast, an
+    /// in-thread assert, I/O inside a transaction, a retry that can
+    /// exhaust the retry limit, and a commit another thread's write can
+    /// abort. Its runs end in every outcome but a misuse: a clean
+    /// finish, a failed assert, a deadlock (the waiter waits holding
+    /// `m2`) and the retry limit.
+    fn rest_of_kinds_program() -> Program {
+        let mut b = ProgramBuilder::new("rest-of-kinds");
+        let x = b.var("x", 0);
+        let ready = b.var("ready", 0);
+        let m = b.mutex();
+        let m2 = b.mutex();
+        let c = b.cond();
+        b.thread(
+            "waiter",
+            vec![
+                Stmt::lock(m2),
+                Stmt::lock(m),
+                Stmt::read(ready, "r"),
+                Stmt::while_loop(
+                    Expr::local("r").eq(Expr::lit(0)),
+                    vec![Stmt::Wait { cond: c, mutex: m }, Stmt::read(ready, "r")],
+                ),
+                Stmt::unlock(m),
+                Stmt::unlock(m2),
+                Stmt::assert(Expr::local("r").eq(Expr::lit(1)), "woken when ready"),
+            ],
+        );
+        b.thread(
+            "waker",
+            vec![
+                Stmt::cas(x, 0, 1, "won"),
+                Stmt::lock(m),
+                Stmt::lock(m2),
+                Stmt::write(ready, 1),
+                Stmt::Broadcast(c),
+                Stmt::unlock(m2),
+                Stmt::unlock(m),
+                Stmt::exchange(x, 5, "old"),
+                Stmt::assert(Expr::local("won").eq(Expr::lit(1)), "the CAS won"),
+            ],
+        );
+        b.thread(
+            "tx",
+            vec![
+                Stmt::TxBegin,
+                Stmt::read(x, "v"),
+                Stmt::io("log"),
+                Stmt::if_then(Expr::local("v").eq(Expr::lit(5)), vec![Stmt::TxRetry]),
+                Stmt::write(x, Expr::local("v") + Expr::lit(1)),
+                Stmt::TxCommit,
+            ],
+        );
+        b.build().unwrap()
+    }
+
+    /// Restoring a mark gives back exactly the marked state: after
+    /// seeded steps, repairs and nested marks (restoring often, or only
+    /// from terminal states, so that long runs end), every restore's digest,
+    /// key, enabled set, schedule and logs equal those of a deep clone
+    /// taken at the mark, and the restored executor then runs like the
+    /// clone. Programs reach every `Stmt` kind ([`every_kind_program`],
+    /// [`rest_of_kinds_program`]) or come from the generator, recorded
+    /// or not. 256 cases, case `i` drawn from `SplitMix64::new(i)`.
+    #[test]
+    fn undo_restores_the_marked_state() {
+        use crate::fault::SplitMix64;
+        use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+        for case in 0..256 {
+            let mut rng = SplitMix64::new(case);
+            let input = (
+                rng.range(0u64..2_000),
+                rng.range(0u8..4),
+                rng.range(0u8..4) == 0,
+            );
+            if let Err(panic) = catch_unwind(AssertUnwindSafe(|| undo_restores(input))) {
+                eprintln!("property failed at case {case} with input {input:?}");
+                resume_unwind(panic);
+            }
+        }
+    }
+
+    /// Asserts `e` is in the state `at_mark` was cloned in.
+    fn assert_restored(e: &Executor, at_mark: &Executor) {
+        assert_eq!(e.digest(), at_mark.digest());
+        assert_eq!(e.state_key(), at_mark.state_key());
+        assert_eq!(e.enabled(), at_mark.enabled());
+        assert_eq!(e.outcome(), at_mark.outcome());
+        assert_eq!(e.schedule_taken(), at_mark.schedule_taken());
+        assert_eq!(e.io_journal(), at_mark.io_journal());
+        assert_eq!(e.events(), at_mark.events());
+        let (mut a, mut b) = (e.clone(), at_mark.clone());
+        assert_eq!(a.flush_state_key(), b.flush_state_key());
+        assert_eq!(a.run_sequential(500), b.run_sequential(500));
+        assert_eq!(a.digest(), b.digest());
+    }
+
+    /// One case of [`undo_restores_the_marked_state`]:
+    /// `(seed, program, recorded)`.
+    fn undo_restores((seed, pick, recorded): (u64, u8, bool)) {
+        use crate::fault::splitmix64;
+        use crate::generate::{generate, GenConfig};
+        let program = match pick {
+            0 => every_kind_program(),
+            1 => rest_of_kinds_program(),
+            _ => generate(
+                &GenConfig {
+                    threads: 3,
+                    vars: 2,
+                    mutexes: 1,
+                    ops_per_thread: 4,
+                    locked_pct: 50,
+                    tx_pct: 30,
+                },
+                seed,
+            ),
+        };
+        let record = if recorded {
+            RecordMode::Full
+        } else {
+            RecordMode::Off
+        };
+        let mut draw = seed;
+        let mut next = |len: usize| {
+            draw = splitmix64(draw);
+            (draw % len as u64) as usize
+        };
+        let mut e = Executor::with_record(&program, record);
+        let restore_mid_run = next(2) == 0;
+        // Live marks, oldest first, each with a deep clone of its state.
+        let mut marks: Vec<(Mark, Executor)> = Vec::new();
+        for _ in 0..600 {
+            if next(3) == 0 && !e.is_done() {
+                marks.push((e.mark(), e.clone()));
+            }
+            if next(3) == 0 {
+                e.flush_state_key();
+            }
+            if !marks.is_empty() && (e.is_done() || (restore_mid_run && next(4) == 0)) {
+                // Restoring a mark discards every mark above it.
+                marks.truncate(next(marks.len()) + 1);
+                let (mark, at_mark) = marks.last().expect("a live mark");
+                e.undo_to(mark);
+                assert_restored(&e, at_mark);
+            }
+            if e.is_done() {
+                break;
+            }
+            let enabled = e.enabled();
+            e.step(enabled[next(enabled.len())])
+                .expect("enabled thread steps");
+        }
+        while let Some((mark, at_mark)) = marks.pop() {
+            e.undo_to(&mark);
+            assert_restored(&e, &at_mark);
+        }
+    }
+
     #[test]
     fn recording_changes_no_state_outcome_or_schedule() {
         for p in [racy_counter(), broadcast_program(2), every_kind_program()] {
@@ -2284,12 +2562,11 @@ mod tests {
                 assert_eq!(off.schedule_taken(), on.schedule_taken());
                 assert!(!on.events().is_empty() && off.events().is_empty());
                 // Unrecorded, no clock ever gets a component.
-                let cold = &off.cold;
                 let clocks = (off.threads.iter().map(|t| &t.clock))
-                    .chain(cold.mutexes.iter().map(|m| &m.clock))
-                    .chain(cold.conds.iter().map(|c| &c.clock))
-                    .chain(cold.rws.iter().map(|r| &r.clock))
-                    .chain(cold.sems.iter().map(|s| &s.clock));
+                    .chain(off.mutexes.iter().map(|m| &m.clock))
+                    .chain(off.conds.iter().map(|c| &c.clock))
+                    .chain(off.rws.iter().map(|r| &r.clock))
+                    .chain(off.sems.iter().map(|s| &s.clock));
                 for clock in clocks {
                     assert!(clock.is_empty(), "{}: {clock}", p.name());
                 }
@@ -2794,7 +3071,7 @@ mod fault_tests {
         let mut e2 = Executor::new(&p);
         e2.set_fault_plan(only(FaultKind::TryLockFail));
         e2.step(t(0)).unwrap();
-        assert!(e2.cold.mutexes[m.index()].owner.is_none());
+        assert!(e2.mutexes[m.index()].owner.is_none());
     }
 
     #[test]

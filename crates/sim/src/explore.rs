@@ -201,19 +201,21 @@ pub struct ExploreStats {
     /// (pushed on the DFS stack).
     pub branch_points: u64,
     /// Child edges run from a branch state: one per explored choice,
-    /// each a snapshot clone of the parent's executor except where the
-    /// parent moved into its final survivor (`snapshots_elided`).
+    /// each from a restore point, the branch state's mark restored on
+    /// the search's one executor before the edge runs.
     pub snapshots: u64,
     /// Deepest DFS stack observed.
     pub max_depth: u64,
     /// Enabled choices skipped because the preemption budget was
     /// exhausted.
     pub preemption_limited: u64,
-    /// Heap bytes the copy-on-write snapshot representation avoided
-    /// copying, summed over all snapshots: for each one, the size a
-    /// pre-COW deep clone would have copied minus what the `Rc`-sharing
-    /// clone actually copies. A pure function of the states snapshotted,
-    /// so it is identical across runs of the same search.
+    /// A size model summed over all restore points: for each one, the
+    /// bytes a deep copy of the branch state would copy minus what a
+    /// copy-on-write snapshot of it would copy
+    /// ([`Executor::snapshot_bytes_saved`](crate::Executor::snapshot_bytes_saved)),
+    /// the representation searches used before the undo trail. A pure
+    /// function of the states restored, so it is identical across runs
+    /// of the same search and comparable across versions.
     pub snapshot_bytes_saved: u64,
     /// Invisible steps fused into their parent edge instead of opening
     /// a branch point (see [`ExploreLimits::fuse`]). Always 0 with
@@ -221,8 +223,8 @@ pub struct ExploreStats {
     pub fused_steps: u64,
     /// Branch-point children that were their frame's *final survivor*
     /// (every remaining sibling provably pruned by the sleep set or
-    /// the preemption bound), so the parent's executor was moved into
-    /// the child and no snapshot clone was taken.
+    /// the preemption bound), so the walk popped the frame before the
+    /// child's edge ran: its mark is never restored again.
     pub snapshots_elided: u64,
     /// Wall-clock time of the whole exploration.
     pub wall: Duration,

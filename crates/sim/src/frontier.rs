@@ -5,12 +5,11 @@
 //! depth-first [`walk`] on the calling thread, generic over a
 //! [`Strategy`] ([`Classic`]: sibling cursor, sleep set, preemption
 //! bound; or [`DporSearch`]: source-set DPOR backtrack frames, which it
-//! keeps itself). The walk keeps the path's executors on one stack
-//! beside its frames and runs every edge where its executor lies: a
-//! child is cloned onto the top of that stack and stepped there with
-//! [`Strategy::edge`], a frame's final survivor steps the frame's own
-//! executor, and a child that opens no frame is dropped where it lies.
-//! No executor moves. Everything is booked into one [`Ledger`] in
+//! keeps itself). The walk keeps one executor for the whole search.
+//! Each frame holds a [`Mark`] of its branch state; before each child
+//! the walk restores the frame's mark ([`Executor::undo_to`]) and runs
+//! the edge in place with [`Strategy::edge`]. No executor is cloned,
+//! moved or dropped. Everything is booked into one [`Ledger`] in
 //! preorder. Every edge runs forward through one loop, [`forward`],
 //! which takes the strategy's bookkeeping as a [`Book`] and asks the
 //! executor whether the running thread's next op is invisible; a DPOR
@@ -23,7 +22,7 @@ use lfm_obs::{
 };
 
 use crate::dpor::{child_sleep, Dpor};
-use crate::exec::{Executor, StepResult};
+use crate::exec::{Executor, Mark, StepResult};
 use crate::explore::{ExploreLimits, ExploreReport, Explorer, Truncation};
 use crate::footprint::Footprint;
 use crate::fxhash::FxHashSet;
@@ -159,8 +158,7 @@ enum End {
     Redundant,
 }
 
-/// One child edge, as it ran. The child's executor stays where the edge
-/// ran it, on the walk's stack.
+/// One child edge, as it ran. The executor stays at the edge's end.
 #[derive(Debug)]
 pub(crate) struct Edge {
     /// Invisible steps fused into the edge.
@@ -542,17 +540,16 @@ impl<'a> Ledger<'a> {
 
 /// A child pick: the thread, and whether it is the frame's *final
 /// survivor* — every later sibling is pruned, so the frame is done once
-/// this child leaves and the child can step the frame's own executor.
+/// this child leaves and the walk pops it before the edge runs.
 type Pick = Option<(ThreadId, bool)>;
 
 /// A search strategy: which children of a branch state run, and what
 /// running an edge to one of them means.
 pub(crate) trait Strategy {
     /// Takes `choice` on `exec`, in place: on entry it is at the state
-    /// `head` describes (a snapshot, or the frame's own executor for a
-    /// final survivor), and the edge runs it [`forward`], timed as
-    /// [`Phase::Step`] on `profile`. A branch end's head carries the
-    /// child's sleep set.
+    /// `head` describes (the frame's mark, restored), and the edge runs
+    /// it [`forward`], timed as [`Phase::Step`] on `profile`. A branch
+    /// end's head carries the child's sleep set.
     fn edge(
         &mut self,
         profile: &PhaseProfiler,
@@ -649,10 +646,9 @@ impl Strategy for Classic {
 
 /// Source-set DPOR with sleep sets ([`crate::dpor`]): a frame's
 /// children come from its backtrack set, which race detection grows
-/// while the walk is below it, so no child is a final survivor: each
-/// steps a snapshot. The strategy keeps its own books: each edge
-/// commits its steps to the race log, and its branch end carries the
-/// child's sleep set.
+/// while the walk is below it, so no child is a final survivor. The
+/// strategy keeps its own books: each edge commits its steps to the
+/// race log, and its branch end carries the child's sleep set.
 #[derive(Debug)]
 pub(crate) struct DporSearch {
     mode: Mode,
@@ -744,13 +740,13 @@ impl Strategy for DporSearch {
     }
 }
 
-/// One frame of the walk: a branch state on the current path. Its
-/// executor lies on the walk's executor stack, at the frame's index.
+/// One frame of the walk: a branch state on the current path, marked
+/// on the walk's one executor.
 struct Frame {
-    /// [`Executor::snapshot_bytes_saved`] of the frame's state, computed
-    /// at the first child: the same for every child, as the state never
-    /// changes while a child other than the final survivor runs.
-    saved: Option<u64>,
+    mark: Mark,
+    /// [`Executor::snapshot_bytes_saved`] of the frame's state: the
+    /// size model every restore point of the frame books.
+    saved: u64,
     head: Head,
     /// Branch depth (root = 1): a classic frame leaves the stack with its
     /// final survivor, so the stack can be shorter than the path.
@@ -762,9 +758,11 @@ struct Frame {
 }
 
 impl Frame {
-    fn new(head: Head, depth: u64, path_degree: f64) -> Frame {
+    /// Opens a frame on `exec`'s current state.
+    fn open(exec: &mut Executor, head: Head, depth: u64, path_degree: f64) -> Frame {
         Frame {
-            saved: None,
+            mark: exec.mark(),
+            saved: exec.snapshot_bytes_saved(),
             head,
             depth,
             path_degree,
@@ -776,14 +774,14 @@ impl Frame {
 /// program, with `strategy` and the reductions `mode` resolves to,
 /// committing edges in preorder: every order-sensitive decision
 /// (budgets, dedup verdicts, classification, witnesses, counters)
-/// happens here. It runs only the child it picks, when it picks it,
-/// and every edge where its executor lies: `execs[i]` is frame `i`'s
-/// state, a child is cloned onto the top of `execs` and stepped there,
-/// a final survivor steps its frame's executor in place, and a child
-/// that opens no frame (a terminal, a deduped state, a redundant edge)
-/// is dropped in place. Every terminal goes to `on_terminal` before it
-/// is classified. Stall faults only bias samplers; the systematic
-/// search strips them ([`crate::FaultPlan::without_stalls`]).
+/// happens here. It runs only the child it picks, when it picks it, on
+/// the search's one executor: it restores the top frame's mark, timed
+/// as [`Phase::Snapshot`], and runs the edge in place. A final survivor
+/// pops its frame before its edge runs; the frames below keep their
+/// marks, which the restore trail still reaches. Every terminal goes to
+/// `on_terminal` before it is classified. Stall faults only bias
+/// samplers; the systematic search strips them
+/// ([`crate::FaultPlan::without_stalls`]).
 pub(crate) fn walk<S: Strategy>(
     explorer: &Explorer<'_>,
     mode: Mode,
@@ -791,16 +789,16 @@ pub(crate) fn walk<S: Strategy>(
     mut on_terminal: impl FnMut(&Executor, &Outcome),
 ) -> ExploreReport {
     let profile = &*explorer.profile;
-    let mut root = Executor::new(explorer.program);
+    let mut exec = Executor::new(explorer.program);
     if let Some(plan) = explorer.fault {
-        root.set_fault_plan(plan.without_stalls());
+        exec.set_fault_plan(plan.without_stalls());
     }
     let mut ledger = Ledger::start(explorer, mode);
-    if let Some(outcome) = root.outcome().cloned() {
+    if let Some(outcome) = exec.outcome().cloned() {
         // No scheduling choice at all: the tree is a single leaf with
         // an empty degree product.
-        on_terminal(&root, &outcome);
-        ledger.leaf(&outcome, &root, 1.0, 0);
+        on_terminal(&exec, &outcome);
+        ledger.leaf(&outcome, &exec, 1.0, 0);
         return ledger.finish();
     }
     // State dedup: claims a branch state, `false` when an earlier
@@ -811,18 +809,17 @@ pub(crate) fn walk<S: Strategy>(
         let key = profile.time(Phase::Hash, || exec.flush_state_key());
         profile.time(Phase::Dedup, || seen.insert(key))
     };
-    let mut head = Head::of(&root);
+    let mut head = Head::of(&exec);
     let report = &mut ledger.report;
     let opened = strategy.open(&mut head, report);
     debug_assert!(opened, "the root is never redundant");
     if mode.dedup {
-        claim(&mut root);
+        claim(&mut exec);
     }
     report.stats.branch_points = 1;
     report.stats.max_depth = 1;
     let path_degree = f64::from(head.enabled.count_ones());
-    let mut frames = vec![Frame::new(head, 1, path_degree)];
-    let mut execs = vec![root];
+    let mut frames = vec![Frame::open(&mut exec, head, 1, path_degree)];
 
     while let Some(top) = frames.last_mut() {
         if ledger.stop() {
@@ -831,20 +828,11 @@ pub(crate) fn walk<S: Strategy>(
         let report = &mut ledger.report;
         let Some((choice, last)) = strategy.select(&mut top.head, report) else {
             frames.pop();
-            execs.truncate(frames.len());
             continue;
         };
-        let (depth, path_degree) = (top.depth, top.path_degree);
-        let parent = execs.last().expect("an open frame's state");
-        let saved = *(top.saved).get_or_insert_with(|| parent.snapshot_bytes_saved());
-        if !last {
-            // A copy-on-write child shares its parent's structure.
-            let snapshot = profile.enter(Phase::Snapshot);
-            execs.push(parent.clone());
-            drop(snapshot);
-        }
-        let child = execs.last_mut().expect("the child's state");
-        let edge = strategy.edge(profile, &mut top.head, child, choice);
+        let (depth, path_degree, saved) = (top.depth, top.path_degree, top.saved);
+        profile.time(Phase::Snapshot, || exec.undo_to(&top.mark));
+        let edge = strategy.edge(profile, &mut top.head, &mut exec, choice);
         if last {
             frames.pop();
         }
@@ -852,37 +840,25 @@ pub(crate) fn walk<S: Strategy>(
         report.stats.snapshot_bytes_saved += saved;
         report.stats.fused_steps += edge.fused;
         report.stats.snapshots_elided += u64::from(last);
-        // The child lies at `execs[frames.len()]`: it becomes the state
-        // of the frame it opens, or is dropped there.
-        let opened = match edge.end {
+        match edge.end {
             End::Terminal(outcome) => {
-                on_terminal(child, &outcome);
-                if ledger.leaf(&outcome, child, path_degree, frames.len() as u64) {
+                on_terminal(&exec, &outcome);
+                if ledger.leaf(&outcome, &exec, path_degree, frames.len() as u64) {
                     break;
                 }
-                false
             }
             End::Branch(mut head) => {
-                let fresh = !mode.dedup || claim(child);
+                let fresh = !mode.dedup || claim(&mut exec);
                 report.states_deduped += u64::from(!fresh);
-                let opened = fresh && strategy.open(&mut head, report);
-                if opened {
+                if fresh && strategy.open(&mut head, report) {
                     report.stats.branch_points += 1;
                     report.stats.max_depth = report.stats.max_depth.max(depth + 1);
                     let path_degree = path_degree * f64::from(head.enabled.count_ones());
-                    frames.push(Frame::new(head, depth + 1, path_degree));
+                    frames.push(Frame::open(&mut exec, head, depth + 1, path_degree));
                 }
-                opened
             }
-            End::Redundant => {
-                report.sleep_pruned += 1;
-                false
-            }
-        };
-        if !opened {
-            execs.truncate(frames.len());
+            End::Redundant => report.sleep_pruned += 1,
         }
-        debug_assert_eq!(execs.len(), frames.len(), "one state per open frame");
     }
     ledger.spent();
     ledger.finish()
@@ -944,8 +920,8 @@ mod tests {
 
     #[test]
     fn frames_and_edges_carry_no_executor() {
-        // The walk runs each edge where its executor lies; a frame or an
-        // edge that held one would move it again.
+        // The walk keeps one executor; a frame or an edge that held one
+        // would copy the state the trail restores.
         use std::mem::size_of;
         let exec = size_of::<Executor>();
         let (frame, edge) = (size_of::<Frame>(), size_of::<Edge>());

@@ -74,7 +74,6 @@ mod ids;
 mod lower;
 mod outcome;
 mod program;
-mod pvec;
 mod schedule;
 mod state;
 mod statehash;

@@ -353,13 +353,13 @@ const INLINE_LOCALS: usize = 4;
 /// A thread's local values by slot, and which slots were ever written.
 /// An unwritten slot reads 0, like C static storage, and stays out of
 /// the state key.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub(crate) struct Locals {
     written: u64,
     values: Values,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 enum Values {
     Inline([i64; INLINE_LOCALS]),
     Spilled(Box<[i64]>),

@@ -7,7 +7,7 @@ use crate::ids::{CondId, MutexId, RwId, SemId, ThreadId};
 
 /// What a blocked thread is waiting for, reported in
 /// [`Outcome::Deadlock`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum BlockedOn {
     /// Waiting to acquire a mutex (including a self-deadlock re-lock).
     Mutex(MutexId),
@@ -41,7 +41,7 @@ impl fmt::Display for BlockedOn {
 
 /// The classified result of running a [`crate::Program`] to termination
 /// (or to a resource bound).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Outcome {
     /// All threads finished and every final assertion held.
     Ok,

@@ -1,8 +1,9 @@
 //! Runtime state of shared objects (variables, mutexes, condition
 //! variables, rwlocks, semaphores).
 //!
-//! All state is plain cloneable data so the model checker can snapshot an
-//! [`crate::Executor`] at a branch point and restore it in O(state size).
+//! All state is plain cloneable data, so the executor's undo trail can
+//! record one object's value at its first write since a mark and put it
+//! back on restore.
 //! Each constructor takes its object's vector-clock length: the thread
 //! count when the executor records, 0 (no clock, no heap) otherwise.
 
@@ -14,7 +15,7 @@ use crate::trace::VectorClock;
 /// A mutex: its owner. Blocked acquirers are not queued: enabledness
 /// is recomputed from the owner, and a deadlock report reads each
 /// blocked thread's pending op.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct MutexState {
     pub owner: Option<ThreadId>,
     /// Vector clock released with the last unlock (happens-before edge).
@@ -31,7 +32,7 @@ impl MutexState {
 }
 
 /// A condition variable: a FIFO of waiting threads.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct CondState {
     pub waiters: VecDeque<ThreadId>,
     /// Clock joined in from signallers, delivered to woken waiters.
@@ -48,7 +49,7 @@ impl CondState {
 }
 
 /// A reader-writer lock.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct RwState {
     pub writer: Option<ThreadId>,
     pub readers: Vec<ThreadId>,
@@ -84,7 +85,7 @@ impl RwState {
 }
 
 /// A counting semaphore. Like a mutex, it queues no acquirers.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct SemState {
     pub count: i64,
     pub clock: VectorClock,

@@ -21,8 +21,6 @@
 //! repaired key against `Executor::state_key` after arbitrary step
 //! sequences.
 
-use std::rc::Rc;
-
 /// Streaming 64-bit FNV-1a hasher with a strong finisher.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Fnv(u64);
@@ -71,6 +69,38 @@ impl Fnv {
     }
 }
 
+/// Word at a time, so that derived [`Hash`](std::hash::Hash) impls can
+/// feed whole states: the executor's restore audit digests with it.
+impl std::hash::Hasher for Fnv {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            *self = self.u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        *self = self.u64(v.into());
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        *self = self.u64(v.into());
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        *self = self.u64(v);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        *self = self.usize(v);
+    }
+
+    fn finish(&self) -> u64 {
+        mix(self.0)
+    }
+}
+
 /// `splitmix64` finalizer.
 fn mix(mut x: u64) -> u64 {
     x ^= x >> 30;
@@ -101,21 +131,25 @@ pub(crate) const DIRTY: usize = 4;
 /// Cached per-component hashes plus their XOR fold, with a dirty list
 /// of components mutated since the fold was last repaired.
 ///
-/// All slots live in one flat `Rc` allocation (kind-segmented by
-/// offset) and the dirty list is inline: the explorer clones this
-/// structure once per snapshot, so the clone must be a reference bump
-/// and a memcpy, and a step must not allocate to mark what it touched.
-/// Only a repair writes the slots, unsharing them first.
-#[derive(Debug, Clone)]
+/// All slots live in one flat table (kind-segmented by offset) and the
+/// dirty list is inline, in the [`Fold`]: a step must not allocate to
+/// mark what it touched, and the executor's undo trail saves and
+/// restores the fold as a few words. Only a repair writes the slots.
+#[derive(Debug, Clone, Hash)]
 pub(crate) struct StateHash {
-    slots: Rc<[u64]>,
+    slots: Box<[u64]>,
     /// Start of each kind's segment in `slots`, in [`Comp`] kind order
     /// (vars start at 0).
     offsets: [u32; 5],
+    fold: Fold,
+}
+
+/// The fold over a [`StateHash`]'s slots and its repair books: the
+/// part an executor's mark saves whole.
+#[derive(Debug, Clone, Copy, Hash)]
+pub(crate) struct Fold {
     key: u64,
-    /// Slots whose first `n_dirty` entries await a rehash. Slot indices
-    /// rather than [`Comp`]s keep the executor, which every snapshot
-    /// copies, small.
+    /// Slots whose first `n_dirty` entries await a rehash.
     dirty: [u32; DIRTY],
     n_dirty: u8,
     /// While non-zero, every component is dirty: slots `0..sweep` still
@@ -141,7 +175,7 @@ impl StateHash {
         let threads_at = sems_at + sems;
         let len = threads_at + threads;
         StateHash {
-            slots: Rc::from(vec![0; len]),
+            slots: vec![0; len].into_boxed_slice(),
             offsets: [
                 mutexes_at as u32,
                 conds_at as u32,
@@ -149,11 +183,18 @@ impl StateHash {
                 sems_at as u32,
                 threads_at as u32,
             ],
-            key: 0,
-            dirty: [0; DIRTY],
-            n_dirty: 0,
-            sweep: len as u32,
+            fold: Fold {
+                key: 0,
+                dirty: [0; DIRTY],
+                n_dirty: 0,
+                sweep: len as u32,
+            },
         }
+    }
+
+    /// Number of components (and slots).
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len()
     }
 
     /// The component stored in slot `at`.
@@ -186,58 +227,75 @@ impl StateHash {
         }
     }
 
-    /// Component `c`'s slot, unshared from any clone.
-    fn slot(&mut self, c: Comp) -> &mut u64 {
+    /// Marks a component as mutated and returns its slot. Idempotent
+    /// within one repair cycle; touching more than [`DIRTY`] components
+    /// marks them all.
+    pub(crate) fn touch(&mut self, c: Comp) -> usize {
         let at = self.at(c);
-        &mut Rc::make_mut(&mut self.slots)[at]
-    }
-
-    /// Marks a component as mutated. Idempotent within one repair
-    /// cycle; touching more than [`DIRTY`] components marks them all.
-    pub(crate) fn touch(&mut self, c: Comp) {
-        let n = usize::from(self.n_dirty);
-        let at = self.at(c) as u32;
-        if self.sweep > 0 || self.dirty[..n].contains(&at) {
-            return;
+        let fold = &mut self.fold;
+        let n = usize::from(fold.n_dirty);
+        if fold.sweep > 0 || fold.dirty[..n].contains(&(at as u32)) {
+            return at;
         }
         if n < DIRTY {
-            self.dirty[n] = at;
-            self.n_dirty += 1;
+            fold.dirty[n] = at as u32;
+            fold.n_dirty += 1;
         } else {
-            self.n_dirty = 0;
-            self.sweep = self.slots.len() as u32;
+            fold.n_dirty = 0;
+            fold.sweep = self.slots.len() as u32;
         }
+        at
     }
 
     /// Pops one component awaiting a rehash.
     pub(crate) fn pop_dirty(&mut self) -> Option<Comp> {
-        if self.sweep > 0 {
-            self.sweep -= 1;
-            return Some(self.comp_at(self.sweep as usize));
+        let fold = &mut self.fold;
+        if fold.sweep > 0 {
+            fold.sweep -= 1;
+            let at = fold.sweep as usize;
+            return Some(self.comp_at(at));
         }
-        self.n_dirty = self.n_dirty.checked_sub(1)?;
-        Some(self.comp_at(self.dirty[usize::from(self.n_dirty)] as usize))
+        fold.n_dirty = fold.n_dirty.checked_sub(1)?;
+        let at = fold.dirty[usize::from(fold.n_dirty)] as usize;
+        Some(self.comp_at(at))
     }
 
     /// Installs a fresh hash for `c`, repairing the fold: the stale
-    /// hash xors out, the fresh one xors in. Unshares the slots from
-    /// any clone first.
-    pub(crate) fn replace(&mut self, c: Comp, fresh: u64) {
-        let slot = self.slot(c);
-        let stale = *slot;
-        *slot = fresh;
-        self.key ^= stale ^ fresh;
+    /// hash xors out, the fresh one xors in. Returns the slot and the
+    /// stale hash, for the executor's undo trail.
+    pub(crate) fn replace(&mut self, c: Comp, fresh: u64) -> (usize, u64) {
+        let at = self.at(c);
+        let stale = std::mem::replace(&mut self.slots[at], fresh);
+        self.fold.key ^= stale ^ fresh;
+        (at, stale)
+    }
+
+    /// Puts back slot `at`'s hash from before a repair; the fold comes
+    /// back whole with [`StateHash::set_fold`].
+    pub(crate) fn restore_slot(&mut self, at: usize, hash: u64) {
+        self.slots[at] = hash;
+    }
+
+    /// The fold and its dirty list.
+    pub(crate) fn fold(&self) -> Fold {
+        self.fold
+    }
+
+    /// Reinstates a fold saved with [`StateHash::fold`], once every slot
+    /// repaired since is restored.
+    pub(crate) fn set_fold(&mut self, fold: Fold) {
+        self.fold = fold;
     }
 
     /// `true` when no component awaits a rehash (the fold is valid).
     pub(crate) fn is_clean(&self) -> bool {
-        self.n_dirty == 0 && self.sweep == 0
+        self.fold.n_dirty == 0 && self.fold.sweep == 0
     }
 
     /// The XOR fold over all component hashes.
     pub(crate) fn key(&self) -> u64 {
         debug_assert!(self.is_clean(), "state key read with dirty components");
-        self.key
+        self.fold.key
     }
 }
 

@@ -75,7 +75,7 @@ impl fmt::Display for VectorClock {
 }
 
 /// What happened at one visible operation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// Thread became runnable (start of its first step).
     ThreadStart,
@@ -199,7 +199,7 @@ impl EventKind {
 }
 
 /// One recorded visible operation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Event {
     /// Global sequence number in this execution (total order).
     pub seq: usize,

@@ -13,7 +13,7 @@ use crate::lower::Locals;
 
 /// In-flight transaction bookkeeping (one per thread at most; nesting is
 /// rejected at build time).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub(crate) struct TxState {
     /// Instruction index of the `TxBegin`, the restart point on abort.
     pub start_pc: usize,
