@@ -26,99 +26,99 @@ const MAX_SCHEDULES: u64 = 40_000;
 /// `(variant, fold of its ten searches)`.
 #[rustfmt::skip]
 const PINS: &[(&str, u64)] = &[
-    ("counter_rmw/buggy", 0x91d1026036d62d7d),
-    ("counter_rmw/lock", 0xc96ffb6cbab68a59),
-    ("counter_rmw/atomic", 0x41dee2c3fc865bbd),
-    ("counter_rmw/transaction", 0xa0449c5b024ce945),
-    ("check_then_act_null/buggy", 0xca6ab2bcd6826bf0),
-    ("check_then_act_null/condcheck", 0x8c65b1f45407bf1f),
-    ("check_then_act_null/lock", 0x204af8d1d5d1eee7),
-    ("check_then_act_null/transaction", 0x498c7a9f98e6a7f9),
-    ("double_check_init/buggy", 0x9ee5520857ee2817),
-    ("double_check_init/lock", 0x720ae8d80c142db5),
-    ("double_check_init/atomic", 0xa7f60951119ab25d),
-    ("double_check_init/transaction", 0x2d50d5bc267f764f),
-    ("log_buffer_apache/buggy", 0xd958775487dab2b1),
-    ("log_buffer_apache/lock", 0x27022eb7726fc817),
-    ("log_buffer_apache/transaction", 0x885c6370bef549bd),
-    ("stat_counter/buggy", 0x4eb9faa302fa2a57),
-    ("stat_counter/atomic", 0x55d98b3b03be98b5),
-    ("stat_counter/lock", 0x3302f5723a1d8455),
-    ("stat_counter/transaction", 0xcbfdf8c312f419ff),
-    ("bank_withdraw/buggy", 0x79110c9eee4c5c21),
-    ("bank_withdraw/lock", 0x770009d45e4484d9),
-    ("bank_withdraw/atomic", 0xa4e5bdcd3b4932f5),
-    ("bank_withdraw/transaction", 0xbbfb40d53d59ed05),
-    ("read_frag_write/buggy", 0x89d8e4f42f2ec75f),
-    ("read_frag_write/lock", 0x37318c8fbb7c4645),
-    ("toctou_flag/buggy", 0x4188bf93ffa0c8af),
-    ("toctou_flag/atomic", 0x78dad6db08cabf58),
-    ("toctou_flag/lock", 0x365cf1b3d3d1baf5),
-    ("toctou_flag/transaction", 0xf403bdead5f6a521),
-    ("intermediate_state/buggy", 0xf526e3a99fc77115),
-    ("intermediate_state/codeswitch", 0xaefc9517e6181649),
-    ("intermediate_state/lock", 0x8f20741abac3cec7),
-    ("intermediate_state/transaction", 0xbf4e19b042a30d91),
-    ("use_before_init_mozilla/buggy", 0x5e47c68d2d4668a1),
-    ("use_before_init_mozilla/addsync", 0x477f9a934a26e46d),
-    ("use_before_init_mozilla/transaction", 0x2e6539c272d7d37d),
-    ("publish_before_init/buggy", 0xef457b0abac0e755),
-    ("publish_before_init/codeswitch", 0xabdf077f09d18c6d),
-    ("publish_before_init/transaction", 0xbe67a7d467fadcf9),
-    ("missed_signal/buggy", 0x0778cb11f48a0805),
-    ("missed_signal/condcheck", 0xb364ee5044efe27d),
-    ("consume_before_produce/buggy", 0xa5e55b59c4e8a225),
-    ("consume_before_produce/codeswitch", 0x4e1d9e695fd8d01d),
-    ("consume_before_produce/lock", 0xa9de5901d281d355),
-    ("consume_before_produce/transaction", 0xe035a63fc23c6ed1),
-    ("shutdown_order/buggy", 0x9f58dd55b4c18c49),
-    ("shutdown_order/design", 0xac6e2f449a085d9e),
-    ("join_less_exit/buggy", 0x02dcc8835ce21617),
-    ("join_less_exit/codeswitch", 0x3d01152bea93154b),
-    ("join_less_exit/transaction", 0x2737b4509ee8b31b),
-    ("cache_pair_invariant/buggy", 0x1ae13a1663170bf9),
-    ("cache_pair_invariant/lock", 0x3770855d1beb531f),
-    ("cache_pair_invariant/transaction", 0x392e8a25b32aceb7),
-    ("len_data_desync/buggy", 0x2225e92d2e7073dd),
-    ("len_data_desync/lock", 0x668560763dff5455),
-    ("len_data_desync/transaction", 0xaffab243edb1f86b),
-    ("state_data_pair/buggy", 0x65a8d9942b8b8a91),
-    ("state_data_pair/design", 0x6d0250d550ec8d15),
-    ("state_data_pair/lock", 0x0cba90c558c6410b),
-    ("state_data_pair/transaction", 0xf9756d85aa98e197),
-    ("aba_problem/buggy", 0x91796ed28048a04f),
-    ("aba_problem/design", 0xa13f3964190bc9f7),
-    ("aba_problem/lock", 0x5ee9804af6190823),
-    ("aba_problem/transaction", 0xbef397c3f92c68dd),
-    ("double_counter_invariant/buggy", 0x55f64c9c7df42455),
-    ("double_counter_invariant/lock", 0x4e1c149e1d71f4ad),
-    ("double_counter_invariant/transaction", 0x4c7eb24ed4e7dba5),
-    ("abba/buggy", 0x54ba135cce96c2c7),
-    ("abba/acquireinorder", 0x1d65844a225c6cd9),
-    ("abba/giveup", 0x90553e1ba955cc4a),
-    ("abba/transaction", 0xb9244e084ba05205),
-    ("self_relock/buggy", 0x3949101fa91b6733),
-    ("self_relock/giveup", 0xc6c1c55b953896a3),
-    ("self_relock/transaction", 0x3be231550c6b2a2d),
-    ("lock_cycle_3/buggy", 0x0986bc70ba8b2315),
-    ("lock_cycle_3/acquireinorder", 0x66eda838b15a529b),
-    ("lock_cycle_3/transaction", 0xa31c6503d63d3d1d),
-    ("wait_holding_lock/buggy", 0x077450f81f65cb15),
-    ("wait_holding_lock/giveup", 0x0cf8e1d5fef415c7),
-    ("rwlock_upgrade/buggy", 0x9e288b019192071d),
-    ("rwlock_upgrade/acquireinorder", 0xc679315f4da97385),
-    ("rwlock_upgrade/transaction", 0xa380394ac0d680e7),
-    ("join_under_lock/buggy", 0x852eeefa9a2227e5),
-    ("join_under_lock/giveup", 0x0a2328c6f694fb01),
-    ("bounded_buffer/buggy", 0xccce2ae38819bb3d),
-    ("bounded_buffer/split", 0x63da933673636d5d),
-    ("bounded_buffer/codeswitch", 0x9b9cf7d6d56308c5),
-    ("semaphore_cycle/buggy", 0x9e755df9d2c1482f),
-    ("semaphore_cycle/split", 0x1355c45697212685),
-    ("semaphore_cycle/acquireinorder", 0x9d2194acbc00c61d),
-    ("semaphore_cycle/transaction", 0x74569a502082cb65),
-    ("livelock_retry/buggy", 0x274c243c763e4fad),
-    ("livelock_retry/lock", 0x0fbbb7c303193cd5),
+    ("counter_rmw/buggy", 0xafe550c1777e9a25),
+    ("counter_rmw/lock", 0x44ea80ef24b299fb),
+    ("counter_rmw/atomic", 0xc3c6eca8db014d8d),
+    ("counter_rmw/transaction", 0xf082e06ec61dff83),
+    ("check_then_act_null/buggy", 0x988b6d3ac6689ac4),
+    ("check_then_act_null/condcheck", 0x4b938db10a4ea93c),
+    ("check_then_act_null/lock", 0x27710b2937875ab5),
+    ("check_then_act_null/transaction", 0x0dea50e806d93cbe),
+    ("double_check_init/buggy", 0xb3fea5b3b97f76bd),
+    ("double_check_init/lock", 0x5040d85ad9c49e47),
+    ("double_check_init/atomic", 0x1d79b2e2aa5446a3),
+    ("double_check_init/transaction", 0xe206850894a50721),
+    ("log_buffer_apache/buggy", 0xadb11fb084983e43),
+    ("log_buffer_apache/lock", 0x9c810ecc87f94805),
+    ("log_buffer_apache/transaction", 0x5bf9d0a2da1955eb),
+    ("stat_counter/buggy", 0x35bc67193650dbb5),
+    ("stat_counter/atomic", 0xf56ce9c086dcb85d),
+    ("stat_counter/lock", 0x3e80206710736f6f),
+    ("stat_counter/transaction", 0x714d3524edb0ff0d),
+    ("bank_withdraw/buggy", 0xe13bd2625f773f1d),
+    ("bank_withdraw/lock", 0x99305bd20f771fd5),
+    ("bank_withdraw/atomic", 0x89b607a3ba8cdbf5),
+    ("bank_withdraw/transaction", 0x38b1756c64e73357),
+    ("read_frag_write/buggy", 0xbf534c62e8cc33cc),
+    ("read_frag_write/lock", 0xf3dc58b3ff2beacb),
+    ("toctou_flag/buggy", 0x77da206052a8f101),
+    ("toctou_flag/atomic", 0xdea69319711d1a3b),
+    ("toctou_flag/lock", 0xb819a2dbd237f06f),
+    ("toctou_flag/transaction", 0x5aefe4c262bf8bad),
+    ("intermediate_state/buggy", 0x8cef08e6c2784196),
+    ("intermediate_state/codeswitch", 0x64902ac77405c9cd),
+    ("intermediate_state/lock", 0xa49c6430215503ba),
+    ("intermediate_state/transaction", 0x30045052fe8dac57),
+    ("use_before_init_mozilla/buggy", 0x6a7f9f1e07df08c5),
+    ("use_before_init_mozilla/addsync", 0x3254a98e783943fd),
+    ("use_before_init_mozilla/transaction", 0x6d3016421e4f975d),
+    ("publish_before_init/buggy", 0xe70890f37edee8cb),
+    ("publish_before_init/codeswitch", 0xddacff5b63e1b07d),
+    ("publish_before_init/transaction", 0xc1fa3d35c9f71f51),
+    ("missed_signal/buggy", 0x53a59439bcd4ca41),
+    ("missed_signal/condcheck", 0xf8d8fb8dfc383151),
+    ("consume_before_produce/buggy", 0xb9f3fcf1f2e0d571),
+    ("consume_before_produce/codeswitch", 0xf8abbd684408d285),
+    ("consume_before_produce/lock", 0xbeedfc8047607925),
+    ("consume_before_produce/transaction", 0x803cd311f7f62385),
+    ("shutdown_order/buggy", 0x2d18b43807c16665),
+    ("shutdown_order/design", 0x2ceffd2dc71dcc32),
+    ("join_less_exit/buggy", 0x585a6375b82487cd),
+    ("join_less_exit/codeswitch", 0xe51d0677cff95c89),
+    ("join_less_exit/transaction", 0x973d0226ed099825),
+    ("cache_pair_invariant/buggy", 0x65704fe026627548),
+    ("cache_pair_invariant/lock", 0x9ee5a9ea0563c1fd),
+    ("cache_pair_invariant/transaction", 0x176e66fa966289c8),
+    ("len_data_desync/buggy", 0x5baad37841afd1d9),
+    ("len_data_desync/lock", 0xfeada6247007e145),
+    ("len_data_desync/transaction", 0x6d1ba9099d6d0a65),
+    ("state_data_pair/buggy", 0x2fc6cabcf21bf34d),
+    ("state_data_pair/design", 0x5a747f853326a15a),
+    ("state_data_pair/lock", 0x0348cd9e816b55c6),
+    ("state_data_pair/transaction", 0x455a9a5b22a92eee),
+    ("aba_problem/buggy", 0x4b4b4578bd4082fe),
+    ("aba_problem/design", 0xff9b7bc34600e1d5),
+    ("aba_problem/lock", 0x66d1dadf9d6641e1),
+    ("aba_problem/transaction", 0xda9ab664988b1f86),
+    ("double_counter_invariant/buggy", 0x58bc11c9d1bc4df8),
+    ("double_counter_invariant/lock", 0xf73d349e1c1ad385),
+    ("double_counter_invariant/transaction", 0xa39045233c5e836e),
+    ("abba/buggy", 0x15500bbbcf4662b5),
+    ("abba/acquireinorder", 0xb816710bbd12a605),
+    ("abba/giveup", 0xa7bb25ef9e681b4c),
+    ("abba/transaction", 0x79fb414cd5884651),
+    ("self_relock/buggy", 0x30d92e1820705f43),
+    ("self_relock/giveup", 0xf9e4c1a6d40962e3),
+    ("self_relock/transaction", 0x981d859254e5ddf1),
+    ("lock_cycle_3/buggy", 0x866b689293c51095),
+    ("lock_cycle_3/acquireinorder", 0x79117ffb43acb201),
+    ("lock_cycle_3/transaction", 0x7c43230bea64c171),
+    ("wait_holding_lock/buggy", 0x13572f0e7223ec13),
+    ("wait_holding_lock/giveup", 0x6c2c35687f3cac71),
+    ("rwlock_upgrade/buggy", 0x5baf10e2a4bef02d),
+    ("rwlock_upgrade/acquireinorder", 0xd8ab2ece7dcf8997),
+    ("rwlock_upgrade/transaction", 0x29e92799fb7abd55),
+    ("join_under_lock/buggy", 0x6fd8cfd6b986459b),
+    ("join_under_lock/giveup", 0x235050ad7089ab83),
+    ("bounded_buffer/buggy", 0xb87aa0793b674345),
+    ("bounded_buffer/split", 0x06872303ae25ee75),
+    ("bounded_buffer/codeswitch", 0x15ca0db46523dec9),
+    ("semaphore_cycle/buggy", 0x64e7baee56d208a5),
+    ("semaphore_cycle/split", 0x60e65aaeb82305ff),
+    ("semaphore_cycle/acquireinorder", 0xe396f2bd51518cc9),
+    ("semaphore_cycle/transaction", 0x28d7708783c52fd9),
+    ("livelock_retry/buggy", 0x717907047355bf06),
+    ("livelock_retry/lock", 0x1189b586543795a5),
 ];
 
 /// Every variant: each kernel's buggy program, then its fixes in
@@ -166,6 +166,7 @@ fn searches(program: &Program) -> u64 {
             };
             let (mut report, set) = Explorer::new(program).limits(limits).run_outcome_set();
             report.stats.wall = Duration::ZERO;
+            report.stats.snapshot_bytes_saved = 0;
             fold = fnv(fold, format!("{report:?}\n{set:?}\n").as_bytes());
         }
     }
