@@ -15,8 +15,7 @@
 //! Two measurements:
 //!
 //! 1. a **sweep** of every kernel's buggy variant (dedup on, schedule
-//!    budget capped): states/second, wall time, the snapshot size
-//!    model's bytes saved, and a peak-frontier-bytes estimate per
+//!    budget capped): states/second, wall time and DFS depth per
 //!    kernel;
 //! 2. a best-of-N **throughput** run on the two deepest kernels from
 //!    the sweep (deepest DFS stack — the longest paths the trail
@@ -27,7 +26,7 @@
 
 use lfm_kernels::registry;
 use lfm_obs::json::{self, Json};
-use lfm_sim::{Executor, ExploreLimits, Explorer};
+use lfm_sim::{ExploreLimits, Explorer};
 use lfm_study::Table;
 
 use crate::{push_fields, push_objects};
@@ -66,14 +65,6 @@ pub struct PerfRow {
     pub states_per_sec: f64,
     /// Deepest DFS stack observed.
     pub max_depth: u64,
-    /// The snapshot size model summed over restore points
-    /// (`ExploreStats::snapshot_bytes_saved`).
-    pub snapshot_bytes_saved: u64,
-    /// Size model of a copy-on-write DFS frontier at the search's
-    /// depth: `(max_depth + 1) * shallow snapshot size` of the root
-    /// executor. An estimate — snapshots deeper in the tree carry
-    /// slightly larger chunk-pointer tables — but a deterministic one.
-    pub peak_frontier_bytes: u64,
 }
 
 /// One deep kernel's best-of-N throughput.
@@ -127,7 +118,6 @@ pub fn perf_measure(max_schedules: u64) -> PerfReport {
     let mut rows = Vec::new();
     for kernel in registry::all() {
         let program = kernel.buggy();
-        let shallow = Executor::new(&program).snapshot_shallow_bytes();
         let report = Explorer::new(&program).limits(limits.clone()).run();
         let wall_us = report.stats.wall.as_micros() as u64;
         rows.push(PerfRow {
@@ -138,8 +128,6 @@ pub fn perf_measure(max_schedules: u64) -> PerfReport {
             wall_us,
             states_per_sec: report.states_per_sec(),
             max_depth: report.stats.max_depth,
-            snapshot_bytes_saved: report.stats.snapshot_bytes_saved,
-            peak_frontier_bytes: (report.stats.max_depth + 1) * shallow,
         });
     }
 
@@ -194,15 +182,7 @@ pub fn perf_table(max_schedules: u64) -> Table {
             report.budget,
             report.host_parallelism
         ),
-        vec![
-            "kernel",
-            "family",
-            "schedules",
-            "states/sec",
-            "depth",
-            "bytes saved",
-            "peak frontier",
-        ],
+        vec!["kernel", "family", "schedules", "states/sec", "depth"],
     );
     for r in &report.rows {
         t.row(vec![
@@ -211,15 +191,9 @@ pub fn perf_table(max_schedules: u64) -> Table {
             r.schedules.to_string(),
             format!("{:.0}", r.states_per_sec),
             r.max_depth.to_string(),
-            r.snapshot_bytes_saved.to_string(),
-            r.peak_frontier_bytes.to_string(),
         ]);
     }
-    t.note(
-        "states/sec = visible steps / wall; `peak frontier` is \
-         (max_depth + 1) x the root executor's shallow snapshot size, a \
-         deterministic size model of a copy-on-write DFS frontier",
-    );
+    t.note("states/sec = visible steps / wall");
     t.note(
         "throughput is a host property (see BENCH_explore.json for the \
          committed reference run and, in its `deepest` rows, the last \
@@ -256,8 +230,6 @@ pub fn perf_json(report: &PerfReport, reductions: &crate::reduction::ReductionRe
             ("wall_us", r.wall_us.to_string()),
             ("states_per_sec", json::number_f64(r.states_per_sec)),
             ("max_depth", r.max_depth.to_string()),
-            ("snapshot_bytes_saved", r.snapshot_bytes_saved.to_string()),
-            ("peak_frontier_bytes", r.peak_frontier_bytes.to_string()),
         ]
     });
     out.push_str(",\"deepest\":");
@@ -401,7 +373,7 @@ mod tests {
     use super::*;
 
     // Timing columns vary with the host, so the stable assertions are
-    // the sweep coverage and the deterministic accounting columns.
+    // the sweep coverage and the pick of the two deepest kernels.
     #[test]
     fn sweep_covers_every_kernel() {
         let report = perf_measure(150);
@@ -410,33 +382,12 @@ mod tests {
         for r in &report.rows {
             assert!(r.schedules > 0, "{}: no schedules", r.kernel);
             assert!(r.steps > 0, "{}: no steps", r.kernel);
-            assert!(
-                r.peak_frontier_bytes >= r.max_depth,
-                "{}: frontier estimate below depth",
-                r.kernel
-            );
         }
         for s in &report.speedups {
             assert!(s.max_depth > 0);
         }
         // The two deepest kernels are distinct.
         assert_ne!(report.speedups[0].kernel, report.speedups[1].kernel);
-    }
-
-    #[test]
-    fn deep_kernels_save_snapshot_bytes() {
-        let report = perf_measure(150);
-        // Every kernel that restores at all must report savings: in
-        // the size model a deep copy always copies strictly more than a
-        // copy-on-write snapshot.
-        for s in &report.speedups {
-            let row = report.row(s.kernel).expect("deep kernel was swept");
-            assert!(
-                row.snapshot_bytes_saved > 0,
-                "{}: the size model saved nothing",
-                s.kernel
-            );
-        }
     }
 
     #[test]

@@ -59,10 +59,6 @@ pub fn obs_snapshot(sink: &Arc<dyn Sink>) -> String {
             ("failures", sum(|r| r.counts.failures()).to_string()),
             ("branch_points", sum(|r| r.stats.branch_points).to_string()),
             ("snapshots", sum(|r| r.stats.snapshots).to_string()),
-            (
-                "snapshot_bytes_saved",
-                sum(|r| r.stats.snapshot_bytes_saved).to_string(),
-            ),
             ("sleep_pruned", sum(|r| r.sleep_pruned).to_string()),
             ("wall_us", wall_us.to_string()),
             (
@@ -182,12 +178,6 @@ pub fn obs_snapshot(sink: &Arc<dyn Sink>) -> String {
             ("cow_states_per_sec", json::number_f64(s.cow_states_per_sec)),
         ]
     });
-    out.push(',');
-    let saved: u64 = perf.rows.iter().map(|r| r.snapshot_bytes_saved).sum();
-    push_fields(
-        &mut out,
-        &[("snapshot_bytes_saved_total", saved.to_string())],
-    );
     out.push('}');
 
     // Observability overhead: the E-obs measurement — profiler +
@@ -250,8 +240,6 @@ mod tests {
             "\"obs\":{",
             "\"target_overhead_pct\":",
             "\"top_phase\":",
-            "\"snapshot_bytes_saved_total\":",
-            "\"snapshot_bytes_saved\":",
             "\"states_per_sec\":",
             "\"study\":",
             "\"T9\"",

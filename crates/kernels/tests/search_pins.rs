@@ -166,7 +166,6 @@ fn searches(program: &Program) -> u64 {
             };
             let (mut report, set) = Explorer::new(program).limits(limits).run_outcome_set();
             report.stats.wall = Duration::ZERO;
-            report.stats.snapshot_bytes_saved = 0;
             fold = fnv(fold, format!("{report:?}\n{set:?}\n").as_bytes());
         }
     }

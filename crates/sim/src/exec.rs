@@ -22,37 +22,6 @@ use crate::txn::TxState;
 /// operations; exhausting it means a pure-local infinite loop.
 const LOCAL_FUEL: u32 = 100_000;
 
-/// Bytes the snapshot size model charges for the executor struct
-/// itself, and per thread for a copy-on-write handle table. This and
-/// the other sizes below are each type's x86-64 `size_of` when the size
-/// model was fixed, pinned so that a layout change (slot-indexed locals,
-/// lowered instructions, a flat undo-trailed state) leaves
-/// `snapshot_bytes_saved` comparable across versions.
-const EXECUTOR_BYTES: usize = 288;
-const THREAD_HANDLE_BYTES: usize = 8;
-/// Bytes [`Executor::snapshot_deep_bytes`] charges per thread state,
-/// before its variable-length parts.
-const THREAD_STATE_BYTES: usize = 200;
-const MUTEX_STATE_BYTES: usize = 64;
-const COND_STATE_BYTES: usize = 56;
-const RW_STATE_BYTES: usize = 56;
-const SEM_STATE_BYTES: usize = 64;
-/// Per compiled instruction of the program.
-const INSTR_BYTES: usize = 88;
-/// Per written local, in a thread or in a transaction's snapshot of
-/// its locals: a `(&'static str, i64)` entry.
-const LOCAL_BYTES: usize = 24;
-/// Entries per chunk of the chunked log layout the size model charges
-/// both logs as.
-const LOG_CHUNK: usize = 64;
-
-/// The bytes a copy of a `len`-entry chunked log copies: one chunk
-/// pointer per [`LOG_CHUNK`] entries. The size model charges the
-/// schedule and the event log this way, whatever their layout.
-fn chunk_table_bytes(len: usize) -> usize {
-    len.div_ceil(LOG_CHUNK) * std::mem::size_of::<usize>()
-}
-
 /// Default bound on transaction aborts before the execution is classified
 /// [`Outcome::TxRetryLimit`].
 pub(crate) const TX_RETRY_LIMIT: u32 = 64;
@@ -770,71 +739,6 @@ impl Executor {
         (vars, threads, mutexes, conds, rws, sems, io_journal).hash(&mut h);
         (enabled, outcome, taken, events, hash).hash(&mut h);
         h.finish()
-    }
-
-    // ---- snapshot cost model -------------------------------------------
-
-    /// Estimated heap bytes a deep copy of this state would copy:
-    /// variable values, sync-object tables (waiter queues and clocks
-    /// included), per-thread state (locals, held sets, clocks,
-    /// transaction logs), the program, and the full grow-only logs. A
-    /// deterministic size model, not an allocator measurement: the
-    /// executor, thread states and sync objects are charged at fixed
-    /// sizes (`EXECUTOR_BYTES`, `THREAD_STATE_BYTES` and their
-    /// siblings), not at their current layouts.
-    pub fn snapshot_deep_bytes(&self) -> u64 {
-        use std::mem::size_of;
-        let n = self.threads.len();
-        let clock_bytes = n * size_of::<u32>();
-        let mut bytes = EXECUTOR_BYTES;
-        bytes += self.vars.len() * size_of::<i64>();
-        bytes += self.mutexes.len() * (MUTEX_STATE_BYTES + clock_bytes);
-        for c in self.conds.iter() {
-            bytes += COND_STATE_BYTES + c.waiters.len() * size_of::<ThreadId>() + clock_bytes;
-        }
-        for rw in self.rws.iter() {
-            bytes += RW_STATE_BYTES + rw.readers.len() * size_of::<ThreadId>() + clock_bytes;
-        }
-        bytes += self.sems.len() * (SEM_STATE_BYTES + clock_bytes);
-        for ts in self.threads.iter() {
-            bytes += THREAD_STATE_BYTES + clock_bytes;
-            bytes += ts.locals.len() * LOCAL_BYTES;
-            bytes += ts.held.len() * size_of::<MutexId>();
-            if let Some(tx) = &ts.tx {
-                bytes += (tx.read_set.len() + tx.write_set.len()) * size_of::<(VarId, i64)>();
-                bytes += tx.locals_snapshot.len() * LOCAL_BYTES;
-            }
-        }
-        bytes += self.program.n_instrs() * INSTR_BYTES;
-        bytes += self.taken.len() * size_of::<ThreadId>();
-        for e in self.events.iter() {
-            bytes += size_of::<Event>() + e.clock.len() * size_of::<u32>();
-        }
-        bytes += self.io_journal.len() * size_of::<(ThreadId, &'static str)>();
-        bytes as u64
-    }
-
-    /// Bytes a copy-on-write snapshot of this state would copy: the
-    /// executor struct, a per-thread handle table, and both logs, each
-    /// charged as a table of chunk pointers, one per 64 entries. Same
-    /// deterministic size model as [`Executor::snapshot_deep_bytes`].
-    pub fn snapshot_shallow_bytes(&self) -> u64 {
-        let bytes = EXECUTOR_BYTES
-            + self.threads.len() * THREAD_HANDLE_BYTES
-            + chunk_table_bytes(self.taken.len())
-            + chunk_table_bytes(self.events.len());
-        bytes as u64
-    }
-
-    /// Bytes a copy-on-write snapshot of this state would avoid copying
-    /// ([`snapshot_deep_bytes`](Executor::snapshot_deep_bytes) minus
-    /// [`snapshot_shallow_bytes`](Executor::snapshot_shallow_bytes)):
-    /// the size model the explorer books per restore point. A pure
-    /// function of the logical state, so repeated explorations
-    /// accumulate identical totals.
-    pub fn snapshot_bytes_saved(&self) -> u64 {
-        self.snapshot_deep_bytes()
-            .saturating_sub(self.snapshot_shallow_bytes())
     }
 
     /// Threads that can take a step right now, in thread order.
@@ -2299,39 +2203,6 @@ mod tests {
             assert_eq!(snapshots.len(), e.steps());
             drop(snapshots);
             assert_eq!(p.handle_count(), count, "{record:?}");
-        }
-    }
-
-    /// Steps `every_kind_program` into a state where each
-    /// variable-length part of the snapshot size model is non-empty:
-    /// locals, a transaction's read and write sets, an rwlock reader,
-    /// the schedule and, when recording, clocks and events.
-    fn every_kind_midway(record: RecordMode) -> Executor {
-        let p = every_kind_program();
-        let mut e = Executor::with_record(&p, record);
-        // `a`: lock, read, write, signal, unlock, release. `b`: acquire,
-        // rw-write, write, rw-unlock, begin, read, write (buffered).
-        // `a`: rw-read.
-        for i in [1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 1] {
-            e.step(t(i)).unwrap();
-        }
-        e
-    }
-
-    #[test]
-    fn snapshot_size_model_is_pinned() {
-        // A layout change must not move these figures: the model charges
-        // thread states and sync objects fixed sizes, not `size_of`.
-        let saved = |record| every_kind_midway(record).snapshot_bytes_saved();
-        assert_eq!(saved(RecordMode::Off), 3072);
-        assert_eq!(saved(RecordMode::Full), 4204);
-    }
-
-    #[test]
-    fn schedule_log_charges_the_chunked_size_model() {
-        // One chunk pointer per 64 entries, whatever the log's layout.
-        for (n, bytes) in [(0, 0), (1, 8), (64, 8), (65, 16), (256, 32)] {
-            assert_eq!(chunk_table_bytes(n), bytes, "n = {n}");
         }
     }
 

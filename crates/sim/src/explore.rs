@@ -1,13 +1,14 @@
 //! Exhaustive (optionally context-bounded) interleaving exploration.
 //!
 //! [`Explorer`] runs the crate's depth-first walk (module `frontier`) over
-//! scheduling choices, snapshotting the [`Executor`] at branch points.
-//! Along stretches where only one thread is enabled it advances without
-//! cloning. This is the engine behind the study's "small-scope"
-//! manifestation experiments: the finding that 92% of non-deadlock bugs
-//! deterministically manifest once a specific order among at most four
-//! memory accesses is enforced means exhaustive search at these tiny
-//! scopes is tractable.
+//! scheduling choices on one [`Executor`]: it marks the executor at each
+//! branch point and restores the mark from an undo trail before running
+//! the next choice there. Along stretches where only one thread is
+//! enabled it steps on without opening a branch point. This is the
+//! engine behind the study's "small-scope" manifestation experiments:
+//! the finding that 92% of non-deadlock bugs deterministically manifest
+//! once a specific order among at most four memory accesses is enforced
+//! means exhaustive search at these tiny scopes is tractable.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -209,13 +210,11 @@ pub struct ExploreStats {
     /// Enabled choices skipped because the preemption budget was
     /// exhausted.
     pub preemption_limited: u64,
-    /// A size model summed over all restore points: for each one, the
-    /// bytes a deep copy of the branch state would copy minus what a
-    /// copy-on-write snapshot of it would copy
-    /// ([`Executor::snapshot_bytes_saved`](crate::Executor::snapshot_bytes_saved)),
-    /// the representation searches used before the undo trail. A pure
-    /// function of the states restored, so it is identical across runs
-    /// of the same search and comparable across versions.
+    /// Retired: always 0. It summed a size model of copy-on-write
+    /// snapshots, which no search takes since the walk restores one
+    /// executor from an undo trail. Kept only for the benchmark, which
+    /// reads this field, and goes with the next change to the
+    /// benchmark.
     pub snapshot_bytes_saved: u64,
     /// Invisible steps fused into their parent edge instead of opening
     /// a branch point (see [`ExploreLimits::fuse`]). Always 0 with

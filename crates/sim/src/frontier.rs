@@ -523,7 +523,6 @@ impl<'a> Ledger<'a> {
             ("truncation", Value::Str(&truncation)),
             ("schedules_per_sec", Value::F64(report.schedules_per_sec())),
             ("states_per_sec", Value::F64(report.states_per_sec())),
-            ("snapshot_bytes_saved", Value::U64(s.snapshot_bytes_saved)),
             ("fused_steps", Value::U64(s.fused_steps)),
             ("snapshots_elided", Value::U64(s.snapshots_elided)),
             (
@@ -744,9 +743,6 @@ impl Strategy for DporSearch {
 /// on the walk's one executor.
 struct Frame {
     mark: Mark,
-    /// [`Executor::snapshot_bytes_saved`] of the frame's state: the
-    /// size model every restore point of the frame books.
-    saved: u64,
     head: Head,
     /// Branch depth (root = 1): a classic frame leaves the stack with its
     /// final survivor, so the stack can be shorter than the path.
@@ -762,7 +758,6 @@ impl Frame {
     fn open(exec: &mut Executor, head: Head, depth: u64, path_degree: f64) -> Frame {
         Frame {
             mark: exec.mark(),
-            saved: exec.snapshot_bytes_saved(),
             head,
             depth,
             path_degree,
@@ -830,14 +825,13 @@ pub(crate) fn walk<S: Strategy>(
             frames.pop();
             continue;
         };
-        let (depth, path_degree, saved) = (top.depth, top.path_degree, top.saved);
+        let (depth, path_degree) = (top.depth, top.path_degree);
         profile.time(Phase::Snapshot, || exec.undo_to(&top.mark));
         let edge = strategy.edge(profile, &mut top.head, &mut exec, choice);
         if last {
             frames.pop();
         }
         report.stats.snapshots += 1;
-        report.stats.snapshot_bytes_saved += saved;
         report.stats.fused_steps += edge.fused;
         report.stats.snapshots_elided += u64::from(last);
         match edge.end {

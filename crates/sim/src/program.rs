@@ -75,8 +75,6 @@ struct ProgramDef {
     n_rws: usize,
     sem_init: Vec<i64>,
     final_asserts: Vec<(Expr, &'static str)>,
-    /// Compiled instructions across every thread, summed at build.
-    n_instrs: usize,
 }
 
 impl Program {
@@ -149,12 +147,6 @@ impl Program {
     /// The final assertions (condition, message).
     pub fn final_asserts(&self) -> &[(Expr, &'static str)] {
         &self.0.final_asserts
-    }
-
-    /// Compiled instructions across every thread's code, summed once at
-    /// build: the snapshot size model charges the program by it.
-    pub(crate) fn n_instrs(&self) -> usize {
-        self.0.n_instrs
     }
 
     /// Total number of visible operations across all thread scripts, an
@@ -329,7 +321,6 @@ impl ProgramBuilder {
             });
         }
 
-        let n_instrs = threads.iter().map(|t| t.code.len()).sum();
         Ok(Program(Arc::new(ProgramDef {
             name: self.name,
             threads,
@@ -340,7 +331,6 @@ impl ProgramBuilder {
             n_rws: self.n_rws,
             sem_init: self.sem_init,
             final_asserts: self.final_asserts,
-            n_instrs,
         })))
     }
 
