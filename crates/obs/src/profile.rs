@@ -17,6 +17,8 @@
 //! estimate when region durations are independent of the sample index,
 //! which holds here because the sampling counter is per-phase and the
 //! explorer's work per region does not correlate with powers of two.
+//! Merged profiles add up their parts' estimates, each scaled by its
+//! own profiler's sampling ratio.
 //!
 //! A sampled region's measured duration also holds the timer reads
 //! that bracket it, which on a short region (a restore or a short edge
@@ -219,12 +221,12 @@ impl PhaseProfiler {
         PhaseProfile {
             phases: Phase::ALL.map(|p| {
                 let slot = &self.slots[p as usize];
-                PhaseStat {
-                    phase: p,
-                    entries: slot.entries.load(Ordering::Relaxed),
-                    sampled: slot.sampled.load(Ordering::Relaxed),
-                    nanos: slot.nanos.load(Ordering::Relaxed),
-                }
+                PhaseStat::new(
+                    p,
+                    slot.entries.load(Ordering::Relaxed),
+                    slot.sampled.load(Ordering::Relaxed),
+                    slot.nanos.load(Ordering::Relaxed),
+                )
             }),
         }
     }
@@ -257,20 +259,33 @@ pub struct PhaseStat {
     /// Nanoseconds accumulated by sampled entries, net of the timer
     /// reads around each.
     pub nanos: u64,
+    /// See [`PhaseStat::est_total_nanos`].
+    est: u64,
 }
 
 impl PhaseStat {
-    /// Estimated total nanoseconds: `nanos * entries / sampled`.
-    pub fn est_total_nanos(&self) -> u64 {
-        if self.sampled == 0 {
-            return 0;
-        }
-        let scaled = (self.nanos as f64) * (self.entries as f64) / (self.sampled as f64);
-        if scaled.is_finite() && scaled >= 0.0 {
-            scaled.min(u64::MAX as f64) as u64
-        } else {
+    /// One profiler's counters for `phase`, with their estimate.
+    fn new(phase: Phase, entries: u64, sampled: u64, nanos: u64) -> PhaseStat {
+        let est = if sampled == 0 {
             0
+        } else {
+            // `as` saturates at `u64::MAX`.
+            ((nanos as f64) * (entries as f64) / (sampled as f64)) as u64
+        };
+        PhaseStat {
+            phase,
+            entries,
+            sampled,
+            nanos,
+            est,
         }
+    }
+
+    /// Estimated total nanoseconds: `nanos * entries / sampled` for one
+    /// profiler, and the sum of the parts' estimates for a merged
+    /// profile (see [`PhaseProfile::merge`]).
+    pub fn est_total_nanos(&self) -> u64 {
+        self.est
     }
 }
 
@@ -284,12 +299,7 @@ impl PhaseProfile {
     /// An all-zero profile (identity for [`merge`](PhaseProfile::merge)).
     pub fn empty() -> PhaseProfile {
         PhaseProfile {
-            phases: Phase::ALL.map(|phase| PhaseStat {
-                phase,
-                entries: 0,
-                sampled: 0,
-                nanos: 0,
-            }),
+            phases: Phase::ALL.map(|phase| PhaseStat::new(phase, 0, 0, 0)),
         }
     }
 
@@ -303,12 +313,18 @@ impl PhaseProfile {
         self.phases[phase as usize]
     }
 
-    /// Accumulates `other` into `self` (e.g. across runs).
+    /// Accumulates `other` into `self` (e.g. across runs). The counts
+    /// add up, and so do the estimates: each part stays scaled by its
+    /// own sampling ratio. Scaling the summed counts instead would
+    /// weigh a part by the whole's entries per sample, so a short run
+    /// whose one sample is its cold first entry would count for more
+    /// than its share.
     pub fn merge(&mut self, other: &PhaseProfile) {
         for (mine, theirs) in self.phases.iter_mut().zip(other.phases.iter()) {
             mine.entries += theirs.entries;
             mine.sampled += theirs.sampled;
             mine.nanos += theirs.nanos;
+            mine.est = mine.est.saturating_add(theirs.est);
         }
     }
 
@@ -414,20 +430,29 @@ mod tests {
 
     #[test]
     fn est_total_scales_by_sampling_ratio() {
-        let s = PhaseStat {
-            phase: Phase::Step,
-            entries: 64,
-            sampled: 4,
-            nanos: 1_000,
-        };
+        let s = PhaseStat::new(Phase::Step, 64, 4, 1_000);
         assert_eq!(s.est_total_nanos(), 16_000);
-        let zero = PhaseStat {
-            phase: Phase::Step,
-            entries: 64,
-            sampled: 0,
-            nanos: 0,
-        };
+        let zero = PhaseStat::new(Phase::Step, 64, 0, 0);
         assert_eq!(zero.est_total_nanos(), 0);
+    }
+
+    #[test]
+    fn merge_sums_each_parts_own_estimate() {
+        // A part sampled once on its only entry, and one sampled once
+        // in 64: 100 + 64 * 10 ns. Scaling the summed counts would read
+        // 110 * 65 / 2 = 3 575 ns.
+        let part = |entries, sampled, nanos| {
+            let mut p = PhaseProfile::empty();
+            p.phases[Phase::Step as usize] = PhaseStat::new(Phase::Step, entries, sampled, nanos);
+            p
+        };
+        let mut merged = PhaseProfile::empty();
+        merged.merge(&part(1, 1, 100));
+        merged.merge(&part(64, 1, 10));
+        let step = merged.get(Phase::Step);
+        assert_eq!((step.entries, step.sampled, step.nanos), (65, 2, 110));
+        assert_eq!(step.est_total_nanos(), 740);
+        assert_eq!(merged.est_grand_total_nanos(), 740);
     }
 
     #[test]
