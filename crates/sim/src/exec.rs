@@ -1020,16 +1020,42 @@ impl Executor {
         if valid {
             return false;
         }
+        let tx = self.thread_mut(thread).tx.take().expect("validated above");
+        self.tx_rollback(thread, *tx);
+        true
+    }
+
+    /// Rolls back `thread`'s transaction `tx`, already taken out of the
+    /// thread: records the abort, gives the thread back the locals it
+    /// began with and sends it back to its `TxBegin`. The retry past
+    /// [`TX_RETRY_LIMIT`] ends the execution.
+    fn tx_rollback(&mut self, thread: ThreadId, tx: TxState) {
         self.record_event(thread, EventKind::TxAbort);
         let ts = self.thread_mut(thread);
-        let tx = ts.tx.take().expect("validated above");
         ts.locals = tx.locals_snapshot;
         ts.pc = tx.start_pc;
         ts.tx_retries += 1;
         if ts.tx_retries > TX_RETRY_LIMIT {
             self.outcome = Some(Outcome::TxRetryLimit { thread });
         }
-        true
+    }
+
+    /// Wakes `c`'s first waiter, or every waiter when `all`: each goes
+    /// on to reacquire the mutex it waited with.
+    fn wake_waiters(&mut self, c: CondId, all: bool) {
+        while let Some(w) = self.cond_mut(c).waiters.pop_front() {
+            let mutex = match &self.threads[w.index()].status {
+                ThreadStatus::WaitingCond { mutex, .. } => *mutex,
+                other => unreachable!("cond waiter in status {other:?}"),
+            };
+            self.thread_mut(w).status = ThreadStatus::Reacquire {
+                mutex,
+                signalled: true,
+            };
+            if !all {
+                break;
+            }
+        }
     }
 
     /// Transaction-aware shared read.
@@ -1307,37 +1333,17 @@ impl Executor {
                 );
                 // pc stays on the Wait; WaitEnd advances it.
             }
-            Op::Signal(c) => {
+            Op::Signal(c) | Op::Broadcast(c) => {
                 let clock = self.threads[thread.index()].clock.clone();
                 self.cond_mut(*c).clock.join(&clock);
-                let woken = self.cond_mut(*c).waiters.pop_front();
-                if let Some(w) = woken {
-                    let mutex = match &self.threads[w.index()].status {
-                        ThreadStatus::WaitingCond { mutex, .. } => *mutex,
-                        other => unreachable!("cond waiter in status {other:?}"),
-                    };
-                    self.thread_mut(w).status = ThreadStatus::Reacquire {
-                        mutex,
-                        signalled: true,
-                    };
-                }
-                self.record_event(thread, EventKind::Signal(*c));
-                self.advance(thread);
-            }
-            Op::Broadcast(c) => {
-                let clock = self.threads[thread.index()].clock.clone();
-                self.cond_mut(*c).clock.join(&clock);
-                while let Some(w) = self.cond_mut(*c).waiters.pop_front() {
-                    let mutex = match &self.threads[w.index()].status {
-                        ThreadStatus::WaitingCond { mutex, .. } => *mutex,
-                        other => unreachable!("cond waiter in status {other:?}"),
-                    };
-                    self.thread_mut(w).status = ThreadStatus::Reacquire {
-                        mutex,
-                        signalled: true,
-                    };
-                }
-                self.record_event(thread, EventKind::Broadcast(*c));
+                let broadcast = matches!(op, Op::Broadcast(_));
+                self.wake_waiters(*c, broadcast);
+                let kind = if broadcast {
+                    EventKind::Broadcast(*c)
+                } else {
+                    EventKind::Signal(*c)
+                };
+                self.record_event(thread, kind);
                 self.advance(thread);
             }
             Op::SemAcquire(s) => {
@@ -1406,18 +1412,9 @@ impl Executor {
                 self.advance(thread);
             }
             Op::TxRetry => {
-                self.record_event(thread, EventKind::TxAbort);
-                let ts = self.thread_mut(thread);
-                let tx = ts
-                    .tx
-                    .take()
+                let tx = (self.thread_mut(thread).tx.take())
                     .expect("TxRetry only occurs inside a transaction");
-                ts.locals = tx.locals_snapshot.clone();
-                ts.pc = tx.start_pc;
-                ts.tx_retries += 1;
-                if ts.tx_retries > TX_RETRY_LIMIT {
-                    self.outcome = Some(Outcome::TxRetryLimit { thread });
-                }
+                self.tx_rollback(thread, *tx);
             }
             Op::TxCommit => {
                 // TL2 permits conservative aborts: a forced abort at commit
@@ -1443,15 +1440,7 @@ impl Executor {
                     self.record_event(thread, EventKind::TxCommit);
                     self.advance(thread);
                 } else {
-                    self.record_event(thread, EventKind::TxAbort);
-                    let ts = self.thread_mut(thread);
-                    ts.locals = tx.locals_snapshot.clone();
-                    ts.pc = tx.start_pc;
-                    ts.tx = None;
-                    ts.tx_retries += 1;
-                    if ts.tx_retries > TX_RETRY_LIMIT {
-                        self.outcome = Some(Outcome::TxRetryLimit { thread });
-                    }
+                    self.tx_rollback(thread, *tx);
                 }
             }
             Op::Yield => {
