@@ -15,7 +15,7 @@ use crate::schedule::Schedule;
 use crate::state::{CondState, MutexState, RwState, SemState};
 use crate::statehash::{Comp, Fnv, Fold, StateHash};
 use crate::stmt::RmwOp;
-use crate::trace::{Event, EventKind, Trace, VectorClock};
+use crate::trace::{self, EventKind, Logged, Trace};
 use crate::txn::TxState;
 
 /// Fuel for uninterrupted local computation between two visible
@@ -32,7 +32,8 @@ pub enum RecordMode {
     /// No trace (fastest; the model checker's default).
     #[default]
     Off,
-    /// Record every visible operation with vector clocks.
+    /// Record every visible operation; [`Executor::into_trace`] computes
+    /// the run's vector clocks from that log.
     Full,
 }
 
@@ -77,8 +78,8 @@ enum ThreadStatus {
     /// Parked on a condition variable.
     WaitingCond { cond: CondId, mutex: MutexId },
     /// Waiting to re-acquire the mutex after a wait: `signalled` is
-    /// `false` for a spurious wakeup (no happens-before edge with any
-    /// signaller exists).
+    /// `false` for a spurious wakeup, whose wait-end event synchronizes
+    /// with no signaller.
     Reacquire { mutex: MutexId, signalled: bool },
     /// Script complete.
     Finished,
@@ -94,7 +95,6 @@ struct ThreadState {
     /// stays small.
     tx: Option<Box<TxState>>,
     tx_retries: u32,
-    clock: VectorClock,
 }
 
 /// Feeds an `Option<ThreadId>` into a component hash without colliding
@@ -210,12 +210,12 @@ pub(crate) struct Mark {
 /// never deduplicates (full enumeration, sleep sets, DPOR) therefore
 /// never hashes.
 ///
-/// Vector clocks exist only when recording ([`RecordMode::Full`]): only
-/// recorded events read them, and [`Executor::state_key`] excludes
-/// them. With recording off every clock is empty, so recording a thread
-/// or a sync object on the trail copies no clock data, the
-/// happens-before edges of a step join empty clocks, and a step never
-/// ticks one.
+/// # Semantics only
+///
+/// The state holds no vector clocks. Recording ([`RecordMode::Full`])
+/// logs each event's thread and kind with the step that performed it,
+/// and [`Executor::into_trace`] computes the happens-before relation
+/// from that log and the schedule taken, once per recorded run.
 #[derive(Debug, Clone)]
 pub struct Executor {
     program: Rc<Program>,
@@ -233,7 +233,7 @@ pub struct Executor {
     /// most 64 threads).
     taken: Vec<u8>,
     record: RecordMode,
-    events: Vec<Event>,
+    events: Vec<Logged>,
     fault: Option<FaultPlan>,
     hash: StateHash,
     trail: Trail,
@@ -247,10 +247,6 @@ impl Executor {
 
     /// Creates an executor that records according to `record`.
     pub fn with_record(program: &Program, record: RecordMode) -> Executor {
-        let n = program.n_threads();
-        // Clocks exist only when recording (see the type's docs); a
-        // zero-length clock is empty and owns no heap.
-        let clock_len = if record == RecordMode::Full { n } else { 0 };
         let threads = program
             .threads()
             .iter()
@@ -265,7 +261,6 @@ impl Executor {
                 held: Vec::new(),
                 tx: None,
                 tx_retries: 0,
-                clock: VectorClock::new(clock_len),
             })
             .collect();
         let hash = StateHash::with_sizes(
@@ -274,21 +269,15 @@ impl Executor {
             program.n_conds(),
             program.n_rws(),
             program.sem_init().len(),
-            n,
+            program.n_threads(),
         );
         let mut exec = Executor {
             vars: program.var_init().into(),
-            mutexes: (0..program.n_mutexes())
-                .map(|_| MutexState::new(clock_len))
-                .collect(),
-            conds: (0..program.n_conds())
-                .map(|_| CondState::new(clock_len))
-                .collect(),
-            rws: (0..program.n_rws())
-                .map(|_| RwState::new(clock_len))
-                .collect(),
+            mutexes: vec![MutexState::default(); program.n_mutexes()].into(),
+            conds: vec![CondState::default(); program.n_conds()].into(),
+            rws: vec![RwState::default(); program.n_rws()].into(),
             sems: (program.sem_init().iter())
-                .map(|&c| SemState::new(clock_len, c))
+                .map(|&count| SemState { count })
                 .collect(),
             io_journal: Vec::new(),
             program: Rc::new(program.clone()),
@@ -384,20 +373,16 @@ impl Executor {
         (self.taken.last()).map(|&t| ThreadId::from_index(t.into()))
     }
 
-    /// The events recorded so far ([`RecordMode::Full`] only; empty
-    /// otherwise). Use [`Executor::into_trace`] for the [`Trace`] form.
-    pub fn events(&self) -> &[Event] {
-        &self.events
-    }
-
     /// Extracts the recorded trace ([`RecordMode::Full`] only; an empty
-    /// trace otherwise).
+    /// trace otherwise), computing its vector clocks from the event log
+    /// and the schedule taken.
     pub fn into_trace(self) -> Trace {
+        let n_threads = self.program.n_threads();
         Trace {
             program: self.program.name().to_string(),
-            n_threads: self.program.n_threads(),
+            n_threads,
             n_vars: self.program.n_vars(),
-            events: self.events,
+            events: trace::stamp_clocks(n_threads, &self.taken, self.events),
         }
     }
 
@@ -458,9 +443,9 @@ impl Executor {
     /// A hash of the semantically relevant execution state, used by the
     /// explorer's optional state deduplication. Two executors with equal
     /// keys have the same future behaviour *except* for transaction-retry
-    /// exhaustion and preemption accounting (retry counters, vector
-    /// clocks, and the schedule taken are deliberately excluded so that
-    /// retry loops collapse).
+    /// exhaustion and preemption accounting (retry counters and the
+    /// schedule taken are deliberately excluded so that retry loops
+    /// collapse).
     ///
     /// The key is an XOR fold of per-component FNV hashes, all hashed
     /// afresh here: O(state). The explorer's dedup reads the same key
@@ -507,8 +492,8 @@ impl Executor {
     }
 
     /// Hashes one component's current content. Makes exactly the
-    /// distinctions the pre-incremental whole-state hash made: vector
-    /// clocks, retry counters, and the schedule taken stay excluded;
+    /// distinctions the pre-incremental whole-state hash made: retry
+    /// counters and the schedule taken stay excluded;
     /// waiter queues, reader lists, held sets, and transaction
     /// read/write sets stay order-sensitive; thread locals are folded
     /// order-independently (XOR over entry hashes) so the order they
@@ -837,9 +822,6 @@ impl Executor {
             return Err(ExecError::ThreadNotEnabled { thread });
         }
         self.taken.push(thread.index() as u8);
-        if self.record == RecordMode::Full {
-            self.thread_mut(thread).clock.tick(thread);
-        }
 
         if let ThreadStatus::Reacquire { mutex, signalled } = self.threads[thread.index()].status {
             self.finish_wait(thread, mutex, signalled);
@@ -990,17 +972,15 @@ impl Executor {
         self.outcome = Some(Outcome::Misuse { thread, error });
     }
 
-    /// Records `thread`'s event, stamped with its current clock.
+    /// Records `thread`'s event with the step that performed it.
     fn record_event(&mut self, thread: ThreadId, kind: EventKind) {
-        if self.record != RecordMode::Full {
-            return;
+        if self.record == RecordMode::Full {
+            self.events.push(Logged {
+                step: self.taken.len(),
+                thread,
+                kind,
+            });
         }
-        self.events.push(Event {
-            seq: self.events.len(),
-            thread,
-            clock: self.threads[thread.index()].clock.clone(),
-            kind,
-        });
     }
 
     fn advance(&mut self, thread: ThreadId) {
@@ -1087,21 +1067,18 @@ impl Executor {
             Some(Op::Wait { cond, .. }) => *cond,
             _ => unreachable!("Reacquire pc rests on the Wait op"),
         };
-        let mclock = self.mutexes[mutex.index()].clock.clone();
-        let cclock = self.conds[cond.index()].clock.clone();
-        {
-            let ts = self.thread_mut(thread);
-            ts.clock.join(&mclock);
-            if signalled {
-                // A spurious wakeup synchronizes with no signaller: only a
-                // real signal joins the condition variable's clock.
-                ts.clock.join(&cclock);
-            }
-            ts.held.push(mutex);
-            ts.status = ThreadStatus::Ready;
-        }
+        let ts = self.thread_mut(thread);
+        ts.held.push(mutex);
+        ts.status = ThreadStatus::Ready;
         self.mutex_mut(mutex).owner = Some(thread);
-        self.record_event(thread, EventKind::WaitEnd { cond, mutex });
+        self.record_event(
+            thread,
+            EventKind::WaitEnd {
+                cond,
+                mutex,
+                signalled,
+            },
+        );
         self.advance(thread);
     }
 
@@ -1205,10 +1182,7 @@ impl Executor {
             }
             Op::Lock(m) => {
                 debug_assert!(self.mutexes[m.index()].owner.is_none());
-                let mclock = self.mutexes[m.index()].clock.clone();
-                let ts = self.thread_mut(thread);
-                ts.clock.join(&mclock);
-                ts.held.push(*m);
+                self.thread_mut(thread).held.push(*m);
                 self.mutex_mut(*m).owner = Some(thread);
                 self.record_event(thread, EventKind::Lock(*m));
                 self.advance(thread);
@@ -1219,8 +1193,6 @@ impl Executor {
                     return;
                 }
                 self.mutex_mut(*m).owner = None;
-                let clock = self.threads[thread.index()].clock.clone();
-                self.mutex_mut(*m).clock = clock;
                 self.thread_mut(thread).held.retain(|h| h != m);
                 self.record_event(thread, EventKind::Unlock(*m));
                 self.advance(thread);
@@ -1232,10 +1204,7 @@ impl Executor {
                 let success = self.mutexes[mutex.index()].owner.is_none()
                     && !self.fault_fires(FaultKind::TryLockFail, thread);
                 if success {
-                    let mclock = self.mutexes[mutex.index()].clock.clone();
-                    let ts = self.thread_mut(thread);
-                    ts.clock.join(&mclock);
-                    ts.held.push(*mutex);
+                    self.thread_mut(thread).held.push(*mutex);
                     self.mutex_mut(*mutex).owner = Some(thread);
                 }
                 self.thread_mut(thread)
@@ -1252,16 +1221,12 @@ impl Executor {
             }
             Op::RwRead(rw) => {
                 debug_assert!(self.rws[rw.index()].can_read(thread));
-                let rclock = self.rws[rw.index()].clock.clone();
-                self.thread_mut(thread).clock.join(&rclock);
                 self.rw_mut(*rw).readers.push(thread);
                 self.record_event(thread, EventKind::RwRead(*rw));
                 self.advance(thread);
             }
             Op::RwWrite(rw) => {
                 debug_assert!(self.rws[rw.index()].can_write(thread));
-                let rclock = self.rws[rw.index()].clock.clone();
-                self.thread_mut(thread).clock.join(&rclock);
                 self.rw_mut(*rw).writer = Some(thread);
                 self.record_event(thread, EventKind::RwWrite(*rw));
                 self.advance(thread);
@@ -1276,8 +1241,6 @@ impl Executor {
                     self.misuse(thread, ExecError::RwUnlockNotHeld { rw: *rw });
                     return;
                 }
-                let clock = self.threads[thread.index()].clock.clone();
-                self.rw_mut(*rw).clock.join(&clock);
                 self.record_event(thread, EventKind::RwUnlock(*rw));
                 self.advance(thread);
             }
@@ -1292,16 +1255,12 @@ impl Executor {
                     // without ever joining the waiters queue, so no signal
                     // is consumed and no happens-before edge is created.
                     self.mutex_mut(*mutex).owner = None;
-                    let clock = self.threads[thread.index()].clock.clone();
-                    self.mutex_mut(*mutex).clock = clock;
-                    {
-                        let ts = self.thread_mut(thread);
-                        ts.held.retain(|h| h != mutex);
-                        ts.status = ThreadStatus::Reacquire {
-                            mutex: *mutex,
-                            signalled: false,
-                        };
-                    }
+                    let ts = self.thread_mut(thread);
+                    ts.held.retain(|h| h != mutex);
+                    ts.status = ThreadStatus::Reacquire {
+                        mutex: *mutex,
+                        signalled: false,
+                    };
                     self.record_event(
                         thread,
                         EventKind::WaitBegin {
@@ -1313,16 +1272,12 @@ impl Executor {
                     return;
                 }
                 self.mutex_mut(*mutex).owner = None;
-                let clock = self.threads[thread.index()].clock.clone();
-                self.mutex_mut(*mutex).clock = clock;
-                {
-                    let ts = self.thread_mut(thread);
-                    ts.held.retain(|h| h != mutex);
-                    ts.status = ThreadStatus::WaitingCond {
-                        cond: *cond,
-                        mutex: *mutex,
-                    };
-                }
+                let ts = self.thread_mut(thread);
+                ts.held.retain(|h| h != mutex);
+                ts.status = ThreadStatus::WaitingCond {
+                    cond: *cond,
+                    mutex: *mutex,
+                };
                 self.cond_mut(*cond).waiters.push_back(thread);
                 self.record_event(
                     thread,
@@ -1334,8 +1289,6 @@ impl Executor {
                 // pc stays on the Wait; WaitEnd advances it.
             }
             Op::Signal(c) | Op::Broadcast(c) => {
-                let clock = self.threads[thread.index()].clock.clone();
-                self.cond_mut(*c).clock.join(&clock);
                 let broadcast = matches!(op, Op::Broadcast(_));
                 self.wake_waiters(*c, broadcast);
                 let kind = if broadcast {
@@ -1349,15 +1302,11 @@ impl Executor {
             Op::SemAcquire(s) => {
                 debug_assert!(self.sems[s.index()].count > 0);
                 self.sem_mut(*s).count -= 1;
-                let sclock = self.sems[s.index()].clock.clone();
-                self.thread_mut(thread).clock.join(&sclock);
                 self.record_event(thread, EventKind::SemAcquire(*s));
                 self.advance(thread);
             }
             Op::SemRelease(s) => {
                 self.sem_mut(*s).count += 1;
-                let clock = self.threads[thread.index()].clock.clone();
-                self.sem_mut(*s).clock.join(&clock);
                 self.record_event(thread, EventKind::SemRelease(*s));
                 self.advance(thread);
             }
@@ -1366,12 +1315,7 @@ impl Executor {
                     self.misuse(thread, ExecError::DoubleSpawn { target: *t });
                     return;
                 }
-                let parent_clock = self.threads[thread.index()].clock.clone();
-                {
-                    let child = self.thread_mut(*t);
-                    child.status = ThreadStatus::Ready;
-                    child.clock.join(&parent_clock);
-                }
+                self.thread_mut(*t).status = ThreadStatus::Ready;
                 self.record_event(thread, EventKind::Spawn(*t));
                 self.record_event(*t, EventKind::ThreadStart);
                 self.advance(thread);
@@ -1379,8 +1323,6 @@ impl Executor {
             }
             Op::Join(t) => {
                 debug_assert_eq!(self.threads[t.index()].status, ThreadStatus::Finished);
-                let target_clock = self.threads[t.index()].clock.clone();
-                self.thread_mut(thread).clock.join(&target_clock);
                 self.record_event(thread, EventKind::Join(*t));
                 self.advance(thread);
             }
@@ -2332,7 +2274,7 @@ mod tests {
         assert_eq!(e.outcome(), at_mark.outcome());
         assert_eq!(e.schedule_taken(), at_mark.schedule_taken());
         assert_eq!(e.io_journal(), at_mark.io_journal());
-        assert_eq!(e.events(), at_mark.events());
+        assert_eq!(e.events, at_mark.events);
         let (mut a, mut b) = (e.clone(), at_mark.clone());
         assert_eq!(a.flush_state_key(), b.flush_state_key());
         assert_eq!(a.run_sequential(500), b.run_sequential(500));
@@ -2420,16 +2362,7 @@ mod tests {
                 assert_eq!(off.state_key(), on.state_key());
                 assert_eq!(off.outcome(), on.outcome());
                 assert_eq!(off.schedule_taken(), on.schedule_taken());
-                assert!(!on.events().is_empty() && off.events().is_empty());
-                // Unrecorded, no clock ever gets a component.
-                let clocks = (off.threads.iter().map(|t| &t.clock))
-                    .chain(off.mutexes.iter().map(|m| &m.clock))
-                    .chain(off.conds.iter().map(|c| &c.clock))
-                    .chain(off.rws.iter().map(|r| &r.clock))
-                    .chain(off.sems.iter().map(|s| &s.clock));
-                for clock in clocks {
-                    assert!(clock.is_empty(), "{}: {clock}", p.name());
-                }
+                assert!(!on.events.is_empty() && off.events.is_empty());
             }
         }
     }

@@ -3,70 +3,36 @@
 //!
 //! All state is plain cloneable data, so the executor's undo trail can
 //! record one object's value at its first write since a mark and put it
-//! back on restore.
-//! Each constructor takes its object's vector-clock length: the thread
-//! count when the executor records, 0 (no clock, no heap) otherwise.
+//! back on restore. It is semantics only: the happens-before relation
+//! of a recorded run is computed from its event log
+//! ([`crate::Executor::into_trace`]), not kept here.
 
 use std::collections::VecDeque;
 
 use crate::ids::ThreadId;
-use crate::trace::VectorClock;
 
 /// A mutex: its owner. Blocked acquirers are not queued: enabledness
 /// is recomputed from the owner, and a deadlock report reads each
 /// blocked thread's pending op.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub(crate) struct MutexState {
     pub owner: Option<ThreadId>,
-    /// Vector clock released with the last unlock (happens-before edge).
-    pub clock: VectorClock,
-}
-
-impl MutexState {
-    pub fn new(clock_len: usize) -> MutexState {
-        MutexState {
-            owner: None,
-            clock: VectorClock::new(clock_len),
-        }
-    }
 }
 
 /// A condition variable: a FIFO of waiting threads.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub(crate) struct CondState {
     pub waiters: VecDeque<ThreadId>,
-    /// Clock joined in from signallers, delivered to woken waiters.
-    pub clock: VectorClock,
-}
-
-impl CondState {
-    pub fn new(clock_len: usize) -> CondState {
-        CondState {
-            waiters: VecDeque::new(),
-            clock: VectorClock::new(clock_len),
-        }
-    }
 }
 
 /// A reader-writer lock.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub(crate) struct RwState {
     pub writer: Option<ThreadId>,
     pub readers: Vec<ThreadId>,
-    /// Clock of the last write-mode release (read-release also joins in,
-    /// conservatively, so rw-protected data carries happens-before).
-    pub clock: VectorClock,
 }
 
 impl RwState {
-    pub fn new(clock_len: usize) -> RwState {
-        RwState {
-            writer: None,
-            readers: Vec::new(),
-            clock: VectorClock::new(clock_len),
-        }
-    }
-
     pub fn can_read(&self, by: ThreadId) -> bool {
         self.writer.is_none() && !self.readers.contains(&by)
     }
@@ -77,36 +43,27 @@ impl RwState {
     pub fn can_write(&self, _by: ThreadId) -> bool {
         self.writer.is_none() && self.readers.is_empty()
     }
-
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn holds(&self, by: ThreadId) -> bool {
-        self.writer == Some(by) || self.readers.contains(&by)
-    }
 }
 
 /// A counting semaphore. Like a mutex, it queues no acquirers.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct SemState {
     pub count: i64,
-    pub clock: VectorClock,
-}
-
-impl SemState {
-    pub fn new(clock_len: usize, initial: i64) -> SemState {
-        SemState {
-            count: initial,
-            clock: VectorClock::new(clock_len),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    impl RwState {
+        fn holds(&self, by: ThreadId) -> bool {
+            self.writer == Some(by) || self.readers.contains(&by)
+        }
+    }
+
     #[test]
     fn rw_admission_rules() {
-        let mut rw = RwState::new(2);
+        let mut rw = RwState::default();
         let t0 = ThreadId::from_index(0);
         let t1 = ThreadId::from_index(1);
         assert!(rw.can_read(t0));
@@ -126,11 +83,11 @@ mod tests {
 
     #[test]
     fn fresh_objects_are_idle() {
-        let m = MutexState::new(3);
+        let m = MutexState::default();
         assert_eq!(m.owner, None);
-        let s = SemState::new(3, 2);
-        assert_eq!(s.count, 2);
-        let c = CondState::new(3);
+        let c = CondState::default();
         assert!(c.waiters.is_empty());
+        let rw = RwState::default();
+        assert!(rw.writer.is_none() && rw.readers.is_empty());
     }
 }

@@ -111,8 +111,9 @@ fn mix(mut x: u64) -> u64 {
     x
 }
 
-/// One hashed component of the execution state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One component of the execution state: a fingerprint slot, and the
+/// key of a released clock in [`crate::trace`]'s clock pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Comp {
     Var(usize),
     Mutex(usize),

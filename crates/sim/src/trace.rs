@@ -4,10 +4,17 @@
 //! `lfm-detect` dynamic detectors: a detector never re-executes a program,
 //! it analyses the totally-ordered event log of one run together with the
 //! partial order induced by the vector clocks.
+//!
+//! The executor holds no clocks. It records each event's thread and
+//! kind and the steps taken so far, and
+//! [`Executor::into_trace`](crate::Executor::into_trace) computes every
+//! clock in one pass over that log and the schedule (`stamp_clocks`).
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::ids::{CondId, MutexId, RwId, SemId, ThreadId, VarId};
+use crate::statehash::Comp;
 
 /// A classic vector clock over the program's threads.
 ///
@@ -143,6 +150,9 @@ pub enum EventKind {
         cond: CondId,
         /// Mutex re-acquired.
         mutex: MutexId,
+        /// `false` for a spurious wake-up, which synchronizes with no
+        /// signaller.
+        signalled: bool,
     },
     /// Signalled one waiter.
     Signal(CondId),
@@ -209,6 +219,85 @@ pub struct Event {
     pub clock: VectorClock,
     /// What happened.
     pub kind: EventKind,
+}
+
+/// One visible operation as the executor records it, before
+/// [`stamp_clocks`] gives it a clock: the step that performed it
+/// (counted from 1; 0 at start-up), its thread and what happened.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct Logged {
+    pub step: usize,
+    pub thread: ThreadId,
+    pub kind: EventKind,
+}
+
+/// Gives a recorded log its vector clocks: the happens-before relation
+/// of one run, from its log and `taken`, the schedule it took (one
+/// thread index per step). Every step ticks its thread's component, a
+/// step that records no event too (a passing assert, a write buffered
+/// in a transaction), so the log keeps each event's step. A release
+/// joins its thread's clock into the released clock of a sync object
+/// or of a thread (its spawn, to its start; its exit, to its joiner),
+/// and an acquire joins that into its thread's. Each event carries its
+/// thread's clock after the operation.
+pub(crate) fn stamp_clocks(n_threads: usize, taken: &[u8], log: Vec<Logged>) -> Vec<Event> {
+    use Comp as C;
+    use EventKind as K;
+    let zero = VectorClock::new(n_threads);
+    let mut clocks = vec![zero.clone(); n_threads];
+    let mut released = BTreeMap::new();
+    let mut ticked = 0;
+    let stamp = |(seq, Logged { step, thread, kind })| {
+        for &t in &taken[ticked..step] {
+            clocks[usize::from(t)].tick(ThreadId::from_index(t.into()));
+        }
+        ticked = step;
+        let t = thread.index();
+        // What the event acquires a clock from, and what it releases to.
+        let (from, to) = match kind {
+            K::ThreadStart => (Some(C::Thread(t)), None),
+            K::Join(target) => (Some(C::Thread(target.index())), None),
+            K::Lock(m) | K::WaitEnd { mutex: m, .. } => (Some(C::Mutex(m.index())), None),
+            K::TryLock { mutex: m, success } => (success.then_some(C::Mutex(m.index())), None),
+            K::RwRead(rw) | K::RwWrite(rw) => (Some(C::Rw(rw.index())), None),
+            K::SemAcquire(s) => (Some(C::Sem(s.index())), None),
+            K::ThreadExit => (None, Some(C::Thread(t))),
+            K::Spawn(child) => (None, Some(C::Thread(child.index()))),
+            K::Unlock(m) | K::WaitBegin { mutex: m, .. } => (None, Some(C::Mutex(m.index()))),
+            K::Signal(c) | K::Broadcast(c) => (None, Some(C::Cond(c.index()))),
+            K::RwUnlock(rw) => (None, Some(C::Rw(rw.index()))),
+            K::SemRelease(s) => (None, Some(C::Sem(s.index()))),
+            _ => (None, None),
+        };
+        // A signalled wait-end also acquires from its signallers; a
+        // spurious one synchronizes with none.
+        let signallers = match kind {
+            K::WaitEnd {
+                cond,
+                signalled: true,
+                ..
+            } => Some(C::Cond(cond.index())),
+            _ => None,
+        };
+        let clock = &mut clocks[t];
+        for from in [from, signallers].into_iter().flatten() {
+            if let Some(c) = released.get(&from) {
+                clock.join(c);
+            }
+        }
+        if let Some(to) = to {
+            let object = released.entry(to).or_insert_with(|| zero.clone());
+            object.join(clock);
+        }
+        let clock = clock.clone();
+        Event {
+            seq,
+            thread,
+            clock,
+            kind,
+        }
+    };
+    log.into_iter().enumerate().map(stamp).collect()
 }
 
 /// A complete recorded execution.

@@ -364,10 +364,9 @@ impl Witness {
                 ops.push((*thread, Footprint::of_blocked(on)));
             }
         }
-        let stats = conflict_stats(&explicit, &ops, exec.events().len());
-        let events = exec
-            .events()
-            .iter()
+        let trace = exec.into_trace();
+        let stats = conflict_stats(&explicit, &ops, trace.len());
+        let events = (trace.events.iter())
             .map(|e| WitnessEvent {
                 seq: e.seq,
                 thread: e.thread.index(),
