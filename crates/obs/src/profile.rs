@@ -11,11 +11,13 @@
 //! Reading a monotonic clock on *every* region entry would make the
 //! profiler the hottest function in the trace it is trying to explain.
 //! Instead the profiler is **sampling-gated**: every region entry
-//! increments a relaxed atomic counter, but only one entry in
-//! 2^`sample_shift` actually reads the clock. The total per phase is
-//! then estimated as `nanos * entries / sampled` — an unbiased
-//! estimate when region durations are independent of the sample index,
-//! which holds here because the sampling counter is per-phase and the
+//! increments a relaxed atomic counter, and each phase's first
+//! 2^`sample_shift` entries read the clock, then one entry in
+//! 2^`sample_shift`. The total per phase is then estimated as
+//! `nanos * entries / sampled`. A phase entered at most 2^`sample_shift`
+//! times is measured, not estimated: scaling its first entry alone, the
+//! cold one, to every entry would overstate it. Past that the samples
+//! lean to the early entries only by the first 2^`sample_shift`, and the
 //! explorer's work per region does not correlate with powers of two.
 //! Merged profiles add up their parts' estimates, each scaled by its
 //! own profiler's sampling ratio.
@@ -136,7 +138,8 @@ fn timer_overhead_nanos() -> u64 {
 #[derive(Debug)]
 pub struct PhaseProfiler {
     enabled: bool,
-    /// Sample when `entries % 2^shift == 0`.
+    /// Sample the first 2^shift entries, then when
+    /// `entries % 2^shift == 0`.
     mask: u64,
     /// Nanoseconds subtracted from each sample: what an empty region
     /// measures.
@@ -155,11 +158,12 @@ impl PhaseProfiler {
         }
     }
 
-    /// A profiler sampling one region entry in `2^sample_shift`.
+    /// A profiler timing each phase's first `2^sample_shift` region
+    /// entries, then one in `2^sample_shift`.
     ///
     /// `sample_shift = 0` times every entry (useful in tests);
-    /// [`PhaseProfiler::DEFAULT_SHIFT`] (6, i.e. every 64th) keeps
-    /// overhead low on hot kernels. Shifts above 63 are clamped. The
+    /// [`PhaseProfiler::DEFAULT_SHIFT`] (6, i.e. the first 64, then
+    /// every 64th) keeps overhead low on hot kernels. Shifts above 63 are clamped. The
     /// first sampling profiler of a process times the empty region
     /// every sample is corrected by (see the module docs).
     pub fn sampling(sample_shift: u32) -> PhaseProfiler {
@@ -172,7 +176,8 @@ impl PhaseProfiler {
         }
     }
 
-    /// Default sampling shift: every 64th region entry reads the clock.
+    /// Default sampling shift: each phase's first 64 region entries read
+    /// the clock, then every 64th.
     pub const DEFAULT_SHIFT: u32 = 6;
 
     /// `true` when this profiler records anything at all.
@@ -197,7 +202,7 @@ impl PhaseProfiler {
         }
         let slot = &self.slots[phase as usize];
         let n = slot.entries.fetch_add(1, Ordering::Relaxed);
-        if n & self.mask != 0 {
+        if n > self.mask && n & self.mask != 0 {
             return None;
         }
         Some(PhaseGuard {
@@ -404,13 +409,29 @@ mod tests {
 
     #[test]
     fn sampling_gates_clock_reads() {
-        let p = PhaseProfiler::sampling(2); // every 4th
+        let p = PhaseProfiler::sampling(2); // the first 4, then every 4th
         for _ in 0..16 {
             p.time(Phase::Dedup, || ());
         }
         let s = p.snapshot().get(Phase::Dedup);
         assert_eq!(s.entries, 16);
-        assert_eq!(s.sampled, 4);
+        assert_eq!(s.sampled, 7);
+    }
+
+    #[test]
+    fn a_phase_entered_at_most_two_to_the_shift_times_is_timed_every_time() {
+        let p = PhaseProfiler::sampling(3);
+        for entries in 1..=8 {
+            p.time(Phase::Hash, || ());
+            let s = p.snapshot().get(Phase::Hash);
+            assert_eq!((s.entries, s.sampled), (entries, entries));
+            assert_eq!(s.est_total_nanos(), s.nanos, "measured, not scaled");
+        }
+        // Entry 9 (index 8) is the next one in 8; entry 10 is not sampled.
+        p.time(Phase::Hash, || ());
+        p.time(Phase::Hash, || ());
+        let s = p.snapshot().get(Phase::Hash);
+        assert_eq!((s.entries, s.sampled), (10, 9));
     }
 
     #[test]
