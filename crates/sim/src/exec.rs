@@ -377,12 +377,11 @@ impl Executor {
     /// trace otherwise), computing its vector clocks from the event log
     /// and the schedule taken.
     pub fn into_trace(self) -> Trace {
-        let n_threads = self.program.n_threads();
         Trace {
             program: self.program.name().to_string(),
-            n_threads,
+            n_threads: self.program.n_threads(),
             n_vars: self.program.n_vars(),
-            events: trace::stamp_clocks(n_threads, &self.taken, self.events),
+            events: trace::stamp_clocks(self.program.n_threads(), &self.taken, self.events),
         }
     }
 

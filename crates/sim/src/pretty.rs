@@ -7,6 +7,7 @@
 
 use std::fmt::Write as _;
 
+use crate::expr::Expr;
 use crate::program::Program;
 use crate::stmt::{RmwOp, Stmt};
 
@@ -53,9 +54,22 @@ pub fn pseudocode(program: &Program) -> String {
         let _ = writeln!(out, "}}");
     }
     for (cond, msg) in program.final_asserts() {
+        let cond = named(program, cond);
         let _ = writeln!(out, "\nfinal_assert({cond});  // {msg}");
     }
     out
+}
+
+/// `expr` with each shared variable shown by its name, as the thread
+/// bodies show it.
+fn named(program: &Program, expr: &Expr) -> Expr {
+    let boxed = |e| Box::new(named(program, e));
+    match expr {
+        Expr::Shared(var) => Expr::local(program.var_name(*var)),
+        Expr::Bin(op, l, r) => Expr::Bin(*op, boxed(l), boxed(r)),
+        Expr::Un(op, e) => Expr::Un(*op, boxed(e)),
+        Expr::Lit(_) | Expr::Local(_) => expr.clone(),
+    }
 }
 
 fn indent(depth: usize) -> String {
@@ -199,7 +213,6 @@ fn render_stmt(program: &Program, stmt: &Stmt, depth: usize, out: &mut String) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::Expr;
     use crate::program::ProgramBuilder;
 
     #[test]
@@ -228,7 +241,7 @@ mod tests {
             "tmp = counter;",
             "counter = (tmp + 1);",
             "unlock(m0);",
-            "final_assert((v0 == 1));  // kept",
+            "final_assert((counter == 1));  // kept",
         ] {
             assert!(code.contains(needle), "missing {needle:?} in:\n{code}");
         }
