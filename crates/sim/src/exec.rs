@@ -1248,36 +1248,26 @@ impl Executor {
                     self.misuse(thread, ExecError::WaitWithoutMutex { mutex: *mutex });
                     return;
                 }
-                if self.fault_fires(FaultKind::SpuriousWakeup, thread) {
-                    // Spurious wakeup: the wait returns without a signal.
-                    // Release the mutex and go straight to re-acquisition
-                    // without ever joining the waiters queue, so no signal
-                    // is consumed and no happens-before edge is created.
-                    self.mutex_mut(*mutex).owner = None;
-                    let ts = self.thread_mut(thread);
-                    ts.held.retain(|h| h != mutex);
+                // A spurious wakeup returns without a signal: the thread
+                // goes straight to re-acquisition without ever joining the
+                // waiters queue, so it consumes no signal, and its
+                // wait-end synchronizes with no signaller.
+                let spurious = self.fault_fires(FaultKind::SpuriousWakeup, thread);
+                self.mutex_mut(*mutex).owner = None;
+                let ts = self.thread_mut(thread);
+                ts.held.retain(|h| h != mutex);
+                if spurious {
                     ts.status = ThreadStatus::Reacquire {
                         mutex: *mutex,
                         signalled: false,
                     };
-                    self.record_event(
-                        thread,
-                        EventKind::WaitBegin {
-                            cond: *cond,
-                            mutex: *mutex,
-                        },
-                    );
-                    // pc stays on the Wait; finish_wait advances it.
-                    return;
+                } else {
+                    ts.status = ThreadStatus::WaitingCond {
+                        cond: *cond,
+                        mutex: *mutex,
+                    };
+                    self.cond_mut(*cond).waiters.push_back(thread);
                 }
-                self.mutex_mut(*mutex).owner = None;
-                let ts = self.thread_mut(thread);
-                ts.held.retain(|h| h != mutex);
-                ts.status = ThreadStatus::WaitingCond {
-                    cond: *cond,
-                    mutex: *mutex,
-                };
-                self.cond_mut(*cond).waiters.push_back(thread);
                 self.record_event(
                     thread,
                     EventKind::WaitBegin {
@@ -1285,7 +1275,7 @@ impl Executor {
                         mutex: *mutex,
                     },
                 );
-                // pc stays on the Wait; WaitEnd advances it.
+                // pc stays on the Wait; finish_wait advances it.
             }
             Op::Signal(c) | Op::Broadcast(c) => {
                 let broadcast = matches!(op, Op::Broadcast(_));

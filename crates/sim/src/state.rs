@@ -43,6 +43,11 @@ impl RwState {
     pub fn can_write(&self, _by: ThreadId) -> bool {
         self.writer.is_none() && self.readers.is_empty()
     }
+
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub fn holds(&self, by: ThreadId) -> bool {
+        self.writer == Some(by) || self.readers.contains(&by)
+    }
 }
 
 /// A counting semaphore. Like a mutex, it queues no acquirers.
@@ -54,12 +59,6 @@ pub(crate) struct SemState {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    impl RwState {
-        fn holds(&self, by: ThreadId) -> bool {
-            self.writer == Some(by) || self.readers.contains(&by)
-        }
-    }
 
     #[test]
     fn rw_admission_rules() {
