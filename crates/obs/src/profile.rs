@@ -13,14 +13,15 @@
 //! Instead the profiler is **sampling-gated**: every region entry
 //! increments a relaxed atomic counter, and each phase's first
 //! 2^`sample_shift` entries read the clock, then one entry in
-//! 2^`sample_shift`. The total per phase is then estimated as
-//! `nanos * entries / sampled`. A phase entered at most 2^`sample_shift`
-//! times is measured, not estimated: scaling its first entry alone, the
-//! cold one, to every entry would overstate it. Past that the samples
-//! lean to the early entries only by the first 2^`sample_shift`, and the
-//! explorer's work per region does not correlate with powers of two.
-//! Merged profiles add up their parts' estimates, each scaled by its
-//! own profiler's sampling ratio.
+//! 2^`sample_shift`. The first entries count as measured, and only the
+//! later samples are scaled, by later entries per later sample. A phase
+//! entered at most 2^`sample_shift` times is thus measured, not
+//! estimated, and no phase's early entries, the cold ones, stand for
+//! its later ones. The later estimate is unbiased when region durations
+//! are independent of the sample index, which holds here because the
+//! sampling counter is per-phase and the explorer's work per region
+//! does not correlate with powers of two. Merged profiles add up their
+//! parts' estimates.
 //!
 //! A sampled region's measured duration also holds the timer reads
 //! that bracket it, which on a short region (a restore or a short edge
@@ -103,14 +104,26 @@ struct PhaseSlot {
     sampled: AtomicU64,
     /// Nanoseconds accumulated by sampled entries.
     nanos: AtomicU64,
+    /// The part of `nanos` the first 2^shift entries accumulated.
+    first_nanos: AtomicU64,
 }
 
 impl PhaseSlot {
     /// Books one sampled region that measured `nanos`, of which
-    /// `overhead` were the timer reads around it.
-    fn charge(&self, nanos: u64, overhead: u64) {
+    /// `overhead` were the timer reads around it; returns what it
+    /// booked.
+    fn charge(&self, nanos: u64, overhead: u64) -> u64 {
+        let net = nanos.saturating_sub(overhead);
         self.sampled.fetch_add(1, Ordering::Relaxed);
-        (self.nanos).fetch_add(nanos.saturating_sub(overhead), Ordering::Relaxed);
+        self.nanos.fetch_add(net, Ordering::Relaxed);
+        net
+    }
+
+    /// [`PhaseSlot::charge`] for one of the phase's first 2^shift
+    /// entries.
+    fn charge_first(&self, nanos: u64, overhead: u64) {
+        let net = self.charge(nanos, overhead);
+        self.first_nanos.fetch_add(net, Ordering::Relaxed);
     }
 }
 
@@ -208,6 +221,7 @@ impl PhaseProfiler {
         Some(PhaseGuard {
             slot,
             overhead: self.overhead,
+            first: n <= self.mask,
             start: Instant::now(),
         })
     }
@@ -226,12 +240,26 @@ impl PhaseProfiler {
         PhaseProfile {
             phases: Phase::ALL.map(|p| {
                 let slot = &self.slots[p as usize];
-                PhaseStat::new(
+                let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+                let (entries, sampled, nanos) =
+                    (load(&slot.entries), load(&slot.sampled), load(&slot.nanos));
+                // The first 2^shift entries were all timed: they count as
+                // measured, and only the later samples are scaled.
+                let first = entries.min(self.mask.saturating_add(1));
+                let first_nanos = load(&slot.first_nanos);
+                let later = PhaseStat::new(
                     p,
-                    slot.entries.load(Ordering::Relaxed),
-                    slot.sampled.load(Ordering::Relaxed),
-                    slot.nanos.load(Ordering::Relaxed),
-                )
+                    entries - first,
+                    sampled.saturating_sub(first),
+                    nanos.saturating_sub(first_nanos),
+                );
+                PhaseStat {
+                    entries,
+                    sampled,
+                    nanos,
+                    est: first_nanos.saturating_add(later.est),
+                    ..later
+                }
             }),
         }
     }
@@ -242,13 +270,19 @@ impl PhaseProfiler {
 pub struct PhaseGuard<'a> {
     slot: &'a PhaseSlot,
     overhead: u64,
+    /// One of the phase's first 2^shift entries.
+    first: bool,
     start: Instant,
 }
 
 impl Drop for PhaseGuard<'_> {
     fn drop(&mut self) {
         let d = self.start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.slot.charge(d, self.overhead);
+        if self.first {
+            self.slot.charge_first(d, self.overhead);
+        } else {
+            self.slot.charge(d, self.overhead);
+        }
     }
 }
 
@@ -269,7 +303,8 @@ pub struct PhaseStat {
 }
 
 impl PhaseStat {
-    /// One profiler's counters for `phase`, with their estimate.
+    /// Counters for `phase` whose samples each stand for as many
+    /// entries, estimated as `nanos * entries / sampled`.
     fn new(phase: Phase, entries: u64, sampled: u64, nanos: u64) -> PhaseStat {
         let est = if sampled == 0 {
             0
@@ -286,9 +321,10 @@ impl PhaseStat {
         }
     }
 
-    /// Estimated total nanoseconds: `nanos * entries / sampled` for one
-    /// profiler, and the sum of the parts' estimates for a merged
-    /// profile (see [`PhaseProfile::merge`]).
+    /// Estimated total nanoseconds: for one profiler, what the first
+    /// 2^shift entries measured plus the later samples' nanoseconds
+    /// scaled by later entries per later sample; for a merged profile,
+    /// the sum of the parts' estimates (see [`PhaseProfile::merge`]).
     pub fn est_total_nanos(&self) -> u64 {
         self.est
     }
@@ -416,6 +452,24 @@ mod tests {
         let s = p.snapshot().get(Phase::Dedup);
         assert_eq!(s.entries, 16);
         assert_eq!(s.sampled, 7);
+    }
+
+    #[test]
+    fn first_entries_count_as_measured_and_only_later_samples_scale() {
+        // Shift 2: entries 0-3 are timed, then one in 4 (entries 4, 8).
+        let p = PhaseProfiler::sampling(2);
+        let slot = &p.slots[Phase::Step as usize];
+        slot.entries.store(12, Ordering::Relaxed);
+        for _ in 0..4 {
+            slot.charge_first(100, 0);
+        }
+        slot.charge(10, 0);
+        slot.charge(10, 0);
+        let s = p.snapshot().get(Phase::Step);
+        assert_eq!((s.entries, s.sampled, s.nanos), (12, 6, 420));
+        // 4 x 100 ns measured, and 2 x 10 ns standing for the other 8
+        // entries. Scaling all six samples would read 840 ns.
+        assert_eq!(s.est_total_nanos(), 480);
     }
 
     #[test]

@@ -86,7 +86,5 @@ mod tests {
         assert_eq!(m.owner, None);
         let c = CondState::default();
         assert!(c.waiters.is_empty());
-        let rw = RwState::default();
-        assert!(rw.writer.is_none() && rw.readers.is_empty());
     }
 }

@@ -5,10 +5,10 @@
 //! it analyses the totally-ordered event log of one run together with the
 //! partial order induced by the vector clocks.
 //!
-//! The executor holds no clocks. It records each event's thread and
-//! kind and the steps taken so far, and
-//! [`Executor::into_trace`](crate::Executor::into_trace) computes every
-//! clock in one pass over that log and the schedule (`stamp_clocks`).
+//! The executor holds no clocks. It records each event's thread, kind
+//! and step, and [`Executor::into_trace`](crate::Executor::into_trace)
+//! computes every clock in one pass over that log and the schedule
+//! (`stamp_clocks`).
 
 use std::collections::BTreeMap;
 use std::fmt;
