@@ -104,8 +104,8 @@ struct PhaseSlot {
     sampled: AtomicU64,
     /// Nanoseconds accumulated by sampled entries.
     nanos: AtomicU64,
-    /// The part of `nanos` the first 2^shift entries accumulated.
-    first_nanos: AtomicU64,
+    /// The part of `nanos` accumulated after the first 2^shift entries.
+    later_nanos: AtomicU64,
 }
 
 impl PhaseSlot {
@@ -119,11 +119,11 @@ impl PhaseSlot {
         net
     }
 
-    /// [`PhaseSlot::charge`] for one of the phase's first 2^shift
-    /// entries.
-    fn charge_first(&self, nanos: u64, overhead: u64) {
+    /// [`PhaseSlot::charge`] for an entry after the phase's first
+    /// 2^shift.
+    fn charge_later(&self, nanos: u64, overhead: u64) {
         let net = self.charge(nanos, overhead);
-        self.first_nanos.fetch_add(net, Ordering::Relaxed);
+        self.later_nanos.fetch_add(net, Ordering::Relaxed);
     }
 }
 
@@ -246,18 +246,18 @@ impl PhaseProfiler {
                 // The first 2^shift entries were all timed: they count as
                 // measured, and only the later samples are scaled.
                 let first = entries.min(self.mask.saturating_add(1));
-                let first_nanos = load(&slot.first_nanos);
+                let later_nanos = load(&slot.later_nanos);
                 let later = PhaseStat::new(
                     p,
                     entries - first,
                     sampled.saturating_sub(first),
-                    nanos.saturating_sub(first_nanos),
+                    later_nanos,
                 );
                 PhaseStat {
                     entries,
                     sampled,
                     nanos,
-                    est: first_nanos.saturating_add(later.est),
+                    est: nanos.saturating_sub(later_nanos).saturating_add(later.est),
                     ..later
                 }
             }),
@@ -279,9 +279,9 @@ impl Drop for PhaseGuard<'_> {
     fn drop(&mut self) {
         let d = self.start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         if self.first {
-            self.slot.charge_first(d, self.overhead);
-        } else {
             self.slot.charge(d, self.overhead);
+        } else {
+            self.slot.charge_later(d, self.overhead);
         }
     }
 }
@@ -461,10 +461,10 @@ mod tests {
         let slot = &p.slots[Phase::Step as usize];
         slot.entries.store(12, Ordering::Relaxed);
         for _ in 0..4 {
-            slot.charge_first(100, 0);
+            slot.charge(100, 0);
         }
-        slot.charge(10, 0);
-        slot.charge(10, 0);
+        slot.charge_later(10, 0);
+        slot.charge_later(10, 0);
         let s = p.snapshot().get(Phase::Step);
         assert_eq!((s.entries, s.sampled, s.nanos), (12, 6, 420));
         // 4 x 100 ns measured, and 2 x 10 ns standing for the other 8
