@@ -176,9 +176,9 @@ impl PhaseProfiler {
     ///
     /// `sample_shift = 0` times every entry (useful in tests);
     /// [`PhaseProfiler::DEFAULT_SHIFT`] (6, i.e. the first 64, then
-    /// every 64th) keeps overhead low on hot kernels. Shifts above 63 are clamped. The
-    /// first sampling profiler of a process times the empty region
-    /// every sample is corrected by (see the module docs).
+    /// every 64th) keeps overhead low on hot kernels. Shifts above 63
+    /// are clamped. The first sampling profiler of a process times the
+    /// empty region every sample is corrected by (see the module docs).
     pub fn sampling(sample_shift: u32) -> PhaseProfiler {
         let shift = sample_shift.min(63);
         PhaseProfiler {
