@@ -10,24 +10,23 @@
 //!
 //! A search keeps one executor and restores a marked state before each
 //! child, so a snapshot (one restore point) allocates almost nothing.
-//! What a restore may still allocate: a held-lock list or a
-//! transaction's sets copied into the undo trail with the thread state
-//! that carries them, and the trail's own growth, whose capacity stays
-//! once the walk has been as deep as any path before. DPOR adds only
-//! the growth of its race log, whose entries and flat clock buffer keep
-//! their capacity when the log is cut back, so a deeper path than any
-//! before it reallocates them. The rest of each figure is the search's
-//! fixed set-up (the executor, the seen set, the frame stack). What a
-//! snapshot must not allocate: an executor clone, a thread state
-//! without locks or a transaction copied into the trail (its locals sit
-//! inline up to four slots), vector clocks while not recording, a
-//! vector clock per DPOR race scan (the scan works in two scratch
-//! clocks reused across scans, and a committed step appends its clock
-//! to the flat buffer), a heap footprint for any op but a wide commit,
-//! the fingerprint's dirty list, DPOR's forced-step and sleeper buffers
-//! (reused across edges), and any thread set: the enabled set, a branch
-//! head, a sleep set, a DPOR frame's sets and a race's initials are
-//! `u64` masks.
+//! What a restore may still allocate: a transaction's sets copied into
+//! the undo trail with the thread state that carries them, and the
+//! trail's own growth, whose capacity stays once the walk has been as
+//! deep as any path before. DPOR adds only the growth of its race log,
+//! whose entries and flat clock buffer keep their capacity when the log
+//! is cut back, so a deeper path than any before it reallocates them.
+//! The rest of each figure is the search's fixed set-up (the executor,
+//! the seen set, the frame stack). What a snapshot must not allocate:
+//! an executor clone, a thread state without a transaction copied into
+//! the trail (its locals sit inline up to four slots, its held locks up
+//! to three), vector clocks while not recording, a vector clock per
+//! DPOR race scan (the scan works in two scratch clocks reused across
+//! scans, and a committed step appends its clock to the flat buffer), a
+//! heap footprint for any op but a wide commit, the fingerprint's dirty
+//! list, DPOR's forced-step and sleeper buffers (reused across edges),
+//! and any thread set: the enabled set, a branch head, a sleep set, a
+//! DPOR frame's sets and a race's initials are `u64` masks.
 //!
 //! Building a program is guarded the same way: the programs of one
 //! perfbench `kernels` round, whose build time is its `setup_s`, must
@@ -153,6 +152,53 @@ fn dedup_and_sleep_sets_on_a_lost_update() {
     };
     let explorer = Explorer::new(&program).limits(limits);
     assert_within("lost-update-3 dedup+sleep", explorer, 0.01);
+}
+
+/// Three threads and two mutexes: thread `t` increments `c[k]` under
+/// `m[k]` for `k` in `(t % 2, 1 - t % 2)`, each increment followed by an
+/// unguarded read of the other counter. Most states have a thread
+/// holding a lock, so most undo records carry a held-lock list.
+fn lock_holders() -> Program {
+    let mut b = ProgramBuilder::new("lock-holders-3");
+    let c = [b.var("c0", 0), b.var("c1", 0)];
+    let m = [b.mutex(), b.mutex()];
+    for (t, name) in ["t0", "t1", "t2"].into_iter().enumerate() {
+        let mut body = Vec::new();
+        for k in [t % 2, 1 - t % 2] {
+            body.extend([
+                Stmt::lock(m[k]),
+                Stmt::read(c[k], "tmp"),
+                Stmt::write(c[k], Expr::local("tmp") + Expr::lit(1)),
+                Stmt::unlock(m[k]),
+                Stmt::read(c[1 - k], "other"),
+            ]);
+        }
+        b.thread(name, body);
+    }
+    b.build().expect("valid program")
+}
+
+#[test]
+fn dedup_on_lock_holders() {
+    let program = lock_holders();
+    let limits = ExploreLimits {
+        dedup_states: true,
+        ..limits()
+    };
+    let explorer = Explorer::new(&program).limits(limits);
+    assert_within("lock-holders-3 dedup", explorer, 0.01);
+}
+
+#[test]
+fn dedup_and_sleep_sets_on_lock_holders() {
+    let program = lock_holders();
+    let limits = ExploreLimits {
+        dedup_states: true,
+        sleep_sets: true,
+        ..limits()
+    };
+    let explorer = Explorer::new(&program).limits(limits);
+    assert_within("lock-holders-3 dedup+sleep", explorer, 0.01);
 }
 
 #[test]

@@ -90,11 +90,78 @@ struct ThreadState {
     status: ThreadStatus,
     pc: usize,
     locals: Locals,
-    held: Vec<MutexId>,
+    held: Held,
     /// Boxed, so that the undo record of a thread outside a transaction
     /// stays small.
     tx: Option<Box<TxState>>,
     tx_retries: u32,
+}
+
+/// Mutexes a [`Held`] list keeps without a heap allocation.
+const HELD_INLINE: usize = 3;
+
+/// The mutexes a thread holds, in acquisition order, inline up to
+/// [`HELD_INLINE`]: the undo record of a thread holding a lock
+/// allocates nothing. A thread holds a mutex at most once, since a
+/// mutex has one owner.
+#[derive(Clone)]
+enum Held {
+    Inline(u8, [MutexId; HELD_INLINE]),
+    Spilled(Vec<MutexId>),
+}
+
+impl Default for Held {
+    fn default() -> Held {
+        Held::Inline(0, [MutexId(0); HELD_INLINE])
+    }
+}
+
+impl Held {
+    fn as_slice(&self) -> &[MutexId] {
+        match self {
+            Held::Inline(len, held) => &held[..usize::from(*len)],
+            Held::Spilled(held) => held,
+        }
+    }
+
+    fn push(&mut self, m: MutexId) {
+        match self {
+            Held::Inline(len, held) if usize::from(*len) < HELD_INLINE => {
+                held[usize::from(*len)] = m;
+                *len += 1;
+            }
+            Held::Inline(_, held) => *self = Held::Spilled([&held[..], &[m]].concat()),
+            Held::Spilled(held) => held.push(m),
+        }
+    }
+
+    /// Drops `m`, keeping the order of the rest.
+    fn remove(&mut self, m: MutexId) {
+        match self {
+            Held::Inline(len, held) => {
+                let n = usize::from(*len);
+                if let Some(at) = held[..n].iter().position(|&h| h == m) {
+                    held.copy_within(at + 1..n, at);
+                    *len -= 1;
+                }
+            }
+            Held::Spilled(held) => held.retain(|&h| h != m),
+        }
+    }
+}
+
+/// Only the held mutexes count: entries past an inline list's length
+/// are stale.
+impl std::hash::Hash for Held {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+impl std::fmt::Debug for Held {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
 }
 
 /// Feeds an `Option<ThreadId>` into a component hash without colliding
@@ -106,31 +173,34 @@ fn hash_opt_thread(f: Fnv, t: Option<ThreadId>) -> Fnv {
     }
 }
 
-/// One undo record: a component's value before its first write since
-/// the newest mark, or a fingerprint slot's hash before its first
-/// repair since then.
+/// A sync object's undo record: its index and its value before its
+/// first write since the newest mark.
 #[derive(Debug, Clone)]
-enum Undo {
-    Var(usize, i64),
-    Thread(usize, ThreadState),
-    Mutex(usize, MutexState),
-    Cond(usize, CondState),
-    Rw(usize, RwState),
-    Sem(usize, SemState),
-    Slot(usize, u64),
+enum SyncUndo {
+    Mutex(u32, MutexState),
+    Cond(u32, CondState),
+    Rw(u32, RwState),
+    Sem(u32, SemState),
 }
 
-/// The undo trail: the records pushed since the oldest live mark, and
-/// one stamp per component and per fingerprint slot (components first,
-/// both in [`StateHash`] slot order). A stamp equal to `epoch` means the
-/// component is already recorded since the newest mark or restore.
-/// Every mark and every restore starts a fresh epoch; stamps and the
-/// epoch start at 0, so an executor that never marks records nothing.
+/// The undo trail: the records pushed since the oldest live mark, one
+/// stack per kind, so that a variable's or a fingerprint slot's record
+/// is two words. A record holds a component's value before its first
+/// write since the newest mark, or a slot's hash before its first
+/// repair since then. One stamp per component and per fingerprint slot
+/// (components first, both in [`StateHash`] slot order) equal to
+/// `epoch` means the component is already recorded since the newest
+/// mark or restore. Every mark and every restore starts a fresh epoch;
+/// stamps and the epoch start at 0, so an executor that never marks
+/// records nothing.
 #[derive(Debug, Clone)]
 struct Trail {
     epoch: u64,
     stamps: Box<[u64]>,
-    records: Vec<Undo>,
+    vars: Vec<(u32, i64)>,
+    slots: Vec<(u32, u64)>,
+    threads: Vec<(u32, ThreadState)>,
+    syncs: Vec<SyncUndo>,
 }
 
 impl Trail {
@@ -147,16 +217,20 @@ impl Trail {
     }
 }
 
-/// A state [`Executor::undo_to`] can restore: the trail's length, and
-/// the scalars a step overwrites instead of recording.
+/// A state [`Executor::undo_to`] can restore: the length of each of the
+/// trail's stacks, and the scalars a step overwrites instead of
+/// recording. A mark is taken where the run goes on, so it keeps no
+/// outcome.
 #[derive(Debug, Clone)]
 pub(crate) struct Mark {
-    records: usize,
+    vars: usize,
+    slots: usize,
+    threads: usize,
+    syncs: usize,
     steps: usize,
     events: usize,
     io_journal: usize,
     enabled: u64,
-    outcome: Option<Outcome>,
     fold: Fold,
     /// [`Executor::digest`] of the marked state: the restore audit.
     #[cfg(debug_assertions)]
@@ -167,31 +241,42 @@ pub(crate) struct Mark {
 ///
 /// Drive it with [`Executor::step`] (choosing among
 /// [`Executor::enabled`] threads) or one of the `run_*` conveniences.
+/// The explorer's forward runs and `run_*` step through the
+/// crate-private `Executor::step_enabled`, which builds no
+/// [`StepResult`]: a step that ends the run leaves its outcome in the
+/// executor, and so does the step budget.
 ///
 /// # Undo trail
 ///
 /// The model checker keeps one executor per search. It marks the state
 /// at each branch point (`Executor::mark`) and restores the mark
-/// before each child (`Executor::undo_to`); the child's edge then
-/// runs in place. The state is flat and unshared: the shared variables,
-/// the thread states and the sync-object tables are plain tables, and
-/// the schedule taken, the I/O journal and the event log are plain
-/// vectors. The first write to a component since the newest mark
-/// pushes the component's old value onto the trail, one thread, one
-/// variable or one sync object at a time; a per-component stamp makes
-/// every later write of the same edge free. The logs only grow, so a
-/// mark keeps their lengths, with the enabled mask, the outcome and the
-/// fingerprint's fold and dirty list. An executor that never marks
-/// records nothing, so samplers and replays pay one compare per write.
-/// `Clone` is a deep copy.
+/// before each child but the first, which starts where the mark was
+/// taken (`Executor::undo_to`); the child's edge then runs in place.
+/// The state is flat and unshared: the shared variables, the thread
+/// states and the sync-object tables are plain tables, and the schedule
+/// taken, the I/O journal and the event log are plain vectors. The
+/// first write to a component since the newest mark pushes the
+/// component's old value onto the trail's stack for its kind: a
+/// variable's record and a fingerprint slot's are two words, a thread's
+/// is its whole state (held locks inline up to three, so the record of
+/// a lock holder allocates nothing), and the sync objects share one
+/// stack. A per-component stamp makes every later write of the same
+/// edge free. The logs only grow, so a mark keeps their lengths, with
+/// the enabled mask and the fingerprint's fold and dirty list; a mark
+/// is taken mid-run, so it keeps no outcome. An executor that never
+/// marks records nothing, so samplers and replays pay one compare per
+/// write. `Clone` is a deep copy.
 ///
 /// # Lowered code, enabled mask
 ///
 /// The executor steps on the code [`crate::ProgramBuilder::build`]
-/// lowered once: locals by slot, expressions without boxed nodes.
-/// After each step it recomputes one `u64` mask of the enabled
-/// threads, which [`Executor::is_enabled`], the quiescence check and
-/// the explorer's forward run all read.
+/// lowered once: locals by slot, and expressions inline but for one box
+/// per operator with a deeper operand. It keeps one `u64` mask of the
+/// enabled threads, which [`Executor::is_enabled`], the quiescence
+/// check and the explorer's forward run all read. A step whose op
+/// writes no sync object and no other thread, and which leaves its
+/// thread `Ready`, re-checks only that thread's bit (debug builds check
+/// it against a recomputation); every other step recomputes the mask.
 ///
 /// # Thread-confined
 ///
@@ -258,7 +343,7 @@ impl Executor {
                 },
                 pc: 0,
                 locals: Locals::new(t.slots().len()),
-                held: Vec::new(),
+                held: Held::default(),
                 tx: None,
                 tx_retries: 0,
             })
@@ -291,7 +376,10 @@ impl Executor {
             trail: Trail {
                 epoch: 0,
                 stamps: vec![0; 2 * hash.len()].into_boxed_slice(),
-                records: Vec::new(),
+                vars: Vec::new(),
+                slots: Vec::new(),
+                threads: Vec::new(),
+                syncs: Vec::new(),
             },
             hash,
         };
@@ -304,7 +392,7 @@ impl Executor {
                 exec.fast_forward(tid);
             }
         }
-        exec.refresh_enabled();
+        exec.refresh_enabled(None);
         exec
     }
 
@@ -484,7 +572,7 @@ impl Executor {
             let fresh = self.component_hash(c);
             let (at, stale) = self.hash.replace(c, fresh);
             if self.trail.first_write(self.hash.len() + at) {
-                self.trail.records.push(Undo::Slot(at, stale));
+                self.trail.slots.push((at as u32, stale));
             }
         }
         self.hash.key()
@@ -549,8 +637,9 @@ impl Executor {
                     locals_fold ^= slots.seed(slot).i64(value).finish();
                 }
                 f = f.usize(ts.locals.len()).u64(locals_fold);
-                f = f.usize(ts.held.len());
-                for m in &ts.held {
+                let held = ts.held.as_slice();
+                f = f.usize(held.len());
+                for m in held {
                     f = f.usize(m.index());
                 }
                 match &ts.tx {
@@ -590,7 +679,7 @@ impl Executor {
         let i = t.index();
         if self.touch(Comp::Thread(i)) {
             let old = self.threads[i].clone();
-            self.trail.records.push(Undo::Thread(i, old));
+            self.trail.threads.push((i as u32, old));
         }
         &mut self.threads[i]
     }
@@ -599,7 +688,7 @@ impl Executor {
         let i = m.index();
         if self.touch(Comp::Mutex(i)) {
             let old = self.mutexes[i].clone();
-            self.trail.records.push(Undo::Mutex(i, old));
+            self.trail.syncs.push(SyncUndo::Mutex(i as u32, old));
         }
         &mut self.mutexes[i]
     }
@@ -608,7 +697,7 @@ impl Executor {
         let i = c.index();
         if self.touch(Comp::Cond(i)) {
             let old = self.conds[i].clone();
-            self.trail.records.push(Undo::Cond(i, old));
+            self.trail.syncs.push(SyncUndo::Cond(i as u32, old));
         }
         &mut self.conds[i]
     }
@@ -617,7 +706,7 @@ impl Executor {
         let i = rw.index();
         if self.touch(Comp::Rw(i)) {
             let old = self.rws[i].clone();
-            self.trail.records.push(Undo::Rw(i, old));
+            self.trail.syncs.push(SyncUndo::Rw(i as u32, old));
         }
         &mut self.rws[i]
     }
@@ -626,7 +715,7 @@ impl Executor {
         let i = s.index();
         if self.touch(Comp::Sem(i)) {
             let old = self.sems[i].clone();
-            self.trail.records.push(Undo::Sem(i, old));
+            self.trail.syncs.push(SyncUndo::Sem(i as u32, old));
         }
         &mut self.sems[i]
     }
@@ -634,7 +723,7 @@ impl Executor {
     fn set_var(&mut self, var: VarId, value: i64) {
         let i = var.index();
         if self.touch(Comp::Var(i)) {
-            self.trail.records.push(Undo::Var(i, self.vars[i]));
+            self.trail.vars.push((i as u32, self.vars[i]));
         }
         self.vars[i] = value;
     }
@@ -644,44 +733,56 @@ impl Executor {
     /// Marks the current state for [`Executor::undo_to`]. Marks nest:
     /// a restore to one discards every mark taken after it.
     pub(crate) fn mark(&mut self) -> Mark {
-        self.trail.epoch += 1;
+        debug_assert!(self.outcome.is_none(), "a mark is taken mid-run");
+        let trail = &mut self.trail;
+        trail.epoch += 1;
         Mark {
-            records: self.trail.records.len(),
+            vars: trail.vars.len(),
+            slots: trail.slots.len(),
+            threads: trail.threads.len(),
+            syncs: trail.syncs.len(),
             steps: self.taken.len(),
             events: self.events.len(),
             io_journal: self.io_journal.len(),
             enabled: self.enabled,
-            outcome: self.outcome.clone(),
             fold: self.hash.fold(),
             #[cfg(debug_assertions)]
             digest: self.digest(),
         }
     }
 
-    /// Restores the state `mark` was taken at: pops the trail's records
-    /// above it, newest first, truncates the logs and reinstates the
-    /// scalars. `mark` must be live: no restore to an older mark has
-    /// happened since it was taken. Starts a fresh epoch, so the next
-    /// write of every component records again. Debug builds audit the
-    /// result against the mark's [`Executor::digest`].
+    /// Restores the state `mark` was taken at: pops each stack's records
+    /// above it, newest first (so a component recorded under several
+    /// live marks gets its oldest value back), truncates the logs and
+    /// reinstates the scalars. `mark` must be live: no restore to an
+    /// older mark has happened since it was taken. Starts a fresh epoch,
+    /// so the next write of every component records again. Debug builds
+    /// audit the result against the mark's [`Executor::digest`].
     pub(crate) fn undo_to(&mut self, mark: &Mark) {
-        for record in self.trail.records.drain(mark.records..).rev() {
+        let trail = &mut self.trail;
+        for (i, v) in trail.vars.drain(mark.vars..).rev() {
+            self.vars[i as usize] = v;
+        }
+        for (at, hash) in trail.slots.drain(mark.slots..).rev() {
+            self.hash.restore_slot(at as usize, hash);
+        }
+        for (i, ts) in trail.threads.drain(mark.threads..).rev() {
+            self.threads[i as usize] = ts;
+        }
+        for record in trail.syncs.drain(mark.syncs..).rev() {
             match record {
-                Undo::Var(i, v) => self.vars[i] = v,
-                Undo::Thread(i, ts) => self.threads[i] = ts,
-                Undo::Mutex(i, m) => self.mutexes[i] = m,
-                Undo::Cond(i, c) => self.conds[i] = c,
-                Undo::Rw(i, rw) => self.rws[i] = rw,
-                Undo::Sem(i, sem) => self.sems[i] = sem,
-                Undo::Slot(at, hash) => self.hash.restore_slot(at, hash),
+                SyncUndo::Mutex(i, m) => self.mutexes[i as usize] = m,
+                SyncUndo::Cond(i, c) => self.conds[i as usize] = c,
+                SyncUndo::Rw(i, rw) => self.rws[i as usize] = rw,
+                SyncUndo::Sem(i, sem) => self.sems[i as usize] = sem,
             }
         }
-        self.trail.epoch += 1;
+        trail.epoch += 1;
         self.taken.truncate(mark.steps);
         self.events.truncate(mark.events);
         self.io_journal.truncate(mark.io_journal);
         self.enabled = mark.enabled;
-        self.outcome.clone_from(&mark.outcome);
+        self.outcome = None;
         self.hash.set_fold(mark.fold);
         #[cfg(debug_assertions)]
         assert_eq!(self.digest(), mark.digest, "a restore missed a write");
@@ -793,19 +894,42 @@ impl Executor {
         }
     }
 
-    /// Recomputes the enabled mask, once per step; with no thread
-    /// enabled, the execution has quiesced.
-    fn refresh_enabled(&mut self) {
-        self.enabled = 0;
+    /// The enabled mask recomputed from every thread: 0 once the run is
+    /// done.
+    fn mask_from_scratch(&self) -> u64 {
         if self.outcome.is_some() {
-            return;
+            return 0;
         }
-        for i in 0..self.threads.len() {
-            if self.can_step(i) {
-                self.enabled |= 1 << i;
+        (0..self.threads.len())
+            .filter(|&i| self.can_step(i))
+            .fold(0, |mask, i| mask | 1 << i)
+    }
+
+    /// Sets the enabled mask after a step (or at construction, with
+    /// `local` `None`). `local` names the thread of a thread-local step
+    /// ([`Op::is_thread_local`]) that left it `Ready`: only its bit can
+    /// have changed, so only it is re-checked; debug builds check the
+    /// result against a recomputation. With no thread enabled, the
+    /// execution has quiesced.
+    fn refresh_enabled(&mut self, local: Option<usize>) {
+        self.enabled = match local {
+            Some(i) if self.outcome.is_none() => {
+                let bit = 1 << i;
+                let mask = if self.can_step(i) {
+                    self.enabled | bit
+                } else {
+                    self.enabled & !bit
+                };
+                debug_assert_eq!(
+                    mask,
+                    self.mask_from_scratch(),
+                    "a local step moved another thread"
+                );
+                mask
             }
-        }
-        if self.enabled == 0 {
+            _ => self.mask_from_scratch(),
+        };
+        if self.enabled == 0 && self.outcome.is_none() {
             self.outcome = Some(self.quiesced());
         }
     }
@@ -820,52 +944,80 @@ impl Executor {
         if !self.is_enabled(thread) {
             return Err(ExecError::ThreadNotEnabled { thread });
         }
-        self.taken.push(thread.index() as u8);
+        Ok(if self.step_enabled(thread) {
+            StepResult::Running
+        } else {
+            StepResult::Done(self.outcome.clone().expect("the run ended"))
+        })
+    }
 
-        if let ThreadStatus::Reacquire { mutex, signalled } = self.threads[thread.index()].status {
+    /// [`Executor::step`] for a thread known to be enabled: `true` while
+    /// the execution goes on, and the outcome stays in the executor
+    /// ([`Executor::outcome`]), so a step builds no result and copies no
+    /// outcome. The explorer's forward runs and [`Executor::run_with`]
+    /// step through it.
+    pub(crate) fn step_enabled(&mut self, thread: ThreadId) -> bool {
+        debug_assert!(self.is_enabled(thread), "{thread} is not enabled");
+        let i = thread.index();
+        self.taken.push(i as u8);
+        let local = if let ThreadStatus::Reacquire { mutex, signalled } = self.threads[i].status {
             self.finish_wait(thread, mutex, signalled);
+            false
         } else {
             // Borrow the op through a program handle: the step mutates
             // the executor while it reads the op.
             let program = Rc::clone(&self.program);
-            let code = program.threads()[thread.index()].code();
-            let op = match code.get(self.threads[thread.index()].pc) {
+            let op = match program.threads()[i].code().get(self.threads[i].pc) {
                 Some(Instr::Op(op)) => op,
                 _ => unreachable!("enabled Ready thread has a visible op"),
             };
             self.exec_op(thread, op);
-        }
-
-        if self.outcome.is_none() && self.threads[thread.index()].status == ThreadStatus::Ready {
+            op.is_thread_local()
+        };
+        let ready = self.threads[i].status == ThreadStatus::Ready;
+        if self.outcome.is_none() && ready {
             self.fast_forward(thread);
         }
-        self.refresh_enabled();
-        Ok(match &self.outcome {
-            Some(o) => StepResult::Done(o.clone()),
-            None => StepResult::Running,
-        })
+        // A thread that finishes here may wake its joiners.
+        let local = local && self.threads[i].status == ThreadStatus::Ready;
+        self.refresh_enabled(local.then_some(i));
+        self.outcome.is_none()
+    }
+
+    /// Ends the run with [`Outcome::StepLimit`] once it has taken
+    /// `max_steps` steps; `true` when it did. Every run bounded in steps
+    /// ends there through this.
+    pub(crate) fn stop_at_step_limit(&mut self, max_steps: usize) -> bool {
+        if self.taken.len() < max_steps {
+            return false;
+        }
+        self.outcome = Some(Outcome::StepLimit);
+        self.enabled = 0;
+        true
     }
 
     /// Runs to termination, choosing each step with `picker` (called with
     /// the non-empty enabled set). Stops with [`Outcome::StepLimit`] after
     /// `max_steps` visible operations.
+    ///
+    /// # Panics
+    ///
+    /// When `picker` chooses a thread that is not enabled.
     pub fn run_with(
         &mut self,
         max_steps: usize,
         mut picker: impl FnMut(&[ThreadId]) -> ThreadId,
     ) -> Outcome {
         let mut enabled = Vec::new();
-        while self.outcome.is_none() {
-            if self.steps() >= max_steps {
-                self.outcome = Some(Outcome::StepLimit);
-                self.enabled = 0;
-                break;
-            }
+        while self.outcome.is_none() && !self.stop_at_step_limit(max_steps) {
             self.enabled_into(&mut enabled);
             debug_assert!(!enabled.is_empty(), "quiescence should have fired");
             let choice = picker(&enabled);
-            self.step(choice)
-                .expect("picker must choose an enabled thread");
+            assert!(
+                self.is_enabled(choice),
+                "picker must choose an enabled thread"
+            );
+            self.step_enabled(choice);
         }
         self.outcome.clone().expect("loop sets outcome")
     }
@@ -1192,7 +1344,7 @@ impl Executor {
                     return;
                 }
                 self.mutex_mut(*m).owner = None;
-                self.thread_mut(thread).held.retain(|h| h != m);
+                self.thread_mut(thread).held.remove(*m);
                 self.record_event(thread, EventKind::Unlock(*m));
                 self.advance(thread);
             }
@@ -1255,7 +1407,7 @@ impl Executor {
                 let spurious = self.fault_fires(FaultKind::SpuriousWakeup, thread);
                 self.mutex_mut(*mutex).owner = None;
                 let ts = self.thread_mut(thread);
-                ts.held.retain(|h| h != mutex);
+                ts.held.remove(*mutex);
                 if spurious {
                     ts.status = ThreadStatus::Reacquire {
                         mutex: *mutex,
@@ -2270,12 +2422,11 @@ mod tests {
         assert_eq!(a.digest(), b.digest());
     }
 
-    /// One case of [`undo_restores_the_marked_state`]:
-    /// `(seed, program, recorded)`.
-    fn undo_restores((seed, pick, recorded): (u64, u8, bool)) {
-        use crate::fault::splitmix64;
+    /// The program a property case picks: [`every_kind_program`] (0),
+    /// [`rest_of_kinds_program`] (1) or a generated one from `seed`.
+    fn picked_program(pick: u8, seed: u64) -> Program {
         use crate::generate::{generate, GenConfig};
-        let program = match pick {
+        match pick {
             0 => every_kind_program(),
             1 => rest_of_kinds_program(),
             _ => generate(
@@ -2289,7 +2440,14 @@ mod tests {
                 },
                 seed,
             ),
-        };
+        }
+    }
+
+    /// One case of [`undo_restores_the_marked_state`]:
+    /// `(seed, program, recorded)`.
+    fn undo_restores((seed, pick, recorded): (u64, u8, bool)) {
+        use crate::fault::splitmix64;
+        let program = picked_program(pick, seed);
         let record = if recorded {
             RecordMode::Full
         } else {
@@ -2328,6 +2486,76 @@ mod tests {
         while let Some((mark, at_mark)) = marks.pop() {
             e.undo_to(&mark);
             assert_restored(&e, &at_mark);
+        }
+    }
+
+    /// After every step, the enabled mask equals a recomputation from
+    /// every thread's state, and a run that quiesced leaves no thread
+    /// that can step. A thread-local step re-checks only its own thread;
+    /// this checks it in release builds too, where the step's own
+    /// assertion is off. Programs reach every `Stmt` kind
+    /// ([`every_kind_program`], [`rest_of_kinds_program`]) or come from
+    /// the generator, each plain or under `FaultPlan::new(seed)`. 256
+    /// cases, case `i` drawn from `SplitMix64::new(i)`.
+    #[test]
+    fn incremental_enabled_mask_matches_recomputation() {
+        use crate::fault::SplitMix64;
+        use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+        for case in 0..256 {
+            let mut rng = SplitMix64::new(case);
+            let input = (
+                rng.range(0u64..2_000),
+                rng.range(0u8..4),
+                rng.range(0u8..2) == 0,
+            );
+            if let Err(panic) = catch_unwind(AssertUnwindSafe(|| enabled_mask_holds(input))) {
+                eprintln!("property failed at case {case} with input {input:?}");
+                resume_unwind(panic);
+            }
+        }
+    }
+
+    /// The threads that can step, from every thread's state, whether or
+    /// not the run is done.
+    fn mask_from_scratch(e: &Executor) -> u64 {
+        (0..e.threads.len())
+            .filter(|&i| e.can_step(i))
+            .fold(0, |mask, i| mask | 1 << i)
+    }
+
+    /// One case of [`incremental_enabled_mask_matches_recomputation`]:
+    /// `(seed, program, faulted)`. A random walk of at most 2 000 steps.
+    fn enabled_mask_holds((seed, pick, faulted): (u64, u8, bool)) {
+        use crate::fault::splitmix64;
+        let program = picked_program(pick, seed);
+        let mut e = Executor::new(&program);
+        if faulted {
+            e.set_fault_plan(FaultPlan::new(seed));
+        }
+        let mut draw = seed;
+        while e.steps() < 2_000 {
+            let scratch = mask_from_scratch(&e);
+            match e.outcome() {
+                None => assert_eq!(e.enabled_mask(), scratch, "at step {}", e.steps()),
+                Some(outcome) => {
+                    assert_eq!(e.enabled_mask(), 0, "{outcome:?}");
+                    let quiesced = matches!(
+                        outcome,
+                        Outcome::Ok
+                            | Outcome::Deadlock { .. }
+                            | Outcome::AssertFailed { thread: None, .. }
+                    );
+                    assert!(
+                        !quiesced || scratch == 0,
+                        "{outcome:?} with {scratch:#b} able to step"
+                    );
+                    break;
+                }
+            }
+            let enabled = e.enabled();
+            draw = splitmix64(draw);
+            e.step(enabled[(draw % enabled.len() as u64) as usize])
+                .expect("enabled thread steps");
         }
     }
 

@@ -7,8 +7,9 @@
 //! bound; or [`DporSearch`]: source-set DPOR backtrack frames, which it
 //! keeps itself). The walk keeps one executor for the whole search.
 //! Each frame holds a [`Mark`] of its branch state; before each child
-//! the walk restores the frame's mark ([`Executor::undo_to`]) and runs
-//! the edge in place with [`Strategy::edge`]. No executor is cloned,
+//! but the first, which starts where the frame was opened, the walk
+//! restores the frame's mark ([`Executor::undo_to`]), and it runs the
+//! edge in place with [`Strategy::edge`]. No executor is cloned,
 //! moved or dropped. Everything is booked into one [`Ledger`] in
 //! preorder. Every edge runs forward through one loop, [`forward`],
 //! which takes the strategy's bookkeeping as a [`Book`] and asks the
@@ -22,7 +23,7 @@ use lfm_obs::{
 };
 
 use crate::dpor::{child_sleep, Dpor};
-use crate::exec::{Executor, Mark, StepResult};
+use crate::exec::{Executor, Mark};
 use crate::explore::{ExploreLimits, ExploreReport, Explorer, Truncation};
 use crate::footprint::Footprint;
 use crate::fxhash::FxHashSet;
@@ -150,8 +151,9 @@ fn retain(mask: u64, mut keep: impl FnMut(ThreadId) -> bool) -> u64 {
 /// Where an edge ends.
 #[derive(Debug)]
 enum End {
-    /// The execution finished (or hit the step budget).
-    Terminal(Outcome),
+    /// The execution finished (or hit the step budget): its outcome is
+    /// the executor's.
+    Terminal,
     /// A state with more than one enabled thread was reached.
     Branch(Head),
     /// Classic sleep sets proved the whole subtree redundant.
@@ -248,7 +250,7 @@ impl Book for Vec<(ThreadId, Footprint)> {
 ///
 /// The run reads the executor's enabled mask and builds no thread set;
 /// a branch end hands the mask to the branch head, and a terminal end
-/// takes the outcome [`Executor::step`] returned.
+/// leaves the outcome in the executor, the step budget's included.
 fn forward(
     child: &mut Executor,
     choice: ThreadId,
@@ -256,14 +258,10 @@ fn forward(
     book: &mut impl Book,
     fused: &mut u64,
 ) -> End {
-    let mut stepped = (child.step(choice)).expect("explorer only chooses enabled threads");
     let mut cur = choice;
-    loop {
-        if let StepResult::Done(outcome) = stepped {
-            return End::Terminal(outcome);
-        }
-        if child.steps() >= mode.max_steps {
-            return End::Terminal(Outcome::StepLimit);
+    while child.step_enabled(cur) {
+        if child.stop_at_step_limit(mode.max_steps) {
+            break;
         }
         debug_assert!(
             invisibility_agrees(child),
@@ -289,8 +287,8 @@ fn forward(
             };
             return End::Branch(head);
         }
-        stepped = (child.step(cur)).expect("a forced or invisible step succeeds");
     }
+    End::Terminal
 }
 
 /// Whether, for every thread of `exec`, [`Executor::next_is_invisible`]
@@ -546,7 +544,7 @@ type Pick = Option<(ThreadId, bool)>;
 /// running an edge to one of them means.
 pub(crate) trait Strategy {
     /// Takes `choice` on `exec`, in place: on entry it is at the state
-    /// `head` describes (the frame's mark, restored), and the edge runs
+    /// `head` describes (the frame's mark), and the edge runs
     /// it [`forward`], timed as [`Phase::Step`] on `profile`. A branch
     /// end's head carries the child's sleep set.
     fn edge(
@@ -706,8 +704,8 @@ impl Strategy for DporSearch {
         for (t, fp) in self.forced.drain(..) {
             self.dpor.commit_step(t, fp, false);
         }
-        if let End::Terminal(outcome) = &end {
-            let abort = outcome.is_abort();
+        if let End::Terminal = end {
+            let abort = exec.outcome().is_some_and(Outcome::is_abort);
             for t in (0..exec.program().n_threads()).map(ThreadId::from_index) {
                 if let Some(fp) = exec.next_footprint(t) {
                     self.dpor.pending_race(t, &fp, abort);
@@ -771,12 +769,13 @@ impl Frame {
 /// (budgets, dedup verdicts, classification, witnesses, counters)
 /// happens here. It runs only the child it picks, when it picks it, on
 /// the search's one executor: it restores the top frame's mark, timed
-/// as [`Phase::Snapshot`], and runs the edge in place. A final survivor
-/// pops its frame before its edge runs; the frames below keep their
-/// marks, which the restore trail still reaches. Every terminal goes to
-/// `on_terminal` before it is classified. Stall faults only bias
-/// samplers; the systematic search strips them
-/// ([`crate::FaultPlan::without_stalls`]).
+/// as [`Phase::Snapshot`], unless the executor still sits there (a
+/// frame's first child), and runs the edge in place. Every edge counts
+/// one snapshot either way. A final survivor pops its frame before its
+/// edge runs; the frames below keep their marks, which the restore
+/// trail still reaches. Every terminal goes to `on_terminal` before it
+/// is classified. Stall faults only bias samplers; the systematic
+/// search strips them ([`crate::FaultPlan::without_stalls`]).
 pub(crate) fn walk<S: Strategy>(
     explorer: &Explorer<'_>,
     mode: Mode,
@@ -815,6 +814,9 @@ pub(crate) fn walk<S: Strategy>(
     report.stats.max_depth = 1;
     let path_degree = f64::from(head.enabled.count_ones());
     let mut frames = vec![Frame::open(&mut exec, head, 1, path_degree)];
+    // Whether the executor sits at the top frame's mark: only between
+    // opening a frame and running its first child.
+    let mut at_top = true;
 
     while let Some(top) = frames.last_mut() {
         if ledger.stop() {
@@ -823,11 +825,15 @@ pub(crate) fn walk<S: Strategy>(
         let report = &mut ledger.report;
         let Some((choice, last)) = strategy.select(&mut top.head, report) else {
             frames.pop();
+            at_top = false;
             continue;
         };
         let (depth, path_degree) = (top.depth, top.path_degree);
-        profile.time(Phase::Snapshot, || exec.undo_to(&top.mark));
+        if !at_top {
+            profile.time(Phase::Snapshot, || exec.undo_to(&top.mark));
+        }
         let edge = strategy.edge(profile, &mut top.head, &mut exec, choice);
+        at_top = false;
         if last {
             frames.pop();
         }
@@ -835,9 +841,10 @@ pub(crate) fn walk<S: Strategy>(
         report.stats.fused_steps += edge.fused;
         report.stats.snapshots_elided += u64::from(last);
         match edge.end {
-            End::Terminal(outcome) => {
-                on_terminal(&exec, &outcome);
-                if ledger.leaf(&outcome, &exec, path_degree, frames.len() as u64) {
+            End::Terminal => {
+                let outcome = exec.outcome().expect("a terminal edge ends the run");
+                on_terminal(&exec, outcome);
+                if ledger.leaf(outcome, &exec, path_degree, frames.len() as u64) {
                     break;
                 }
             }
@@ -849,6 +856,7 @@ pub(crate) fn walk<S: Strategy>(
                     report.stats.max_depth = report.stats.max_depth.max(depth + 1);
                     let path_degree = path_degree * f64::from(head.enabled.count_ones());
                     frames.push(Frame::open(&mut exec, head, depth + 1, path_degree));
+                    at_top = true;
                 }
             }
             End::Redundant => report.sleep_pruned += 1,

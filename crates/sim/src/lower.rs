@@ -4,10 +4,11 @@
 //! A thread's locals become dense slots, numbered in the order the body
 //! first names them. Names match by content, so a name built at run time
 //! and a literal share one slot. An expression becomes one operator over
-//! two leaves, stored inline, or, when deeper, postfix code in one
-//! allocation. A step then reads a local by index, evaluates without a
-//! name compare or a walk through boxed nodes, and a thread's locals are
-//! a fixed-size table plus a mask of the slots written so far.
+//! two leaves, stored inline; only an operator with a deeper operand
+//! takes a box, so a guard like `won == 0 && attempts < 3` is one box
+//! over two inline comparisons. A step then reads a local by index,
+//! evaluates without a name compare, and a thread's locals are a
+//! fixed-size table plus a mask of the slots written so far.
 
 use crate::error::BuildError;
 use crate::expr::{BinOp, Expr, UnOp};
@@ -73,14 +74,6 @@ impl Leaf {
     }
 }
 
-/// One node of [`Code::Postfix`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Node {
-    Leaf(Leaf),
-    Un(UnOp),
-    Bin(BinOp),
-}
-
 /// A lowered expression over one thread's locals.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Code {
@@ -88,41 +81,26 @@ pub(crate) enum Code {
     Un(UnOp, Leaf),
     /// `leaf op leaf`: `tmp + 1`, `r == 0` and most conditions.
     Bin(BinOp, Leaf, Leaf),
-    /// Anything deeper, operands before their operator.
-    Postfix(Box<[Node]>),
+    /// A unary operator over a deeper operand.
+    DeepUn(Box<(UnOp, Code)>),
+    /// An operator with a deeper operand: one box per such node.
+    Deep(Box<(BinOp, Code, Code)>),
 }
 
 impl Code {
-    /// The expression's value over `locals`.
+    /// The expression's value over `locals`. The recursion is as deep
+    /// as the boxed nodes, like `Expr::eval`'s.
     #[inline]
     pub(crate) fn eval(&self, locals: &Locals) -> i64 {
         match self {
             Code::Leaf(leaf) => leaf.get(locals),
             Code::Un(op, leaf) => op.apply(leaf.get(locals)),
             Code::Bin(op, a, b) => op.apply(a.get(locals), b.get(locals)),
-            Code::Postfix(nodes) => postfix(nodes, locals).0,
-        }
-    }
-}
-
-/// Evaluates the subexpression that ends `nodes`, returning its value
-/// and the nodes before it. The recursion is as deep as the expression,
-/// like `Expr::eval`'s, so no depth is too deep for it and no operand
-/// stack is set up per call.
-fn postfix<'a>(nodes: &'a [Node], locals: &Locals) -> (i64, &'a [Node]) {
-    let (&last, rest) = nodes
-        .split_last()
-        .expect("lowering emits whole subexpressions");
-    match last {
-        Node::Leaf(leaf) => (leaf.get(locals), rest),
-        Node::Un(op) => {
-            let (v, rest) = postfix(rest, locals);
-            (op.apply(v), rest)
-        }
-        Node::Bin(op) => {
-            let (b, rest) = postfix(rest, locals);
-            let (a, rest) = postfix(rest, locals);
-            (op.apply(a, b), rest)
+            Code::DeepUn(node) => node.0.apply(node.1.eval(locals)),
+            Code::Deep(node) => {
+                let (op, a, b) = &**node;
+                op.apply(a.eval(locals), b.eval(locals))
+            }
         }
     }
 }
@@ -184,6 +162,30 @@ pub(crate) enum Op {
     Yield,
 }
 
+impl Op {
+    /// `true` for an op that writes no sync object and no other
+    /// thread's state. Every thread's enabled bit reads only sync
+    /// objects and thread states, so after such a step only the
+    /// stepping thread's own bit can change, while it stays `Ready`.
+    /// (A join reads its target's status and writes nothing.)
+    pub(crate) fn is_thread_local(&self) -> bool {
+        matches!(
+            self,
+            Op::Read { .. }
+                | Op::Write { .. }
+                | Op::Rmw { .. }
+                | Op::Cas { .. }
+                | Op::Join(_)
+                | Op::Assert { .. }
+                | Op::Io { .. }
+                | Op::TxBegin
+                | Op::TxRetry
+                | Op::TxCommit
+                | Op::Yield
+        )
+    }
+}
+
 /// A flat instruction, produced by compiling a statement tree.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Instr {
@@ -227,54 +229,25 @@ impl Lower {
         name.map(|name| self.slot(name)).transpose()
     }
 
-    /// `e` as a leaf, when it is one.
-    fn leaf(&mut self, e: &Expr) -> Result<Option<Leaf>, BuildError> {
+    /// Lowers an expression of the thread's body, naming its locals left
+    /// to right.
+    pub(crate) fn expr(&mut self, e: &Expr) -> Result<Code, BuildError> {
         Ok(match e {
-            Expr::Lit(v) => Some(Leaf::Lit(*v)),
-            Expr::Local(name) => Some(Leaf::Local(self.slot(name)?)),
+            Expr::Lit(v) => Code::Leaf(Leaf::Lit(*v)),
+            Expr::Local(name) => Code::Leaf(Leaf::Local(self.slot(name)?)),
             Expr::Shared(_) => {
                 let thread = self.thread;
                 return Err(BuildError::SharedExprInThreadBody { thread });
             }
-            Expr::Bin(..) | Expr::Un(..) => None,
-        })
-    }
-
-    /// Lowers an expression of the thread's body.
-    pub(crate) fn expr(&mut self, e: &Expr) -> Result<Code, BuildError> {
-        let inline = match e {
-            Expr::Un(op, x) => self.leaf(x)?.map(|x| Code::Un(*op, x)),
-            Expr::Bin(op, a, b) => match (self.leaf(a)?, self.leaf(b)?) {
-                (Some(a), Some(b)) => Some(Code::Bin(*op, a, b)),
-                _ => None,
+            Expr::Un(op, x) => match self.expr(x)? {
+                Code::Leaf(x) => Code::Un(*op, x),
+                x => Code::DeepUn(Box::new((*op, x))),
             },
-            leaf => self.leaf(leaf)?.map(Code::Leaf),
-        };
-        if let Some(code) = inline {
-            return Ok(code);
-        }
-        let mut nodes = Vec::new();
-        self.postfix(e, &mut nodes)?;
-        Ok(Code::Postfix(nodes.into_boxed_slice()))
-    }
-
-    fn postfix(&mut self, e: &Expr, out: &mut Vec<Node>) -> Result<(), BuildError> {
-        match e {
-            Expr::Un(op, x) => {
-                self.postfix(x, out)?;
-                out.push(Node::Un(*op));
-            }
-            Expr::Bin(op, a, b) => {
-                self.postfix(a, out)?;
-                self.postfix(b, out)?;
-                out.push(Node::Bin(*op));
-            }
-            leaf => {
-                let leaf = self.leaf(leaf)?.expect("not an operator");
-                out.push(Node::Leaf(leaf));
-            }
-        }
-        Ok(())
+            Expr::Bin(op, a, b) => match (self.expr(a)?, self.expr(b)?) {
+                (Code::Leaf(a), Code::Leaf(b)) => Code::Bin(*op, a, b),
+                (a, b) => Code::Deep(Box::new((*op, a, b))),
+            },
+        })
     }
 
     /// Lowers a visible statement. `None` for the local ones
