@@ -1302,6 +1302,18 @@ fn run_explore(
         for (phase, attribution) in profile.rows() {
             table.row(phase, attribution);
         }
+        if !profile.is_empty() {
+            // The wall time no phase holds: the walk's own bookkeeping
+            // and everything the profiler does not time.
+            let wall = report.stats.wall;
+            let phases = Duration::from_nanos(profile.est_grand_total_nanos());
+            let rest = wall.saturating_sub(phases);
+            let share = 100.0 * rest.as_secs_f64() / wall.as_secs_f64().max(f64::MIN_POSITIVE);
+            table.row(
+                "unattributed",
+                format!("{} ({share:.1}% of wall)", fmt_duration(rest)),
+            );
+        }
         out.push('\n');
         out.push_str(&table.to_string());
     }
@@ -2361,6 +2373,14 @@ mod tests {
         // the hot-path phases show up with their estimated share.
         assert!(out.contains("phase step"), "missing phase rows:\n{out}");
         assert!(out.contains("phase hash"), "missing phase rows:\n{out}");
+        // The wall time no phase holds has a row of its own, with its
+        // share of the wall.
+        let share = (out.lines())
+            .find_map(|l| l.trim_start().strip_prefix("unattributed"))
+            .and_then(|rest| rest.split('(').nth(1)?.split('%').next())
+            .and_then(|pct| pct.parse::<f64>().ok())
+            .unwrap_or_else(|| panic!("missing unattributed row:\n{out}"));
+        assert!((0.0..=100.0).contains(&share), "{share}% of wall:\n{out}");
         // And the progress estimator's prediction is always reported.
         assert!(out.contains("est. total schedules:"), "{out}");
     }
