@@ -447,6 +447,23 @@ mod tests {
     }
 
     #[test]
+    fn a_deeper_operator_takes_one_box_over_inline_operands() {
+        let guard = Expr::local("won")
+            .eq(Expr::lit(0))
+            .and(Expr::local("attempts").lt(Expr::lit(3)));
+        let (code, _) = lower(&guard);
+        let won_is_0 = Code::Bin(BinOp::Eq, Leaf::Local(0), Leaf::Lit(0));
+        let attempts_lt_3 = Code::Bin(BinOp::Lt, Leaf::Local(1), Leaf::Lit(3));
+        assert_eq!(
+            code,
+            Code::Deep(Box::new((BinOp::And, won_is_0, attempts_lt_3)))
+        );
+        let (code, _) = lower(&(Expr::local("a") + Expr::lit(1)).not());
+        let sum = Code::Bin(BinOp::Add, Leaf::Local(0), Leaf::Lit(1));
+        assert_eq!(code, Code::DeepUn(Box::new((UnOp::Not, sum))));
+    }
+
+    #[test]
     fn lowered_code_evaluates_as_the_tree_does() {
         let (a, b) = (Expr::local("a"), Expr::local("b"));
         let exprs = [
