@@ -985,8 +985,8 @@ impl Executor {
     }
 
     /// Ends the run with [`Outcome::StepLimit`] once it has taken
-    /// `max_steps` steps; `true` when it did. Every run bounded in steps
-    /// ends there through this.
+    /// `max_steps` steps; `true` when it did. The explorer's forward run
+    /// and [`Executor::run_with`] both stop at their budget through it.
     pub(crate) fn stop_at_step_limit(&mut self, max_steps: usize) -> bool {
         if self.taken.len() < max_steps {
             return false;
