@@ -974,8 +974,7 @@ impl Executor {
             self.exec_op(thread, op);
             op.is_thread_local()
         };
-        let ready = self.threads[i].status == ThreadStatus::Ready;
-        if self.outcome.is_none() && ready {
+        if self.outcome.is_none() && self.threads[i].status == ThreadStatus::Ready {
             self.fast_forward(thread);
         }
         // A thread that finishes here may wake its joiners.
@@ -2517,7 +2516,7 @@ mod tests {
 
     /// The threads that can step, from every thread's state, whether or
     /// not the run is done.
-    fn mask_from_scratch(e: &Executor) -> u64 {
+    fn steppable(e: &Executor) -> u64 {
         (0..e.threads.len())
             .filter(|&i| e.can_step(i))
             .fold(0, |mask, i| mask | 1 << i)
@@ -2534,7 +2533,7 @@ mod tests {
         }
         let mut draw = seed;
         while e.steps() < 2_000 {
-            let scratch = mask_from_scratch(&e);
+            let scratch = steppable(&e);
             match e.outcome() {
                 None => assert_eq!(e.enabled_mask(), scratch, "at step {}", e.steps()),
                 Some(outcome) => {
