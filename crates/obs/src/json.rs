@@ -3,6 +3,8 @@
 //! read back — witness files, snapshots — are parsed with the small
 //! [`Json`] reader below).
 
+use std::ops::Range;
+
 /// Appends `s` to `out` as a JSON string escape body (no surrounding
 /// quotes): `"` and `\` are backslash-escaped, control characters use the
 /// short forms where JSON has them and `\u00XX` otherwise.
@@ -101,17 +103,25 @@ impl Json {
     /// problem: truncated input, stray characters, bad escapes, nesting
     /// deeper than 128 levels, or garbage after the document.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let value = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after JSON document"));
-        }
-        Ok(value)
+        Parser::new(input, None).document()
+    }
+
+    /// Parses one JSON document like [`Json::parse`], and also returns
+    /// the source byte range of the value of the top-level object's
+    /// first member named `key`: the member [`Json::get`] finds. The
+    /// range is `None` when the document is not an object or has no
+    /// such member.
+    ///
+    /// # Errors
+    ///
+    /// As [`Json::parse`].
+    pub fn parse_with_span(
+        input: &str,
+        key: &str,
+    ) -> Result<(Json, Option<Range<usize>>), JsonError> {
+        let mut p = Parser::new(input, Some(key));
+        let value = p.document()?;
+        Ok((value, p.span))
     }
 
     /// Looks up an object member by key (`None` for non-objects too).
@@ -172,11 +182,35 @@ impl Json {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// The top-level member whose value's source range to record.
+    span_key: Option<&'a str>,
+    span: Option<Range<usize>>,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(input: &'a str, span_key: Option<&'a str>) -> Parser<'a> {
+        Parser {
+            input,
+            bytes: input.as_bytes(),
+            pos: 0,
+            span_key,
+            span: None,
+        }
+    }
+
+    fn document(&mut self) -> Result<Json, JsonError> {
+        self.skip_ws();
+        let value = self.value(0)?;
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after JSON document"));
+        }
+        Ok(value)
+    }
+
     fn err(&self, message: impl Into<String>) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -272,7 +306,11 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
+            let start = self.pos;
             let value = self.value(depth + 1)?;
+            if depth == 0 && self.span.is_none() && self.span_key == Some(key.as_str()) {
+                self.span = Some(start..self.pos);
+            }
             members.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -286,17 +324,32 @@ impl Parser<'_> {
         }
     }
 
+    /// Reads a string. Each run up to the next quote, backslash or
+    /// control byte is copied in one piece; those bytes are ASCII, so
+    /// every run is whole UTF-8. A string without escapes is one run,
+    /// returned as a single allocation of its final size.
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            let start = self.pos;
+            self.pos += self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(self.bytes.len() - start);
+            let run = &self.input[start..self.pos];
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
+                    if out.is_empty() {
+                        return Ok(run.to_owned());
+                    }
+                    out.push_str(run);
                     return Ok(out);
                 }
                 Some(b'\\') => {
+                    out.push_str(run);
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -334,21 +387,7 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(b) if b < 0x20 => {
-                    return Err(self.err("unescaped control character in string"))
-                }
-                Some(_) => {
-                    // Consume one whole UTF-8 scalar (input is a &str, so
-                    // slicing at char boundaries is safe).
-                    let rest = &self.bytes[self.pos..];
-                    let len = utf8_len(rest[0]);
-                    let chunk = rest
-                        .get(..len)
-                        .and_then(|c| std::str::from_utf8(c).ok())
-                        .ok_or_else(|| self.err("invalid UTF-8 in string"))?;
-                    out.push_str(chunk);
-                    self.pos += len;
-                }
+                Some(_) => return Err(self.err("unescaped control character in string")),
             }
         }
     }
@@ -399,19 +438,7 @@ impl Parser<'_> {
                 return Err(self.err("expected digits in exponent"));
             }
         }
-        let lexeme =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number lexemes are ASCII");
-        Ok(Json::Num(lexeme.to_owned()))
-    }
-}
-
-/// Length in bytes of the UTF-8 sequence starting with `first`.
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
+        Ok(Json::Num(self.input[start..self.pos].to_owned()))
     }
 }
 
