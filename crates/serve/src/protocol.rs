@@ -13,6 +13,8 @@
 //! without re-parsing. The `cache` marker lives *outside* the report
 //! object for the same reason.
 
+use std::ops::Range;
+
 use lfm_obs::json::{self, Json};
 use lfm_sim::{splitmix64, Truncation};
 
@@ -272,12 +274,18 @@ pub fn render_bye() -> String {
 /// last; used by the chaos contract tests to assert hit/miss
 /// byte-identity.
 pub fn report_raw(line: &str) -> Option<&str> {
+    report_range(line).map(|range| &line[range])
+}
+
+/// Where [`report_raw`]'s bytes lie in `line`: from the first
+/// `"report":` to the line's closing brace.
+fn report_range(line: &str) -> Option<Range<usize>> {
     let start = line.find("\"report\":")? + "\"report\":".len();
     let line = line.trim_end();
     if !line.ends_with('}') || start >= line.len() {
         return None;
     }
-    Some(&line[start..line.len() - 1])
+    Some(start..line.len() - 1)
 }
 
 /// Parses one response line into a [`Response`].
@@ -285,11 +293,17 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
     parse_response_doc(line).map(|(response, _)| response)
 }
 
-/// [`parse_response`], also handing back the `report` object its
-/// raw-slice cross-check parsed (`Json::Null` for other statuses), so
-/// the client reads a report's fields without parsing it again.
+/// [`parse_response`], also handing back the `report` object from the
+/// same parse (`Json::Null` for other statuses), so the client reads a
+/// report's fields without parsing it again.
+///
+/// An `ok` line is parsed once. Its raw report bytes, which the client
+/// keeps, must be exactly the source of the top-level `report` member's
+/// value: a member after the report, a `"report":` key nested in an
+/// earlier member or whitespace around the object all fail.
 pub(crate) fn parse_response_doc(line: &str) -> Result<(Response, Json), String> {
-    let doc = Json::parse(line).map_err(|e| format!("bad JSON: {e}"))?;
+    let (doc, report_span) =
+        Json::parse_with_span(line, "report").map_err(|e| format!("bad JSON: {e}"))?;
     let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
     if schema != SERVE_SCHEMA {
         return Err(format!("schema must be {SERVE_SCHEMA:?}, got {schema:?}"));
@@ -301,13 +315,21 @@ pub(crate) fn parse_response_doc(line: &str) -> Result<(Response, Json), String>
                 Some("miss") => false,
                 other => return Err(format!("bad cache marker {other:?}")),
             };
-            let report = report_raw(line).ok_or("ok response without report bytes")?;
-            // Cross-check that the raw slice is well-formed JSON.
-            let report_doc = Json::parse(report).map_err(|e| format!("bad report object: {e}"))?;
+            let range = report_range(line).ok_or("ok response without report bytes")?;
+            if report_span != Some(range.clone()) {
+                return Err("report bytes are not the top-level report object".to_owned());
+            }
+            let Json::Obj(members) = doc else {
+                unreachable!("a document with a member span is an object")
+            };
+            let (_, report_doc) = members
+                .into_iter()
+                .find(|(key, _)| key == "report")
+                .expect("the spanned member is there");
             return Ok((
                 Response::Ok {
                     cache_hit,
-                    report: report.to_owned(),
+                    report: line[range].to_owned(),
                 },
                 report_doc,
             ));
@@ -546,6 +568,68 @@ mod tests {
             Response::Error { reason } => assert_eq!(reason, "unknown kernel"),
             other => panic!("unexpected: {other:?}"),
         }
+    }
+
+    /// A `counter_rmw/buggy` report, as the server renders it.
+    const REPORT: &str = concat!(
+        "{\"kernel\":\"counter_rmw\",\"variant\":\"buggy\",\"fingerprint\":\"bfb41251bdcf3e4a\",",
+        "\"level\":\"exhaustive\",\"confidence\":\"proved\",\"truncation\":null,\"schedules\":4,",
+        "\"counts\":{\"ok\":2,\"assert\":2,\"deadlock\":0,\"step_limit\":0,\"tx_retry\":0,",
+        "\"misuse\":0},\"failures\":2,\"first_failure\":\"final assert failed: both increments retained\"}"
+    );
+
+    #[test]
+    fn ok_frames_decode_to_their_report_bytes_and_tally_fields() {
+        for (cache_hit, trace) in [
+            (true, None),
+            (false, None),
+            (true, Some(TraceContext::mint(42, 7))),
+        ] {
+            let line = render_ok(cache_hit, trace, REPORT);
+            let (response, doc) = parse_response_doc(&line).unwrap();
+            assert_eq!(
+                response,
+                Response::Ok {
+                    cache_hit,
+                    report: REPORT.to_owned()
+                },
+                "{line}"
+            );
+            assert_eq!(doc, Json::parse(REPORT).unwrap(), "{line}");
+            let field = |key| doc.get(key).and_then(Json::as_str);
+            assert_eq!(field("level"), Some("exhaustive"));
+            assert_eq!(field("confidence"), Some("proved"));
+            assert_eq!(field("fingerprint"), Some("bfb41251bdcf3e4a"));
+            assert_eq!(doc.get("failures").and_then(Json::as_u64), Some(2));
+        }
+        // Other statuses carry no report.
+        assert_eq!(parse_response_doc(&render_pong()).unwrap().1, Json::Null);
+    }
+
+    #[test]
+    fn ok_frames_whose_report_bytes_are_not_the_report_member_are_rejected() {
+        let head = "{\"schema\":\"lfm-serve/v1\",\"status\":\"ok\",\"cache\":\"hit\"";
+        let report = "{\"kernel\":\"abba\",\"failures\":0}";
+        for frame in [
+            // A member after the report.
+            format!("{head},\"report\":{report},\"extra\":1}}"),
+            // The first `"report":` is a key inside an earlier member.
+            format!("{head},\"meta\":{{\"report\":1}},\"report\":{report}}}"),
+            // The report object is cut short.
+            format!("{head},\"report\":{}}}", &report[..report.len() - 1]),
+        ] {
+            assert!(parse_response(&frame).is_err(), "{frame}");
+            // Parsing the raw slice on its own rejects them too.
+            assert!(
+                report_raw(&frame).is_none_or(|raw| Json::parse(raw).is_err()),
+                "{frame}"
+            );
+        }
+        // Whitespace around the report parses on its own, but the raw
+        // bytes would not be the report's own bytes.
+        let spaced = format!("{head},\"report\": {report} }}");
+        assert!(Json::parse(report_raw(&spaced).unwrap()).is_ok());
+        assert!(parse_response(&spaced).is_err(), "{spaced}");
     }
 
     #[test]
