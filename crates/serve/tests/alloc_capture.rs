@@ -1,4 +1,5 @@
-//! Heap allocations per captured request timeline.
+//! Heap allocations per captured request timeline and per decoded
+//! frame.
 //!
 //! Since keep-alive serving a cache hit costs tens of microseconds end
 //! to end, so whatever `Tracer::record` spends per span shows up in the
@@ -10,13 +11,18 @@
 //! never mix their counts); the budget is zero for the two timeline
 //! shapes the server records (a hit's four spans, a miss's nine), with
 //! and without a client trace context.
+//!
+//! A hit is otherwise mostly JSON: the server parses the request line
+//! and the client parses the reply. Both decodes get a budget of
+//! allocations per frame, which reads the same on every host.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
 use lfm_obs::NoopSink;
-use lfm_serve::{SpanRec, Stage, TraceContext, Tracer, STAGES};
+use lfm_serve::protocol::{parse_response, render_ok, render_request};
+use lfm_serve::{parse_request, Request, SpanRec, Stage, TraceContext, Tracer, STAGES};
 
 /// The system allocator, counting this thread's allocations.
 struct Counting;
@@ -106,4 +112,68 @@ fn recording_a_timeline_allocates_nothing() {
         }
     }
     assert!(allocating.is_empty(), "capture allocated: {allocating:#?}");
+}
+
+/// The report of a cache hit on `counter_rmw/buggy`, as `lfm serve`
+/// renders it.
+const REPORT: &str = concat!(
+    "{\"kernel\":\"counter_rmw\",\"variant\":\"buggy\",\"fingerprint\":\"bfb41251bdcf3e4a\",",
+    "\"level\":\"exhaustive\",\"confidence\":\"proved\",\"truncation\":null,\"schedules\":4,",
+    "\"counts\":{\"ok\":2,\"assert\":2,\"deadlock\":0,\"step_limit\":0,\"tx_retry\":0,\"misuse\":0},",
+    "\"failures\":2,\"first_failure\":\"final assert failed: both increments retained\"}"
+);
+
+/// Allocations per decode of one canonical `ok` reply by the client:
+/// one parse of the line, whose `report` member the client keeps, and
+/// one copy of the raw report bytes. Parsing the report a second time
+/// and copying strings a character at a time made 104.
+const REPLY_BUDGET: u64 = 44;
+
+/// Allocations per parse of one `check` request line by the server:
+/// the parse and the kernel and variant it hands on (13 while strings
+/// were copied a character at a time).
+const REQUEST_BUDGET: u64 = 11;
+
+/// Runs `decode` `REQUESTS` times and returns its allocations per call.
+fn allocations_per_call(decode: impl Fn()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    for _ in 0..REQUESTS {
+        decode();
+    }
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    assert_eq!(allocations % REQUESTS, 0, "a decode's allocations vary");
+    allocations / REQUESTS
+}
+
+#[test]
+fn decoding_a_frame_stays_within_budget() {
+    let reply = render_ok(true, None, REPORT);
+    let request = render_request(&Request::Check {
+        kernel: "counter_rmw".to_owned(),
+        variant: "buggy".to_owned(),
+        deadline_ms: None,
+        trace: None,
+    });
+    let reply_allocs = allocations_per_call(|| {
+        parse_response(&reply).expect("a canonical reply decodes");
+    });
+    let request_allocs = allocations_per_call(|| {
+        parse_request(&request).expect("a check line decodes");
+    });
+    println!(
+        "ok reply ({} bytes): {reply_allocs} allocations",
+        reply.len()
+    );
+    println!(
+        "check request ({} bytes): {request_allocs} allocations",
+        request.len()
+    );
+    assert!(
+        reply_allocs <= REPLY_BUDGET,
+        "decoding an ok reply made {reply_allocs} allocations, budget {REPLY_BUDGET}"
+    );
+    assert!(
+        request_allocs <= REQUEST_BUDGET,
+        "parsing a check line made {request_allocs} allocations, budget {REQUEST_BUDGET}"
+    );
 }
