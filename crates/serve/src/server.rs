@@ -854,6 +854,9 @@ fn handle_conn(stream: &TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(stream);
     let mut fingerprints = Fingerprints::new();
+    // One timeline buffer per connection, cleared for each request, so
+    // a traced request records its spans without allocating.
+    let mut spans: Vec<SpanRec> = Vec::new();
     loop {
         // The request's clock starts at its first byte: the wait before
         // it is the client's think time on a kept connection, not
@@ -882,7 +885,7 @@ fn handle_conn(stream: &TcpStream, shared: &Arc<Shared>) {
         // One request timeline: the handler's spans live on track 0,
         // its exploration's on the slot's track.
         let tracer = &shared.tracer;
-        let mut spans: Vec<SpanRec> = Vec::new();
+        spans.clear();
         push_span(
             &shared.stats,
             tracer,
