@@ -14,9 +14,10 @@
 //! compounds most), run the same exploration observation-off and
 //! observation-on (profiler at the CLI's default sampling shift,
 //! progress estimation at an aggressive 1ms cadence, events teed into a
-//! flight recorder), interleaved best-of-N per mode. Reports are
-//! checked field-for-field — including the bit pattern of the schedule
-//! estimate — across every repetition.
+//! flight recorder) in interleaved off/on pairs until each mode has
+//! run for [`OBS_SIDE_WALL`]; the overhead is the median pair's.
+//! Reports are checked field-for-field — including the bit pattern of
+//! the schedule estimate — in every pair.
 //!
 //! Like E-perf, the overhead percentage is a host property;
 //! the report-equality column is the claim that must hold everywhere.
@@ -27,7 +28,7 @@ use std::time::Duration;
 
 use lfm_kernels::registry;
 use lfm_obs::{json, FlightRecorder, PhaseProfile, PhaseProfiler};
-use lfm_sim::{ExploreLimits, Explorer};
+use lfm_sim::{ExploreLimits, Explorer, Program};
 use lfm_study::Table;
 
 use crate::{push_fields, push_objects};
@@ -40,10 +41,11 @@ pub const OBS_BUDGET: u64 = 2_000;
 /// should cost at most this much states/sec throughput.
 pub const OBS_TARGET_PCT: f64 = 10.0;
 
-/// Timed repetitions per mode; each mode keeps its fastest wall (same
-/// best-of-N rationale as E-perf: the minimum estimates what the code
-/// costs, not what the host's scheduler did that millisecond).
-const OBS_REPS: usize = 3;
+/// Wall time each mode runs for on each kernel, summed over its
+/// searches. One search at [`OBS_BUDGET`] takes 30–130 µs, so a few
+/// of them read the host's scheduling more than the code; the median
+/// of hundreds of interleaved pairs reads the code.
+pub const OBS_SIDE_WALL: Duration = Duration::from_millis(40);
 
 /// Progress cadence for the observation-on runs: deliberately far more
 /// aggressive than the CLI's default (250ms) so the measured overhead
@@ -57,23 +59,27 @@ pub struct ObsRow {
     pub kernel: &'static str,
     /// Deepest DFS stack observed (why this kernel was picked).
     pub max_depth: u64,
-    /// Observation-off states per second (fastest of N).
+    /// Off/on pairs timed.
+    pub pairs: usize,
+    /// Observation-off states per second over all its searches.
     pub off_states_per_sec: f64,
-    /// Observation-on states per second (fastest of N).
+    /// Observation-on states per second over all its searches.
     pub on_states_per_sec: f64,
-    /// Throughput lost to observation, percent (negative = noise made
-    /// the instrumented run faster).
+    /// Throughput lost to observation in the median pair, percent
+    /// (negative = noise made the instrumented search faster).
     pub overhead_pct: f64,
     /// The estimator's tree-size prediction (identical in both modes).
     pub est_total_schedules: f64,
-    /// The profiler phase that attributed the most estimated time.
+    /// The profiler phase that attributed the most estimated time over
+    /// all observation-on searches.
     pub top_phase: String,
-    /// Estimated nanoseconds attributed across all phases.
+    /// Estimated nanoseconds attributed across all phases, per
+    /// observation-on search.
     pub profiled_nanos: u64,
     /// Events the flight recorder captured during the on-runs.
     pub recorded_events: u64,
-    /// Whether every off/on repetition pair matched field-for-field
-    /// (including `est_total_schedules` bits). Must hold on every host.
+    /// Whether every off/on pair matched field-for-field (including
+    /// `est_total_schedules` bits). Must hold on every host.
     pub identical: bool,
 }
 
@@ -132,52 +138,7 @@ pub fn obs_measure(max_schedules: u64) -> ObsReport {
         .take(2)
         .map(|&(max_depth, id)| {
             let kernel = registry::by_id(id).expect("kernel came from the registry");
-            let program = kernel.buggy();
-            let recorder = Arc::new(FlightRecorder::new());
-            let mut off_runs = Vec::new();
-            let mut on_runs = Vec::new();
-            let mut profiles = Vec::new();
-            for _ in 0..OBS_REPS {
-                off_runs.push(Explorer::new(&program).limits(limits.clone()).run());
-                let profiler = Arc::new(PhaseProfiler::sampling(PhaseProfiler::DEFAULT_SHIFT));
-                on_runs.push(
-                    Explorer::new(&program)
-                        .limits(limits.clone())
-                        .with_sink(recorder.clone())
-                        .profile(profiler.clone())
-                        .progress_every(OBS_PROGRESS_EVERY)
-                        .run(),
-                );
-                profiles.push(profiler.snapshot());
-            }
-            let fastest = |runs: &[lfm_sim::explore::ExploreReport]| {
-                runs.iter()
-                    .enumerate()
-                    .min_by_key(|(_, r)| r.stats.wall)
-                    .map(|(i, _)| i)
-                    .expect("OBS_REPS > 0")
-            };
-            let identical = off_runs
-                .iter()
-                .zip(on_runs.iter())
-                .all(|(off, on)| off.first_difference(on).is_none());
-            let profile = profiles.swap_remove(fastest(&on_runs));
-            let off = off_runs.swap_remove(fastest(&off_runs));
-            let on = on_runs.swap_remove(fastest(&on_runs));
-            let off_rate = off.states_per_sec();
-            let on_rate = on.states_per_sec();
-            ObsRow {
-                kernel: id,
-                max_depth,
-                off_states_per_sec: off_rate,
-                on_states_per_sec: on_rate,
-                overhead_pct: 100.0 * (1.0 - on_rate / off_rate.max(f64::MIN_POSITIVE)),
-                est_total_schedules: on.est_total_schedules,
-                top_phase: top_phase(&profile),
-                profiled_nanos: profile.est_grand_total_nanos(),
-                recorded_events: recorder.recorded(),
-                identical,
-            }
+            obs_row(id, max_depth, &kernel.buggy(), &limits)
         })
         .collect();
 
@@ -186,6 +147,64 @@ pub fn obs_measure(max_schedules: u64) -> ObsReport {
         host_parallelism: crate::host_parallelism(),
         rows,
     }
+}
+
+/// Times interleaved off/on searches of `program` until each mode has
+/// run for [`OBS_SIDE_WALL`], checking every pair's reports
+/// field-for-field.
+fn obs_row(
+    kernel: &'static str,
+    max_depth: u64,
+    program: &Program,
+    limits: &ExploreLimits,
+) -> ObsRow {
+    let recorder = Arc::new(FlightRecorder::new());
+    let mut profile = PhaseProfile::empty();
+    let mut overheads = Vec::new();
+    let (mut off_wall, mut on_wall) = (Duration::ZERO, Duration::ZERO);
+    let mut identical = true;
+    let mut steps = 0;
+    let mut est_total_schedules = 0.0;
+    while off_wall < OBS_SIDE_WALL || on_wall < OBS_SIDE_WALL {
+        let off = Explorer::new(program).limits(limits.clone()).run();
+        let profiler = Arc::new(PhaseProfiler::sampling(PhaseProfiler::DEFAULT_SHIFT));
+        let on = Explorer::new(program)
+            .limits(limits.clone())
+            .with_sink(recorder.clone())
+            .profile(profiler.clone())
+            .progress_every(OBS_PROGRESS_EVERY)
+            .run();
+        profile.merge(&profiler.snapshot());
+        identical &= off.first_difference(&on).is_none();
+        off_wall += off.stats.wall;
+        on_wall += on.stats.wall;
+        overheads.push(overhead_pct(off.stats.wall, on.stats.wall));
+        steps += off.steps_total;
+        est_total_schedules = on.est_total_schedules;
+    }
+    overheads.sort_by(f64::total_cmp);
+    let pairs = overheads.len();
+    let rate = |wall: Duration| steps as f64 / wall.as_secs_f64().max(f64::MIN_POSITIVE);
+    ObsRow {
+        kernel,
+        max_depth,
+        pairs,
+        off_states_per_sec: rate(off_wall),
+        on_states_per_sec: rate(on_wall),
+        overhead_pct: overheads[pairs / 2],
+        est_total_schedules,
+        top_phase: top_phase(&profile),
+        profiled_nanos: profile.est_grand_total_nanos() / pairs as u64,
+        recorded_events: recorder.recorded(),
+        identical,
+    }
+}
+
+/// Throughput lost to observation in one pair, percent: both searches
+/// visit the same states, so it is the share of the on-wall that the
+/// off-search did not need.
+fn overhead_pct(off: Duration, on: Duration) -> f64 {
+    100.0 * (1.0 - off.as_secs_f64() / on.as_secs_f64().max(f64::MIN_POSITIVE))
 }
 
 /// The phase with the largest estimated attributed time, or `-` for an
@@ -212,6 +231,7 @@ pub fn obs_table(max_schedules: u64) -> Table {
         vec![
             "kernel",
             "depth",
+            "pairs",
             "off states/sec",
             "on states/sec",
             "overhead",
@@ -224,6 +244,7 @@ pub fn obs_table(max_schedules: u64) -> Table {
         t.row(vec![
             r.kernel.to_string(),
             r.max_depth.to_string(),
+            r.pairs.to_string(),
             format!("{:.0}", r.off_states_per_sec),
             format!("{:.0}", r.on_states_per_sec),
             format!(
@@ -244,12 +265,13 @@ pub fn obs_table(max_schedules: u64) -> Table {
             },
         ]);
     }
-    t.note(
+    t.note(format!(
         "observation-on = phase profiler at the CLI's default sampling \
          shift + progress estimation every 1ms (40x the CLI cadence) + \
-         events teed into a bounded flight recorder; best-of-3 per mode, \
-         interleaved",
-    );
+         events teed into a bounded flight recorder; interleaved off/on \
+         pairs until each mode has run {} ms, overhead of the median pair",
+        OBS_SIDE_WALL.as_millis()
+    ));
     t.note(
         "overhead is a host property; the `report` column is the \
          determinism claim — with observation on, every ExploreReport \
@@ -278,6 +300,7 @@ pub fn obs_json(report: &ObsReport) -> String {
         vec![
             ("kernel", json::quote(r.kernel)),
             ("max_depth", r.max_depth.to_string()),
+            ("pairs", r.pairs.to_string()),
             ("off_states_per_sec", json::number_f64(r.off_states_per_sec)),
             ("on_states_per_sec", json::number_f64(r.on_states_per_sec)),
             ("overhead_pct", json::number_f64(r.overhead_pct)),
