@@ -125,13 +125,11 @@ const REPORT: &str = concat!(
 
 /// Allocations per decode of one canonical `ok` reply by the client:
 /// one parse of the line, whose `report` member the client keeps, and
-/// one copy of the raw report bytes. Parsing the report a second time
-/// and copying strings a character at a time made 104.
+/// one copy of the raw report bytes.
 const REPLY_BUDGET: u64 = 44;
 
 /// Allocations per parse of one `check` request line by the server:
-/// the parse and the kernel and variant it hands on (13 while strings
-/// were copied a character at a time).
+/// the parse, and the kernel and variant it hands on.
 const REQUEST_BUDGET: u64 = 11;
 
 /// Runs `decode` `REQUESTS` times and returns its allocations per call.
